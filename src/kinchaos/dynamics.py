@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, StabilityError
-from .potentials import Zero
+from .potentials import Zero, _op_norms
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -94,6 +94,10 @@ class PhaseEnsemble:
     velocities: np.ndarray      # (N, d)
     time: float = 0.0
     step: int = 0
+    # (spec, V, W, positions snapshot, force) from the closing kick of the
+    # step that produced this state; see step_particle_system
+    _closing_force: tuple | None = field(default=None, init=False,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -120,8 +124,10 @@ class PhaseEnsemble:
 def pairwise_force(spec, X):
     """(1/N) sum_{j != i} K(x_i - x_j) for every i; direct O(N^2) sum.
 
-    Row blocks bound memory; each row is reduced in fixed index order, so the
-    result is independent of blocking and worker count.
+    Row blocks of about 2**14 pair entries (128 KiB) keep the temporaries in
+    cache and in the allocator's free lists instead of mapping fresh pages on
+    every call; each row is reduced in fixed index order, so the result is
+    independent of blocking and worker count.
     """
 
     X = np.asarray(X, dtype=float)
@@ -129,11 +135,10 @@ def pairwise_force(spec, X):
     if N < 2 or isinstance(spec.W, Zero):
         return np.zeros_like(X)
     out = np.empty_like(X)
-    chunk = max(1, int(2**22 // max(N, 1)))
+    chunk = max(1, 2**14 // (N * d))
     for start in range(0, N, chunk):
         stop = min(start + chunk, N)
         diff = X[start:stop, None, :] - X[None, :, :]
-        diff = spec.domain.displacement(diff)
         k = -spec.W.grad(diff)                      # K = -grad W
         rows = np.arange(stop - start)
         k[rows, np.arange(start, stop)] = 0.0       # exclude self pair
@@ -152,56 +157,103 @@ def _ou_coefficients(params, dt):
     return decay, math.sqrt(var)
 
 
-def _check_dt(spec, params, dt, unsafe_dt):
+def _check_dt(spec, params, dt, unsafe_dt, x):
+    """Reject dt above 0.5 / (stiffness scale) before the step is taken.
+
+    With a declared C_V the bound is global.  When C_V is infinite (power_k,
+    exp_power) it uses the local stiffness max_i |hess V(x_i)| + C_K at the
+    current positions, so a stiff start fails here and not as an overflow
+    some steps later.
+    """
+
     if dt <= 0:
         raise StabilityError("dt must be positive")
+    if unsafe_dt:
+        return
+    c_k = spec.C_K if math.isfinite(spec.C_K) else 0.0
     scale = max(params.gamma,
                 math.sqrt(spec.C_V) if math.isfinite(spec.C_V) else 0.0,
-                math.sqrt(spec.C_K) if math.isfinite(spec.C_K) else 0.0)
-    if dt * scale > 0.5 and not unsafe_dt:
+                math.sqrt(c_k))
+    if dt * scale > 0.5:
         raise StabilityError(
             f"dt * max(gamma, sqrt(C_V), sqrt(C_K)) = {dt * scale:.3g} > 0.5; "
             "pass unsafe_dt=True to override")
+    if math.isfinite(spec.C_V):
+        return
+    with np.errstate(all="ignore"):
+        H = spec.V.hess(x)
+    # a Hessian that overflows counts as infinitely stiff
+    finite = np.all(np.isfinite(H), axis=(-2, -1))
+    norms = np.full(len(x), math.inf)
+    norms[finite] = _op_norms(H[finite])
+    i = int(np.argmax(norms))
+    local = dt * math.sqrt(norms[i] + c_k)
+    if local > 0.5:
+        raise StabilityError(
+            f"particle {i} at x = {x[i].tolist()}: dt * sqrt(|hess V| + C_K) "
+            f"= {local:.3g} > 0.5; pass unsafe_dt=True to override")
 
 
-def _advance(Z, spec, params, dt, scheme, rng, force):
-    """Shared stepping core; `force` maps positions to total drift force."""
+def _advance(Z, params, dt, scheme, rng, force, f_start=None):
+    """Shared stepping core; `force` maps positions to total drift force.
+
+    `f_start`, when given, is force(Z.positions) already known to the caller.
+    Returns the new ensemble and the force at its positions when the scheme
+    computed one (BAOAB's closing kick), else None.
+    """
 
     x = Z.positions
     v = Z.velocities
     xi = rng.step_normals(Z.step, Z.N, Z.d)
+    f = force(x) if f_start is None else f_start
+    f_end = None
     if scheme == "euler_maruyama":
-        f = force(x)
         x_new = x + v * dt
         v_new = v + (f - params.gamma * v) * dt + math.sqrt(2.0 * params.sigma * dt) * xi
     elif scheme == "baoab":
         decay, noise = _ou_coefficients(params, dt)
-        v_half = v + 0.5 * dt * force(x)
+        v_half = v + 0.5 * dt * f
         x_half = x + 0.5 * dt * v_half
         v_ou = decay * v_half + noise * xi
         x_new = x_half + 0.5 * dt * v_ou
-        v_new = v_ou + 0.5 * dt * force(x_new)
+        f_end = force(x_new)
+        v_new = v_ou + 0.5 * dt * f_end
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if spec.domain.period is not None:
-        x_new = spec.domain.wrap(x_new)
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise BlowUpError(Z.step, f"(t = {Z.time:.6g})")
-    return PhaseEnsemble(x_new, v_new, Z.time + dt, Z.step + 1)
+    return PhaseEnsemble(x_new, v_new, Z.time + dt, Z.step + 1), f_end
 
 
 def step_particle_system(Z, spec, params, dt, scheme="baoab", rng=None,
                          unsafe_dt=False):
-    """One step of the interacting N-particle system."""
+    """One step of the interacting N-particle system.
+
+    A BAOAB step leaves the force of its closing kick on the returned
+    ensemble, and the next call opens with it instead of evaluating the
+    force again ("first same as last").  It is reused only for the same
+    spec, V and W objects and positions equal to those it was computed at;
+    any other state, and every `copy()`, gets a fresh evaluation.
+    """
 
     if rng is None:
         raise ValueError("an RngSpec is required for reproducibility")
-    _check_dt(spec, params, dt, unsafe_dt)
+    _check_dt(spec, params, dt, unsafe_dt, Z.positions)
 
     def force(x):
         return -spec.V.grad(x) + pairwise_force(spec, x)
 
-    return _advance(Z, spec, params, dt, scheme, rng, force)
+    f_start = None
+    if Z._closing_force is not None:
+        c_spec, c_V, c_W, c_x, c_f = Z._closing_force
+        if (c_spec is spec and c_V is spec.V and c_W is spec.W
+                and np.array_equal(c_x, Z.positions)):
+            f_start = c_f
+    out, f_end = _advance(Z, params, dt, scheme, rng, force, f_start)
+    if f_end is not None:
+        out._closing_force = (spec, spec.V, spec.W, out.positions.copy(),
+                              f_end)
+    return out
 
 
 def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
@@ -215,7 +267,7 @@ def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
 
     if rng is None:
         raise ValueError("an RngSpec is required for reproducibility")
-    _check_dt(spec, params, dt, unsafe_dt)
+    _check_dt(spec, params, dt, unsafe_dt, Z.positions)
 
     def force(x):
         drift = density_provider(x)
@@ -226,7 +278,8 @@ def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
                              f"x = {x[bad[0]]}")
         return -spec.V.grad(x) + drift
 
-    return _advance(Z, spec, params, dt, scheme, rng, force)
+    # no carried force: the provider may change between calls
+    return _advance(Z, params, dt, scheme, rng, force)[0]
 
 
 @dataclass

@@ -177,13 +177,12 @@ def _raw_mass(x_axis, v_axis, values):
 def interaction_convolution(spec, x_axis, rho_values, derivative=0):
     """(W * rho), (W' * rho) or (W'' * rho) on the grid by direct quadrature.
 
-    Uses minimal-image displacements on a torus.  derivative=1 returns the
-    gradient convolution, from which the mean-field force is K*rho = -(W'*rho).
+    derivative=1 returns the gradient convolution, from which the mean-field
+    force is K*rho = -(W'*rho).
     """
 
     nodes = x_axis.nodes
     diff = nodes[:, None] - nodes[None, :]
-    diff = spec.domain.displacement(diff)
     if derivative == 0:
         kernel = spec.W.value(diff[..., None])
     elif derivative == 1:

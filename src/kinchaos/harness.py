@@ -253,13 +253,6 @@ def _validate_potential(entries, errors):
                               "family name string")
                 continue
             out[key] = value
-        elif key == "domain_period":
-            got = _coerce(value, "float")
-            if got is None or got <= 0:
-                errors.append(f"line {lineno}: [potential] domain_period must "
-                              f"be a positive number, got {value!r}")
-                continue
-            out[key] = got
         elif key.startswith("v_") or key.startswith("w_"):
             if not isinstance(value, (int, float, str)) \
                     or isinstance(value, bool):
@@ -333,15 +326,12 @@ def load_config(path):
 def build_potential_spec(potential_cfg):
     """PotentialSpec from the flattened v_*/w_* parameter keys."""
 
-    from .potentials import Domain
-
     v_params = {k[2:]: v for k, v in potential_cfg.items()
                 if k.startswith("v_") and k != "v_family"}
     w_params = {k[2:]: v for k, v in potential_cfg.items()
                 if k.startswith("w_") and k != "w_family"}
-    domain = Domain(1, potential_cfg.get("domain_period"))
     return make_system(potential_cfg["v_family"], v_params,
-                       potential_cfg["w_family"], w_params, domain)
+                       potential_cfg["w_family"], w_params)
 
 
 def build_model_params(model_cfg):

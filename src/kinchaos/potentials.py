@@ -31,26 +31,13 @@ W_FAMILIES = ("harmonic_W", "mollified_coulomb", "zero", "custom")
 
 @dataclass(frozen=True)
 class Domain:
-    """Whole space R^d (period=None) or a torus of period L per axis."""
+    """Whole space R^d."""
 
     d: int
-    period: float | None = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("domain dimension must be >= 1")
-        if self.period is not None and self.period <= 0:
-            raise ValueError("torus period must be positive")
-
-    def wrap(self, x):
-        """Map points into the fundamental cell [-L/2, L/2)^d."""
-        if self.period is None:
-            return x
-        L = self.period
-        return (np.asarray(x, dtype=float) + 0.5 * L) % L - 0.5 * L
-
-    # minimal-image displacement is the same map applied to differences
-    displacement = wrap
 
 
 class Field:
@@ -361,7 +348,7 @@ class PotentialSpec:
         return {
             "V": {"family": self.V.family, **self.V.params()},
             "W": {"family": self.W.family, **self.W.params()},
-            "domain": {"d": self.domain.d, "period": self.domain.period},
+            "domain": {"d": self.domain.d},
             "constants": {
                 "lam": self.lam, "M_lb": self.M_lb, "C_V": self.C_V,
                 "C_K": self.C_K, "theta": self.theta,
@@ -474,14 +461,14 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
 def evaluate(spec, which, x):
     """Evaluate V or W at one point: (value, gradient, hessian).
 
-    On a torus the point is wrapped into the fundamental cell first.  A
-    non-finite value raises EvaluationOverflow carrying the offending point.
+    A non-finite value raises EvaluationOverflow carrying the offending
+    point.
     """
 
     if which not in ("V", "W"):
         raise ValueError("which must be 'V' or 'W'")
     fld = spec.V if which == "V" else spec.W
-    x = spec.domain.wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     val = fld.value(x)
     g = fld.grad(x)
     h = fld.hess(x)
@@ -494,12 +481,11 @@ def evaluate(spec, which, x):
 def interaction_kernel(spec, r):
     """Interaction force K(r) = -grad W at displacement(s) r.
 
-    Vectorized over leading axes; minimal-image displacement on a torus.
-    Antisymmetric for every even W: K(-r) = -K(r).
+    Vectorized over leading axes.  Antisymmetric for every even W:
+    K(-r) = -K(r).
     """
 
-    r = spec.domain.displacement(np.asarray(r, dtype=float))
-    return -spec.W.grad(r)
+    return -spec.W.grad(np.asarray(r, dtype=float))
 
 
 def pairwise_interaction_energy(spec, X):
@@ -513,7 +499,7 @@ def pairwise_interaction_energy(spec, X):
     chunk = max(1, int(2**22 // max(N, 1)))
     for start in range(0, N, chunk):
         block = X[start:start + chunk]
-        diff = spec.domain.displacement(block[:, None, :] - X[None, :, :])
+        diff = block[:, None, :] - X[None, :, :]
         w = spec.W.value(diff)
         # remove self pairs on the diagonal of this block
         idx = np.arange(start, min(start + chunk, N))
@@ -771,7 +757,7 @@ def _check_a5(spec, pts, tol, n_random_measures, seed):
         x = pts[idx]
         c = rng.standard_normal(m)
         c -= c.mean()  # zero total mass
-        diff = spec.domain.displacement(x[:, None, :] - x[None, :, :])
+        diff = x[:, None, :] - x[None, :, :]
         q = float(c @ spec.W.value(diff) @ c)
         if q < worst:
             worst = q

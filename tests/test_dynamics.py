@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinchaos import dynamics
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                pairwise_force, sample_f_infty, sample_gibbs,
                                step_mckean_vlasov, step_particle_system)
 from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import BlowUpError, StabilityError
-from kinchaos.potentials import make_system
+from kinchaos.potentials import Domain, make_system
 
 
 # --- noise streams -----------------------------------------------------------
@@ -95,6 +96,29 @@ def test_pairwise_force_single_particle(baseline_spec):
     assert np.all(pairwise_force(baseline_spec, np.ones((1, 1))) == 0.0)
 
 
+def _pairwise_force_one_block(spec, X):
+    # the whole N x N x d pair array at once: the unblocked reference
+    N = X.shape[0]
+    k = -spec.W.grad(X[:, None, :] - X[None, :, :])
+    k[np.arange(N), np.arange(N)] = 0.0
+    return k.sum(axis=1) / N
+
+
+@pytest.mark.parametrize("w_family, w_params", [
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+])
+@pytest.mark.parametrize("N, d", [(200, 1), (300, 2), (683, 2)])
+def test_pairwise_force_blocks_match_one_block(w_family, w_params, N, d):
+    # 2**14 // (N d) rows per block: 3, 12 and 57 blocks, the last one short
+    assert N % (2**14 // (N * d)) != 0
+    spec = make_system("quadratic", None, w_family, w_params,
+                       domain=Domain(d))
+    X = np.random.default_rng(N + d).standard_normal((N, d))
+    assert np.array_equal(pairwise_force(spec, X),
+                          _pairwise_force_one_block(spec, X))
+
+
 def test_step_determinism(baseline_spec, baseline_params, rng):
     Z = PhaseEnsemble(np.ones((8, 1)), np.zeros((8, 1)))
     a = step_particle_system(Z, baseline_spec, baseline_params, 0.01, rng=rng)
@@ -120,6 +144,31 @@ def test_dt_guard(baseline_spec, baseline_params, rng):
         step_particle_system(Z, baseline_spec, baseline_params, 10.0, rng=rng)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, params, far", [
+    ("power_k", {"k": 4.0}, 10.0),
+    ("exp_power", {"a": 1.0, "k": 0.5}, 1000.0),
+])
+def test_dt_guard_unbounded_hessian(family, params, far, rng):
+    # C_V = inf: the guard bounds dt by the local stiffness at the current
+    # positions, so the stiff start is refused at the first call, before
+    # any overflow warning
+    spec = make_system(family, params)
+    assert spec.C_V == math.inf
+    model = ModelParams(gamma=1.0, sigma=1.0, beta=1.0)
+    Z = PhaseEnsemble(np.array([[0.5], [-0.25], [far], [1.0]]),
+                      np.zeros((4, 1)))
+    with pytest.raises(StabilityError, match="particle 2 "):
+        step_particle_system(Z, spec, model, 0.1, rng=rng)
+    with pytest.raises(StabilityError, match="particle 2 "):
+        step_mckean_vlasov(Z, spec, model, 0.1, lambda x: np.zeros_like(x),
+                           rng=rng)
+    # the same dt is accepted where the well is soft
+    Z = PhaseEnsemble(np.array([[0.5], [-0.25], [0.75], [1.0]]),
+                      np.zeros((4, 1)))
+    assert step_particle_system(Z, spec, model, 0.1, rng=rng).step == 1
+
+
 def test_blowup_detected(rng):
     spec = make_system("power_k", {"k": 4.0})
     params = ModelParams(gamma=1.0, sigma=1.0, beta=1.0)
@@ -139,6 +188,96 @@ def test_euler_maruyama_scheme_runs(baseline_spec, baseline_params, rng):
     with pytest.raises(ValueError):
         step_particle_system(Z, baseline_spec, baseline_params, 0.01,
                              scheme="verlet", rng=rng)
+
+
+# --- carried closing force ---------------------------------------------------
+
+@pytest.fixture()
+def force_calls(monkeypatch):
+    calls = []
+    inner = dynamics.pairwise_force
+
+    def counting(spec, X):
+        calls.append(spec)
+        return inner(spec, X)
+
+    monkeypatch.setattr(dynamics, "pairwise_force", counting)
+    return calls
+
+
+def _cloud(N=32):
+    gen = np.random.default_rng(17)
+    return PhaseEnsemble(gen.standard_normal((N, 1)),
+                         gen.standard_normal((N, 1)))
+
+
+@pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
+def test_chained_steps_match_fresh_steps(scheme, baseline_spec,
+                                         baseline_params, rng):
+    # copy() drops the carried force, so the second loop evaluates both
+    # BAOAB kicks afresh on every step
+    chained = fresh = _cloud()
+    for _ in range(50):
+        chained = step_particle_system(chained, baseline_spec,
+                                       baseline_params, 0.01, scheme=scheme,
+                                       rng=rng)
+        fresh = step_particle_system(fresh.copy(), baseline_spec,
+                                     baseline_params, 0.01, scheme=scheme,
+                                     rng=rng)
+    assert np.array_equal(chained.positions, fresh.positions)
+    assert np.array_equal(chained.velocities, fresh.velocities)
+
+
+def test_baoab_evaluates_force_once_per_step(force_calls, baseline_spec,
+                                             baseline_params, rng):
+    Z = _cloud()
+    for _ in range(10):
+        Z = step_particle_system(Z, baseline_spec, baseline_params, 0.01,
+                                 rng=rng)
+    assert len(force_calls) == 11
+
+
+def test_carried_force_dropped_after_position_mutation(
+        force_calls, baseline_spec, baseline_params, rng):
+    Z = step_particle_system(_cloud(), baseline_spec, baseline_params, 0.01,
+                             rng=rng)
+    Z.positions[3, 0] += 0.5
+    expect = step_particle_system(Z.copy(), baseline_spec, baseline_params,
+                                  0.01, rng=rng)
+    del force_calls[:]
+    got = step_particle_system(Z, baseline_spec, baseline_params, 0.01,
+                               rng=rng)
+    assert len(force_calls) == 2
+    assert np.array_equal(got.positions, expect.positions)
+    assert np.array_equal(got.velocities, expect.velocities)
+
+
+def test_carried_force_dropped_for_another_spec(force_calls, baseline_spec,
+                                                baseline_params, rng):
+    Z = step_particle_system(_cloud(), baseline_spec, baseline_params, 0.01,
+                             rng=rng)
+    stronger = make_system("quadratic", {"curvature": 1.0},
+                           "harmonic_W", {"L_W": 0.5})
+    twin = make_system("quadratic", {"curvature": 1.0},
+                       "harmonic_W", {"L_W": 0.25})
+    for spec in (stronger, twin):
+        expect = step_particle_system(Z.copy(), spec, baseline_params, 0.01,
+                                      rng=rng)
+        del force_calls[:]
+        got = step_particle_system(Z, spec, baseline_params, 0.01, rng=rng)
+        assert force_calls == [spec, spec]
+        assert np.array_equal(got.velocities, expect.velocities)
+    # the same spec object with its interaction field swapped out
+    swapped = make_system("quadratic", {"curvature": 1.0},
+                          "harmonic_W", {"L_W": 0.25})
+    Z = step_particle_system(Z, swapped, baseline_params, 0.01, rng=rng)
+    swapped.W = stronger.W
+    expect = step_particle_system(Z.copy(), swapped, baseline_params, 0.01,
+                                  rng=rng)
+    del force_calls[:]
+    got = step_particle_system(Z, swapped, baseline_params, 0.01, rng=rng)
+    assert len(force_calls) == 2
+    assert np.array_equal(got.velocities, expect.velocities)
 
 
 # --- long-run statistics -----------------------------------------------------

@@ -214,6 +214,14 @@ T = 0.4
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_particle_dt_guard_exit_code(tmp_path, capsys):
+    # gamma * dt = 0.6 > 0.5: refused by the particle stepper's first call
+    cfg = write_cfg(tmp_path, MINIMAL_ERGODICITY + "dt = 0.6\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "dt * max(gamma" in err
+
+
 def test_cli_strict_assumptions_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n")
     code = cli_main(["run", cfg, "--strict",
