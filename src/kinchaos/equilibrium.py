@@ -11,7 +11,9 @@ whole family is Gaussian and `gaussian_closed_form` returns the exact
 variances and covariance spectra used as oracles elsewhere.
 """
 
+import collections
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,11 @@ from .potentials import Zero
 
 @dataclass(frozen=True)
 class Axis:
-    """Uniform 1D grid of n nodes on [lo, hi]."""
+    """Uniform 1D grid of n nodes on [lo, hi].
+
+    The nodes and trapezoid weights are computed once, at construction, and
+    shared read-only by every caller.
+    """
 
     lo: float
     hi: float
@@ -35,20 +41,25 @@ class Axis:
             raise ValueError("axis requires hi > lo")
         if self.n < 16:
             raise ValueError("axis requires at least 16 nodes")
+        nodes = np.linspace(self.lo, self.hi, self.n)
+        weights = np.full(self.n, self.h)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def nodes(self):
-        return np.linspace(self.lo, self.hi, self.n)
+        return self._nodes
 
     @property
     def h(self):
         return (self.hi - self.lo) / (self.n - 1)
 
     def trapezoid_weights(self):
-        w = np.full(self.n, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return self._weights
 
 
 @dataclass
@@ -133,14 +144,6 @@ class GridDensity:
         u = gen.uniform(size=n)
         return np.interp(u, cdf, nodes)
 
-    def axis_metadata(self):
-        meta = {"x_axis": {"lo": self.x_axis.lo, "hi": self.x_axis.hi,
-                           "n": self.x_axis.n}}
-        if self.v_axis is not None:
-            meta["v_axis"] = {"lo": self.v_axis.lo, "hi": self.v_axis.hi,
-                              "n": self.v_axis.n}
-        return meta
-
     def to_csv_text(self):
         """Axis header lines followed by row-major values, one row per line."""
 
@@ -174,6 +177,52 @@ def _raw_mass(x_axis, v_axis, values):
                               dx=x_axis.h))
 
 
+# (id(W), x_axis, derivative) -> (W, W.params() snapshot, kernel), least
+# recently used first; holding W keeps its id from being reused.  Two entries
+# cover the VFP loop (derivatives 0 and 1) and the concentration tables (1 and
+# 2); each holds an nx x nx array.
+_KERNELS = collections.OrderedDict()
+_KERNEL_SLOTS = 2
+# a miss builds under the lock, so threads sharing a kernel build it once
+_KERNEL_LOCK = threading.Lock()
+
+
+def _build_kernel(W, x_axis, derivative):
+    nodes = x_axis.nodes
+    diff = nodes[:, None] - nodes[None, :]
+    if derivative == 0:
+        kernel = W.value(diff[..., None])
+    elif derivative == 1:
+        kernel = W.grad(diff[..., None])[..., 0]
+    else:
+        kernel = W.hess(diff[..., None])[..., 0, 0]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _interaction_kernel(W, x_axis, derivative):
+    """The nx x nx matrix of W^(derivative)(x_i - x_j), built once per W.
+
+    An entry is reused only for the same W object whose params() still
+    match the snapshot taken when it was built, so mutating W in place or
+    passing another object rebuilds it.
+    """
+
+    key = (id(W), x_axis, derivative)
+    params = W.params()
+    with _KERNEL_LOCK:
+        entry = _KERNELS.get(key)
+        if entry is not None and entry[1] == params:
+            _KERNELS.move_to_end(key)
+            return entry[2]
+        kernel = _build_kernel(W, x_axis, derivative)
+        _KERNELS[key] = (W, params, kernel)
+        _KERNELS.move_to_end(key)
+        while len(_KERNELS) > _KERNEL_SLOTS:
+            _KERNELS.popitem(last=False)
+        return kernel
+
+
 def interaction_convolution(spec, x_axis, rho_values, derivative=0):
     """(W * rho), (W' * rho) or (W'' * rho) on the grid by direct quadrature.
 
@@ -181,16 +230,9 @@ def interaction_convolution(spec, x_axis, rho_values, derivative=0):
     force is K*rho = -(W'*rho).
     """
 
-    nodes = x_axis.nodes
-    diff = nodes[:, None] - nodes[None, :]
-    if derivative == 0:
-        kernel = spec.W.value(diff[..., None])
-    elif derivative == 1:
-        kernel = spec.W.grad(diff[..., None])[..., 0]
-    elif derivative == 2:
-        kernel = spec.W.hess(diff[..., None])[..., 0, 0]
-    else:
+    if derivative not in (0, 1, 2):
         raise ValueError("derivative must be 0, 1 or 2")
+    kernel = _interaction_kernel(spec.W, x_axis, derivative)
     return kernel @ (rho_values * x_axis.trapezoid_weights())
 
 

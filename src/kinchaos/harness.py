@@ -56,9 +56,9 @@ from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_gibbs,
 from .equilibrium import (Axis, GridDensity, assemble_f_infty,
                           formal_equilibrium, gaussian_closed_form,
                           solve_rho_infty)
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
-                          relative_entropy_grid, step_vfp, weighted_fisher)
+                          modulated_energy, relative_entropy_grid, step_vfp)
 from .potentials import check_assumptions, make_system
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
@@ -437,6 +437,18 @@ def _map_indexed(fn, n_items, threads):
 
 # ---------------------------------------------------------------- recipes
 
+def _converged_rho_infty(spec, params, axis):
+    """solve_rho_infty, raising ConvergenceError when it hits max_iter."""
+
+    rho_inf = solve_rho_infty(spec, params, axis)
+    if not rho_inf.meta["converged"]:
+        raise ConvergenceError(
+            f"rho_infty fixed point not converged after "
+            f"{rho_inf.meta['iterations']} iterations "
+            f"(L1 residual {rho_inf.meta['residual']:.3e})")
+    return rho_inf
+
+
 def _run_ergodicity(cfg, report, threads):
     del threads  # single trajectory; nothing to fan out
     spec = build_potential_spec(cfg.potential)
@@ -515,7 +527,7 @@ def _run_meanfield_decay(cfg, report, threads):
     x_axis = Axis(-num["x_max"], num["x_max"], num["nx"])
     v_axis = Axis(-num["v_max"] / math.sqrt(params.beta),
                   num["v_max"] / math.sqrt(params.beta), num["nv"])
-    rho_inf = solve_rho_infty(spec, params, x_axis)
+    rho_inf = _converged_rho_infty(spec, params, x_axis)
     f_inf = assemble_f_infty(rho_inf, params, v_axis)
     F_inf = free_energy(f_inf, spec, params).total
 
@@ -534,17 +546,19 @@ def _run_meanfield_decay(cfg, report, threads):
                 (0.08, 0.16, 0.24, 0.32, 0.40)}
 
     def functionals(state):
+        """(H_W, H_formal, I_M, E_M) of a checkpoint state."""
+
         f_hat = formal_equilibrium(state.density.marginal_x(), spec, params,
                                    v_axis)
-        F = free_energy(state, spec, params).total
-        H_W = F - F_inf
+        E_M = modulated_energy(state, spec, params, weights, f_inf,
+                               f_hat=f_hat, free_energy_infty=F_inf)
         H_formal = relative_entropy_grid(state.density, f_hat)
-        I_M, _ = weighted_fisher(state.density, f_hat, weights)
-        return F, H_W, H_formal, I_M, H_W + I_M
+        return E_M.free_energy_gap, H_formal, E_M.fisher, E_M.total
 
     rows = []
     w2_rows = []
-    F0, H_W0, H_f0, I_M0, E_M0 = functionals(state)
+    F0 = free_energy(state, spec, params).total
+    H_W0, H_f0, I_M0, E_M0 = functionals(state)
     rows.append((0.0, F0, H_W0, H_f0, I_M0, E_M0, 1.0))
     prev_F = F0
     max_increase = 0.0
@@ -557,17 +571,18 @@ def _run_meanfield_decay(cfg, report, threads):
         prev_F = F_now
         max_drift = max(max_drift, abs(state.mass_drift))
         at_checkpoint = k % every == 0 or k == n_steps
+        if not (at_checkpoint or k in w2_times):
+            continue
+        H_W, H_formal, I_M, E_M = functionals(state)
         if at_checkpoint:
-            F, H_W, H_formal, I_M, E_M = functionals(state)
-            rows.append((state.time, F, H_W, H_formal, I_M, E_M,
+            rows.append((state.time, F_now, H_W, H_formal, I_M, E_M,
                          1.0 + state.mass_drift))
         if k in w2_times:
-            _, _, _, _, E_M_here = functionals(state)
             a = state.density.sample_phase(rng.sampler(100 + w2_idx),
                                            num["n_w2"])
             b = f_inf.sample_phase(rng.sampler(200 + w2_idx), num["n_w2"])
             w2sq = w2_exact(a, b) ** 2
-            w2_rows.append((state.time, w2sq, E_M_here))
+            w2_rows.append((state.time, w2sq, E_M))
             w2_idx += 1
 
     ts = np.array([r[0] for r in rows])
@@ -705,7 +720,7 @@ def _run_concentration(cfg, report, threads):
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
     axis = Axis(-num["x_max"], num["x_max"], num["nx"])
-    rho_inf = solve_rho_infty(spec, params, axis)
+    rho_inf = _converged_rho_infty(spec, params, axis)
 
     n_list = num["N_list"]
 

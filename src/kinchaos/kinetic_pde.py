@@ -14,11 +14,16 @@ stationary; in mass variables it is a stochastic update, so it only ever
 dissipates the free energy.  Mass is conserved to rounding; the leftover
 drift is measured, reported, and renormalized away each step.
 
+Operators that depend only on the grid (the drift phase factors, the OU
+interface weights, the quadrature weights) are built once per grid and time
+step and shared read-only; the kick phase factor is built once per step.
+
 Also provides the free energy, relative entropy, weighted Fisher information
 and modulated energy functionals used to monitor decay, plus an exponential
 fit helper.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,22 +88,52 @@ def _chang_cooper_delta(w):
     return out
 
 
-def _spectral_shift(values, axis_obj, shifts, axis):
-    """Translate each grid line along `axis` by its own distance.
+def _read_only(a):
+    """Mark a cached operator read-only, so no caller can change it."""
 
-    Implemented as an FFT phase factor, which advects the band-limited
-    interpolant exactly; no CFL restriction and no numerical diffusion.
+    a.flags.writeable = False
+    return a
+
+
+def _phase(axis_obj, shifts, axis):
+    """FFT phase factor exp(-i k s) translating each grid line along `axis`.
+
     `shifts` holds one distance per line (length = the other axis size).
+    Applied by _shift, it advects the band-limited interpolant exactly; no
+    CFL restriction and no numerical diffusion.
     """
 
-    n = axis_obj.n
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=axis_obj.h)
-    spec_hat = np.fft.rfft(values, axis=axis)
+    k = 2.0 * np.pi * np.fft.rfftfreq(axis_obj.n, d=axis_obj.h)
     if axis == 0:
-        spec_hat *= np.exp(-1j * k[:, None] * shifts[None, :])
-    else:
-        spec_hat *= np.exp(-1j * k[None, :] * shifts[:, None])
-    return np.fft.irfft(spec_hat, n=n, axis=axis)
+        return np.exp(-1j * k[:, None] * shifts[None, :])
+    return np.exp(-1j * k[None, :] * shifts[:, None])
+
+
+def _shift(values, phase, axis):
+    """Apply a phase factor from _phase along `axis`: rfft, multiply, irfft."""
+
+    spec_hat = np.fft.rfft(values, axis=axis)
+    spec_hat *= phase
+    return np.fft.irfft(spec_hat, n=values.shape[axis], axis=axis)
+
+
+@functools.lru_cache(maxsize=8)
+def _drift_phase(x_axis, v_axis, dt):
+    """Phase factor of the half-step x-drift, exp(-i k v dt/2)."""
+
+    return _read_only(_phase(x_axis, v_axis.nodes * (0.5 * dt), axis=0))
+
+
+@functools.lru_cache(maxsize=8)
+def _ou_weights(v_axis, gamma, sigma):
+    """(gamma v, delta, 1 - delta) on the velocity cell interfaces."""
+
+    v = v_axis.nodes
+    v_half = 0.5 * (v[1:] + v[:-1])
+    delta = _chang_cooper_delta(gamma * v_half * v_axis.h / sigma)
+    return tuple(_read_only(a) for a in (gamma * v_half[None, :],
+                                         delta[None, :],
+                                         1.0 - delta[None, :]))
 
 
 def step_vfp(state, spec, params, dt):
@@ -134,23 +169,24 @@ def step_vfp(state, spec, params, dt):
         raise StabilityError(
             f"diffusion number {params.sigma * dt / dv**2:.3f} > 0.45")
 
-    F = _spectral_shift(state.density.values, xa, v * (0.5 * dt), axis=0)
+    drift = _drift_phase(xa, va, dt)
+    F = _shift(state.density.values, drift, axis=0)
     rho_mid = F @ wv
     force = mean_field_force(spec, xa, rho_mid)
-    F = _spectral_shift(F, va, force * (0.5 * dt), axis=1)
+    kick = _phase(va, force * (0.5 * dt), axis=1)
+    F = _shift(F, kick, axis=1)
 
     # OU stage: d/dv (gamma v f + sigma df/dv) with Chang-Cooper weights
-    v_half = 0.5 * (v[1:] + v[:-1])
-    delta = _chang_cooper_delta(params.gamma * v_half * dv / params.sigma)
-    drift = params.gamma * v_half[None, :] * (
-        delta[None, :] * F[:, :-1] + (1.0 - delta[None, :]) * F[:, 1:])
-    flux = drift + params.sigma * (F[:, 1:] - F[:, :-1]) / dv
+    gamma_v, delta, one_minus_delta = _ou_weights(va, params.gamma,
+                                                  params.sigma)
+    flux = gamma_v * (delta * F[:, :-1] + one_minus_delta * F[:, 1:])
+    flux += params.sigma * (F[:, 1:] - F[:, :-1]) / dv
     F[:, 0] += dt / dv * flux[:, 0]
     F[:, 1:-1] += dt / dv * (flux[:, 1:] - flux[:, :-1])
     F[:, -1] -= dt / dv * flux[:, -1]
 
-    F = _spectral_shift(F, va, force * (0.5 * dt), axis=1)
-    F = _spectral_shift(F, xa, v * (0.5 * dt), axis=0)
+    F = _shift(F, kick, axis=1)
+    F = _shift(F, drift, axis=0)
 
     if not np.all(np.isfinite(F)):
         raise SchemeError(f"non-finite cell after step {state.step + 1}")
@@ -160,7 +196,8 @@ def step_vfp(state, spec, params, dt):
         raise SchemeError(
             f"cell ({i},{j}) went negative ({low:.3e}) after step "
             f"{state.step + 1}; reduce dt or widen the grid")
-    F = np.where(F < 0, 0.0, F)
+    if low < 0:
+        F[F < 0] = 0.0
 
     mass = float(np.trapezoid(np.trapezoid(F, dx=dv, axis=1), dx=dx))
     F /= mass
@@ -190,10 +227,20 @@ class FreeEnergyParts:
         return self.total
 
 
-def _quad_weights(density):
-    wx = density.x_axis.trapezoid_weights()
-    wv = density.v_axis.trapezoid_weights()
-    return wx[:, None] * wv[None, :]
+@functools.lru_cache(maxsize=8)
+def _quad_weights(x_axis, v_axis):
+    """Product trapezoid weights on the (x, v) grid."""
+
+    wx = x_axis.trapezoid_weights()
+    wv = v_axis.trapezoid_weights()
+    return _read_only(wx[:, None] * wv[None, :])
+
+
+@functools.lru_cache(maxsize=8)
+def _half_v_sq(v_axis):
+    """The kinetic energy density 0.5 v² as a (1, nv) row."""
+
+    return _read_only(0.5 * v_axis.nodes[None, :] ** 2)
 
 
 def free_energy(density, spec, params):
@@ -204,9 +251,8 @@ def free_energy(density, spec, params):
     if not density.is_phase_space:
         raise ValueError("free_energy needs a phase-space density")
     F = density.values
-    w2d = _quad_weights(density)
-    v = density.v_axis.nodes
-    kin = float(np.sum(w2d * F * (0.5 * v[None, :] ** 2)))
+    w2d = _quad_weights(density.x_axis, density.v_axis)
+    kin = float(np.sum(w2d * F * _half_v_sq(density.v_axis)))
     vvals = spec.V.value(density.x_axis.nodes[:, None])
     conf = float(np.sum(w2d * F * vvals[:, None]))
     safe = np.where(F > _LOG_FLOOR, F, 1.0)
@@ -241,7 +287,7 @@ def relative_entropy_grid(f, g):
     mask = fv > _LOG_FLOOR
     if np.any(gv[mask] <= 0):
         return math.inf
-    w = _quad_weights(f) if f.is_phase_space else \
+    w = _quad_weights(f.x_axis, f.v_axis) if f.is_phase_space else \
         f.x_axis.trapezoid_weights()
     ratio = np.ones_like(fv)
     ratio[mask] = fv[mask] / gv[mask]
@@ -286,7 +332,7 @@ def weighted_fisher(f, g, weights):
     quad = fv * (e_b * ux**2 + 2 * f_b * ux * uv + g_b * uv**2)
     quad[~interior_ok] = 0.0
 
-    w = _quad_weights(f)
+    w = _quad_weights(f.x_axis, f.v_axis)
     inner = np.zeros_like(w)
     inner[1:-1, 1:-1] = w[1:-1, 1:-1]
     excluded = float(np.sum((w - inner) * fv))

@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import EvaluationOverflow
 
-V_FAMILIES = ("quadratic", "power_k", "exp_power", "zero", "custom")
-W_FAMILIES = ("harmonic_W", "mollified_coulomb", "zero", "custom")
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -134,6 +131,11 @@ class RadialField(Field):
         s = self._norm(x)
         w1 = self._w1(s)
         w2 = self._w2(s)
+        if d == 1:
+            # u u^T = 1 exactly for s > 0 whenever x² is a normal float, so
+            # this is the general formula below bit for bit, without its
+            # unit vectors and outer products
+            return (np.where(s > 0, w2 - w1, 0.0) + w1)[..., None, None]
         safe = np.where(s > 0, s, 1.0)
         u = x / safe[..., None]
         outer = u[..., :, None] * u[..., None, :]

@@ -1,11 +1,13 @@
 """Config parsing, recipe orchestration, reporting, and the CLI surface."""
 
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from kinchaos import equilibrium, harness
 from kinchaos.cli import main as cli_main
 from kinchaos.errors import ConfigError
 from kinchaos.harness import parse_config, run_experiment, write_report
@@ -146,12 +148,15 @@ def test_csv_header_and_determinism(tmp_path):
 
 def test_thread_count_does_not_change_output(tmp_path):
     _, paths_a = run_to_dir(CONCENTRATION_SMALL, tmp_path / "t1", threads=1)
-    _, paths_b = run_to_dir(CONCENTRATION_SMALL, tmp_path / "t4", threads=4)
     blobs_a = read_outputs(paths_a)
-    blobs_b = read_outputs(paths_b)
-    assert blobs_a.keys() == blobs_b.keys() and blobs_a
-    for name in blobs_a:
-        assert blobs_a[name] == blobs_b[name], name
+    assert blobs_a
+    for threads in (2, 4):
+        _, paths_b = run_to_dir(CONCENTRATION_SMALL, tmp_path / f"t{threads}",
+                                threads=threads)
+        blobs_b = read_outputs(paths_b)
+        assert blobs_a.keys() == blobs_b.keys()
+        for name in blobs_a:
+            assert blobs_a[name] == blobs_b[name], (threads, name)
 
 
 def test_constants_table_recipe(tmp_path):
@@ -212,6 +217,22 @@ T = 0.4
 """)
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nrecipe = meanfield_decay\n[numerics]\nnx = 64\nnv = 64\n",
+    CONCENTRATION_SMALL,
+])
+def test_cli_unconverged_equilibrium_exit_code(text, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(harness, "solve_rho_infty", functools.partial(
+        equilibrium.solve_rho_infty, max_iter=1))
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "not converged after 1 iterations (L1 residual" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_particle_dt_guard_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kinchaos import equilibrium, kinetic_pde
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov)
 from kinchaos.equilibrium import (Axis, GridDensity, assemble_f_infty,
@@ -150,6 +151,75 @@ def test_nonfinite_cell_rejected(baseline_spec, baseline_params, f_inf):
     st = KineticState(density=dens, force_x=np.zeros(f_inf.x_axis.n))
     with pytest.raises(SchemeError), np.errstate(invalid="ignore"):
         step_vfp(st, baseline_spec, baseline_params, 0.002)
+
+
+# --- operator caches ----------------------------------------------------------
+
+def clear_operator_caches():
+    for cached in (kinetic_pde._drift_phase, kinetic_pde._ou_weights,
+                   kinetic_pde._quad_weights, kinetic_pde._half_v_sq):
+        cached.cache_clear()
+    equilibrium._KERNELS.clear()
+
+
+@pytest.mark.parametrize("w_family,w_params", [
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+])
+def test_cached_steps_equal_uncached_steps_bitwise(w_family, w_params,
+                                                  baseline_params):
+    spec = make_system("quadratic", {"curvature": 1.0}, w_family, w_params)
+    xa, va = Axis(-8.0, 8.0, 64), Axis(-8.0, 8.0, 64)
+    start = KineticState(gaussian_phase(xa, va, 1.0, 0.5, 1.0, 1.0))
+    dt, n_steps = 0.004, 50
+
+    cached = [start]
+    for _ in range(n_steps):
+        cached.append(step_vfp(cached[-1], spec, baseline_params, dt))
+    energies = [free_energy(st, spec, baseline_params) for st in cached]
+
+    ref = start
+    for st, energy in zip(cached[1:], energies[1:]):
+        clear_operator_caches()
+        fresh_x, fresh_v = Axis(xa.lo, xa.hi, xa.n), Axis(va.lo, va.hi, va.n)
+        ref = KineticState(GridDensity(fresh_x, ref.density.values, fresh_v),
+                           time=ref.time, step=ref.step,
+                           mass_drift=ref.mass_drift, force_x=ref.force_x)
+        ref = step_vfp(ref, spec, baseline_params, dt)
+        assert np.array_equal(st.density.values, ref.density.values)
+        assert np.array_equal(st.force_x, ref.force_x)
+        assert st.mass_drift == ref.mass_drift
+        clear_operator_caches()
+        assert free_energy(ref, spec, baseline_params) == energy
+
+
+def test_cached_operators_are_read_only():
+    xa, va = Axis(-8.0, 8.0, 64), Axis(-6.0, 6.0, 48)
+    arrays = [kinetic_pde._drift_phase(xa, va, 0.01),
+              *kinetic_pde._ou_weights(va, 1.0, 1.0),
+              kinetic_pde._quad_weights(xa, va), kinetic_pde._half_v_sq(va)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_twenty_steps_build_the_force_kernel_once(monkeypatch,
+                                                  baseline_params):
+    spec = make_system("quadratic", {"curvature": 1.0}, "harmonic_W",
+                       {"L_W": 0.25})
+    calls = []
+    grad = spec.W.grad
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return grad(x)
+
+    monkeypatch.setattr(spec.W, "grad", counted)
+    xa, va = Axis(-8.0, 8.0, 64), Axis(-8.0, 8.0, 64)
+    st = KineticState(gaussian_phase(xa, va, 1.0, 0.5, 1.0, 1.0))
+    for _ in range(20):
+        st = step_vfp(st, spec, baseline_params, 0.004)
+    assert calls == [(64, 64, 1)]
 
 
 # --- functionals --------------------------------------------------------------

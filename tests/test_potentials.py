@@ -107,6 +107,40 @@ def test_hessian_matches_finite_differences():
         assert h[0, 0] == pytest.approx(fd, abs=1e-5)
 
 
+def general_radial_hess(fld, x):
+    """RadialField.hess by its d-dimensional formula (unit vectors, outer
+    products), the reference for the one-dimensional shortcut."""
+
+    d = x.shape[-1]
+    s = fld._norm(x)
+    w1, w2 = fld._w1(s), fld._w2(s)
+    u = x / np.where(s > 0, s, 1.0)[..., None]
+    outer = u[..., :, None] * u[..., None, :]
+    aniso = np.where(s > 0, w2 - w1, 0.0)
+    return aniso[..., None, None] * outer + w1[..., None, None] * np.eye(d)
+
+
+@pytest.mark.parametrize("family,params,side", [
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W"),
+    ("power_k", {"k": 4.0}, "V"),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V"),
+])
+def test_radial_hess_1d_equals_general_formula_bitwise(family, params, side):
+    fld = getattr(make_builtin(family, params), side)
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal(512) * 2.0
+    x[7] = x[3]                         # a duplicated point
+    x[100], x[101] = 0.0, -0.0          # signed zeros
+    x[200] = 1e-300                     # x² underflows to 0: s = 0
+    diff = (x[:, None] - x[None, :])[..., None]   # s = 0 on the diagonal
+    diff[5, 6, 0] = -0.0
+    fast = fld.hess(diff)
+    ref = general_radial_hess(fld, diff)
+    assert fast.shape == ref.shape == (512, 512, 1, 1)
+    assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
+
+
 # --- interaction kernel ----------------------------------------------------
 
 def test_kernel_zero_w():
