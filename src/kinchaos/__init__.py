@@ -25,8 +25,8 @@ from .harness import (ExperimentConfig, RunReport, parse_config,
 from .kinetic_pde import (DecayFit, KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp,
                           weighted_fisher)
-from .potentials import (AssumptionReport, Domain, PotentialSpec,
-                         check_assumptions, evaluate, interaction_kernel,
-                         make_builtin, make_system, system_energy)
+from .potentials import (AssumptionReport, PotentialSpec, check_assumptions,
+                         evaluate, interaction_kernel, make_builtin,
+                         make_system, system_energy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

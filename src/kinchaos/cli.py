@@ -94,8 +94,7 @@ def _config_from_flags_constants(args):
         recipe="constants_table", seed=0, out_dir="out",
         potential={"v_family": "quadratic", "v_curvature": 1.0,
                    "w_family": "harmonic_W", "w_L_W": 0.25},
-        model={"gamma": args.gamma, "sigma": args.sigma, "beta": args.beta,
-               "enforce_relation": False},
+        model={"gamma": args.gamma, "sigma": args.sigma, "beta": args.beta},
         constants=consts, numerics={})
 
 

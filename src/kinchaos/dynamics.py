@@ -68,22 +68,20 @@ class RngSpec:
 class ModelParams:
     """Friction gamma, diffusion sigma, inverse temperature beta.
 
-    gamma = sigma = 0 is admitted for the deterministic transport limit;
-    enforce_relation pins sigma = gamma / beta to 1e-12.
+    gamma = sigma = 0 is admitted for the deterministic transport limit.
+    The dynamics are stationary at exp(-(gamma/sigma) H), which is the law
+    at inverse temperature beta only when sigma * beta = gamma.
     """
 
     gamma: float = 1.0
     sigma: float = 1.0
     beta: float = 1.0
-    enforce_relation: bool = False
 
     def __post_init__(self):
         if self.gamma < 0 or self.sigma < 0:
             raise ValueError("gamma and sigma must be nonnegative")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.enforce_relation and abs(self.sigma * self.beta - self.gamma) > 1e-12:
-            raise ValueError("relation sigma * beta = gamma violated beyond 1e-12")
 
 
 @dataclass
@@ -284,28 +282,14 @@ def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
 
 @dataclass
 class GibbsSamples:
-    """Sampler output: ensembles plus chain diagnostics (iterable container)."""
+    """Sampler output: (n_samples, N, d) arrays plus chain diagnostics."""
 
-    ensembles: list
+    positions: np.ndarray
+    velocities: np.ndarray
     method: str
     acceptance_rate: float | None = None
     warning: str | None = None
     info: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.ensembles)
-
-    def __len__(self):
-        return len(self.ensembles)
-
-    def __getitem__(self, i):
-        return self.ensembles[i]
-
-    def positions(self):
-        return np.stack([z.positions for z in self.ensembles])
-
-    def velocities(self):
-        return np.stack([z.velocities for z in self.ensembles])
 
 
 def _gaussian_gibbs_positions(gen, n_samples, N, d, beta, lam_V, L_W):
@@ -379,7 +363,7 @@ def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None,
 
     if rng is None:
         raise ValueError("an RngSpec is required for reproducibility")
-    d = spec.domain.d
+    d = spec.d
     gen = rng.sampler()
     beta = params.beta
     warning = None
@@ -405,8 +389,7 @@ def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None,
         raise ValueError(f"unknown sampling method {method!r}")
 
     V = gen.standard_normal((n_samples, N, d)) / math.sqrt(beta)
-    ensembles = [PhaseEnsemble(X[i], V[i]) for i in range(n_samples)]
-    return GibbsSamples(ensembles=ensembles, method=method,
+    return GibbsSamples(positions=X, velocities=V, method=method,
                         acceptance_rate=acceptance, warning=warning, info=info)
 
 

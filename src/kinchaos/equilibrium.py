@@ -144,18 +144,6 @@ class GridDensity:
         u = gen.uniform(size=n)
         return np.interp(u, cdf, nodes)
 
-    def to_csv_text(self):
-        """Axis header lines followed by row-major values, one row per line."""
-
-        lines = [f"# x_axis lo={self.x_axis.lo!r} hi={self.x_axis.hi!r} "
-                 f"n={self.x_axis.n}"]
-        if self.v_axis is not None:
-            lines.append(f"# v_axis lo={self.v_axis.lo!r} hi={self.v_axis.hi!r} "
-                         f"n={self.v_axis.n}")
-        vals = np.atleast_2d(self.values)
-        lines.extend(",".join(repr(float(c)) for c in row) for row in vals)
-        return "\n".join(lines) + "\n"
-
     def sample_phase(self, gen, n):
         """Categorical cell draws with in-cell jitter for (x, v) densities."""
 
@@ -251,6 +239,22 @@ def _coverage_check(spec, params, axis, tol):
             f"{outside_mass / total:.3g} >= tol {tol:.3g}")
 
 
+def _gibbs_map(spec, params, axis, v_vals, rho_values):
+    """normalize(exp(-beta (V + W * rho))) on the nodes; v_vals = V(nodes)."""
+
+    conv = 0.0 if isinstance(spec.W, Zero) else \
+        interaction_convolution(spec, axis, rho_values)
+    exponent = -params.beta * (v_vals + conv)
+    exponent -= np.max(exponent)
+    out = np.exp(exponent)
+    if not np.all(np.isfinite(out)):
+        i = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise ValueError(f"non-finite Gibbs map at grid value "
+                         f"x={axis.nodes[i]!r}")
+    out /= float(out @ axis.trapezoid_weights())
+    return out
+
+
 def solve_rho_infty(spec, params, grid, damping=0.5, tol=1e-10, max_iter=500):
     """Damped fixed-point iteration for the equilibrium position marginal.
 
@@ -269,17 +273,9 @@ def solve_rho_infty(spec, params, grid, damping=0.5, tol=1e-10, max_iter=500):
     v_vals = spec.V.value(nodes[:, None])
     rho = np.exp(-params.beta * (v_vals - np.min(v_vals)))
     rho /= float(rho @ w)
-    zero_w = isinstance(spec.W, Zero)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        conv = 0.0 if zero_w else interaction_convolution(spec, axis, rho)
-        exponent = -params.beta * (v_vals + conv)
-        exponent -= np.max(exponent)
-        cand = np.exp(exponent)
-        if not np.all(np.isfinite(cand)):
-            i = int(np.flatnonzero(~np.isfinite(cand))[0])
-            raise ValueError(f"non-finite iterate at grid value x={nodes[i]!r}")
-        cand /= float(cand @ w)
+        cand = _gibbs_map(spec, params, axis, v_vals, rho)
         # geometric damping in log space keeps iterates positive
         new = cand**damping * rho ** (1.0 - damping)
         new /= float(new @ w)
@@ -327,12 +323,8 @@ def formal_equilibrium(rho_t, spec, params, v_axis):
     if rho_t.is_phase_space:
         rho_t = rho_t.marginal_x()
     axis = rho_t.x_axis
-    conv = 0.0 if isinstance(spec.W, Zero) else \
-        interaction_convolution(spec, axis, rho_t.values)
-    exponent = -params.beta * (spec.V.value(axis.nodes[:, None]) + conv)
-    exponent -= np.max(exponent)
-    pos = np.exp(exponent)
-    pos /= float(pos @ axis.trapezoid_weights())
+    pos = _gibbs_map(spec, params, axis, spec.V.value(axis.nodes[:, None]),
+                     rho_t.values)
     g = maxwellian_factor(params, v_axis)
     return GridDensity(axis, np.outer(pos, g), v_axis,
                        meta={"source": "formal_equilibrium"})

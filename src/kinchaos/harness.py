@@ -78,7 +78,6 @@ _NUMERICS_SCHEMA = {
         "v_max": ("float", 9.0), "dt": ("float", 0.002), "T": ("float", 10.0),
         "checkpoint_every": ("float", 0.05), "n_w2": ("int", 1024),
         "fit_lo": ("float", 0.15), "fit_hi": ("float", 0.9),
-        "save_grids": ("bool", False),
     },
     "chaos_scaling": {
         "N_list": ("int_list", [8, 16, 32, 64, 128, 256, 512]),
@@ -94,13 +93,20 @@ _NUMERICS_SCHEMA = {
 }
 
 _MODEL_SCHEMA = {"gamma": ("float", 1.0), "sigma": ("float", 1.0),
-                 "beta": ("float", 1.0), "enforce_relation": ("bool", False)}
+                 "beta": ("float", 1.0)}
+
+# recipes whose oracles take the stationary law at beta, which is the law of
+# the dynamics, exp(-(gamma/sigma) H), only when sigma * beta = gamma
+_FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
+
+# recipes that fit a slope against N, which needs two distinct N
+_N_SWEEPS = ("chaos_scaling", "concentration")
 
 _CONSTANTS_SCHEMA = {
     "rho_LS": ("float", 1.0), "rho_ls": ("float", 1.0),
     "rho_wls": ("float", 1.0), "theta": ("float", 0.25),
     "d": ("int", 1), "a_rule": ("str", "min"),
-    "meanfield_variant": ("bool", False), "H0": ("float", None),
+    "meanfield_variant": ("bool", False),
     "C_K": ("float", None), "C_V": ("float", None),
     "C_V_theta": ("float", None), "W_grad_sup": ("float", None),
     # weight matrix used by the meanfield_decay Fisher term; the decay
@@ -270,6 +276,26 @@ def _validate_potential(entries, errors):
     return out
 
 
+def _check_recipe_inputs(recipe, sections, model, numerics, errors):
+    """The fluctuation-dissipation relation and the N sweep, line-numbered."""
+
+    gap = model["sigma"] * model["beta"] - model["gamma"]
+    if recipe in _FLUCTUATION_DISSIPATION and abs(gap) > 1e-12:
+        lines = sorted(line for key, (_, line)
+                       in sections.get("model", {}).items()
+                       if key in _MODEL_SCHEMA)
+        errors.append(
+            f"line {', '.join(map(str, lines))}: recipe '{recipe}' needs "
+            f"sigma * beta = gamma (its oracles use the law at beta, the "
+            f"dynamics are stationary at exp(-(gamma/sigma) H)), got "
+            f"sigma * beta - gamma = {gap!r}")
+    if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
+        line = sections.get("numerics", {}).get("N_list", (None, "?"))[1]
+        errors.append(f"line {line}: [numerics] N_list needs at least two "
+                      f"distinct values for recipe '{recipe}', got "
+                      f"{numerics['N_list']}")
+
+
 def parse_config(text):
     """Parse and validate a config document; raises ConfigError with every
     problem found (line-numbered), not just the first."""
@@ -306,6 +332,7 @@ def parse_config(text):
                 errors.append(f"recipe '{recipe}' needs the closed-form "
                               "Gaussian family: quadratic V with harmonic_W "
                               f"(or zero) W, got {fams[0]}/{fams[1]}")
+        _check_recipe_inputs(recipe, sections, model, numerics, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -336,8 +363,7 @@ def build_potential_spec(potential_cfg):
 
 def build_model_params(model_cfg):
     return ModelParams(gamma=model_cfg["gamma"], sigma=model_cfg["sigma"],
-                       beta=model_cfg["beta"],
-                       enforce_relation=model_cfg["enforce_relation"])
+                       beta=model_cfg["beta"])
 
 
 @dataclass
@@ -593,9 +619,6 @@ def _run_meanfield_decay(cfg, report, threads):
     report.add_table("decay", ("t", "F", "H_W", "H_formal", "I_M", "E_M",
                                "mass"), rows)
     report.add_table("w2_checkpoints", ("t", "w2_sq_sampled", "E_M"), w2_rows)
-    if num["save_grids"]:
-        report.texts["meanfield_f_final.csv"] = state.density.to_csv_text()
-        report.texts["meanfield_f_infty.csv"] = f_inf.to_csv_text()
     report.scalars.update({
         "F_infty": F_inf, "max_mass_drift": max_drift,
         "max_free_energy_increase": max_increase,
@@ -684,9 +707,9 @@ def _run_chaos_scaling(cfg, report, threads):
         for rep in range(reps):
             base = 10_000 * (idx + 1) + 10 * rep
             a1 = sample_gibbs(spec, params, N, n_cloud,
-                              rng=rng.derive(base)).positions()[:, 0, 0]
+                              rng=rng.derive(base)).positions[:, 0, 0]
             a2 = sample_gibbs(spec, params, N, n_cloud,
-                              rng=rng.derive(base + 1)).positions()[:, 0, 0]
+                              rng=rng.derive(base + 1)).positions[:, 0, 0]
             gen = rng.derive(base + 2).sampler()
             b1 = math.sqrt(var_mf) * gen.standard_normal(n_cloud)
             b2 = math.sqrt(var_mf) * gen.standard_normal(n_cloud)
@@ -756,10 +779,9 @@ def _run_concentration(cfg, report, threads):
                       "r2"), rows)
 
     # zero-kernel control: no interaction means identically zero error terms
-    zero_spec = make_system(cfg.potential["v_family"],
-                            {k[2:]: v for k, v in cfg.potential.items()
-                             if k.startswith("v_") and k != "v_family"},
-                            "zero", {})
+    zero_spec = build_potential_spec(
+        {**{k: v for k, v in cfg.potential.items() if k.startswith("v_")},
+         "w_family": "zero"})
     gen = rng.derive(1).sampler()
     ens = PhaseEnsemble(gen.standard_normal((32, 1)),
                         gen.standard_normal((32, 1)))

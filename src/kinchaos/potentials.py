@@ -18,23 +18,13 @@ sampling grid plus a logarithmic tail net, reporting margins and concrete
 witnesses; it samples, it never proves.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvaluationOverflow
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Whole space R^d."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("domain dimension must be >= 1")
 
 
 class Field:
@@ -150,13 +140,11 @@ class PowerLaw(RadialField):
 
     family = "power_k"
 
-    def __init__(self, k=4.0, amp=1.0, allow_small_k=False):
+    def __init__(self, k=4.0, amp=1.0):
         if amp <= 0:
             raise ValueError("power_k: amp must be positive")
-        if k < 2 and not allow_small_k:
-            raise ValueError("power_k: k must be >= 2 (override with allow_small_k)")
-        if k <= 0:
-            raise ValueError("power_k: k must be positive")
+        if k < 2:
+            raise ValueError("power_k: k must be >= 2")
         self.k = float(k)
         self.amp = float(amp)
 
@@ -164,18 +152,10 @@ class PowerLaw(RadialField):
         return self.amp * s**self.k
 
     def _w1(self, s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.amp * self.k * s ** (self.k - 2.0)
-        if self.k < 2:
-            out = np.where(s > 0, out, 0.0)
-        return out
+        return self.amp * self.k * s ** (self.k - 2.0)
 
     def _w2(self, s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.amp * self.k * (self.k - 1.0) * s ** (self.k - 2.0)
-        if self.k < 2:
-            out = np.where(s > 0, out, 0.0)
-        return out
+        return self.amp * self.k * (self.k - 1.0) * s ** (self.k - 2.0)
 
     def params(self):
         return {"k": self.k, "amp": self.amp}
@@ -329,7 +309,7 @@ class PotentialSpec:
 
     V: Field
     W: Field
-    domain: Domain
+    d: int                      # dimension of the whole space R^d
     lam: float = 0.0
     M_lb: float = 0.0
     C_V: float = 0.0
@@ -337,6 +317,10 @@ class PotentialSpec:
     theta: float = 0.0
     C_V_theta: float = 0.0
     W_grad_sup: float = 0.0
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension d must be >= 1")
 
     @property
     def v_family(self):
@@ -350,7 +334,7 @@ class PotentialSpec:
         return {
             "V": {"family": self.V.family, **self.V.params()},
             "W": {"family": self.W.family, **self.W.params()},
-            "domain": {"d": self.domain.d},
+            "domain": {"d": self.d},
             "constants": {
                 "lam": self.lam, "M_lb": self.M_lb, "C_V": self.C_V,
                 "C_K": self.C_K, "theta": self.theta,
@@ -420,7 +404,7 @@ _FIELD_BUILDERS = {
 }
 
 
-def make_builtin(family, params=None, domain=None):
+def make_builtin(family, params=None, d=1):
     """Build a PotentialSpec with `family` installed on its natural side.
 
     Confining families (quadratic, power_k, exp_power) get a zero interaction;
@@ -431,11 +415,16 @@ def make_builtin(family, params=None, domain=None):
 
     if family not in _FIELD_BUILDERS:
         raise ValueError(f"unknown potential family {family!r}")
-    domain = domain or Domain(1)
-    fld = _FIELD_BUILDERS[family](**(params or {}))
-    if isinstance(fld, MollifiedCoulomb) and domain.d > 3:
+    spec = PotentialSpec(V=Zero(), W=Zero(), d=d)
+    builder, params = _FIELD_BUILDERS[family], params or {}
+    known = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"{family}: unknown parameter(s) {', '.join(unknown)}"
+                         f"; it takes {', '.join(known) or 'none'}")
+    fld = builder(**params)
+    if isinstance(fld, MollifiedCoulomb) and d > 3:
         raise ValueError("mollified_coulomb: supported for d <= 3 only")
-    spec = PotentialSpec(V=Zero(), W=Zero(), domain=domain)
     if family in ("quadratic", "power_k", "exp_power", "zero"):
         spec.V = fld
         spec.lam, spec.M_lb, spec.C_V, spec.theta, spec.C_V_theta = (
@@ -447,14 +436,13 @@ def make_builtin(family, params=None, domain=None):
 
 
 def make_system(v_family, v_params=None, w_family="zero", w_params=None,
-                domain=None):
+                d=1):
     """Combine a confining family and an interaction family into one spec."""
 
-    domain = domain or Domain(1)
-    vs = make_builtin(v_family, v_params, domain)
-    ws = make_builtin(w_family, w_params, domain)
+    vs = make_builtin(v_family, v_params, d)
+    ws = make_builtin(w_family, w_params, d)
     return PotentialSpec(
-        V=vs.V, W=ws.W, domain=domain,
+        V=vs.V, W=ws.W, d=d,
         lam=vs.lam, M_lb=vs.M_lb, C_V=vs.C_V,
         theta=vs.theta, C_V_theta=vs.C_V_theta,
         C_K=ws.C_K, W_grad_sup=ws.W_grad_sup)
@@ -491,23 +479,25 @@ def interaction_kernel(spec, r):
 
 
 def pairwise_interaction_energy(spec, X):
-    """(1/2N) sum_{i != j} W(x_i - x_j), chunked to bound memory."""
+    """(1/2N) sum_{i != j} W(x_i - x_j), in row blocks.
+
+    Blocks of 2**14 // (N*d) rows, as in dynamics.pairwise_force.  Each row
+    is summed over j on its own and the N row sums are summed last, so the
+    result does not depend on the blocking.
+    """
 
     X = np.asarray(X, dtype=float)
-    N = X.shape[0]
+    N, d = X.shape
     if N < 2 or isinstance(spec.W, Zero):
         return 0.0
-    total = 0.0
-    chunk = max(1, int(2**22 // max(N, 1)))
+    row_sums = np.empty(N)
+    chunk = max(1, 2**14 // (N * d))
     for start in range(0, N, chunk):
-        block = X[start:start + chunk]
-        diff = block[:, None, :] - X[None, :, :]
-        w = spec.W.value(diff)
-        # remove self pairs on the diagonal of this block
-        idx = np.arange(start, min(start + chunk, N))
-        w[np.arange(len(idx)), idx] = 0.0
-        total += float(np.sum(w))
-    return total / (2.0 * N)
+        stop = min(start + chunk, N)
+        w = spec.W.value(X[start:stop, None, :] - X[None, :, :])
+        w[np.arange(stop - start), np.arange(start, stop)] = 0.0  # self pairs
+        row_sums[start:stop] = w.sum(axis=1)
+    return float(np.sum(row_sums)) / (2.0 * N)
 
 
 def system_energy(spec, Z):
@@ -600,7 +590,7 @@ def check_assumptions(spec, grid=None, *, theta=None, tol=1e-8,
     The quadratic-lower-bound drift variant is reported not-checked.
     """
 
-    d = spec.domain.d
+    d = spec.d
     pts = np.asarray(grid, dtype=float) if grid is not None else \
         _default_grid(d, core_radius, n_core)
     if pts.ndim == 1:

@@ -13,7 +13,7 @@ from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov, step_particle_system)
 from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import BlowUpError, StabilityError
-from kinchaos.potentials import Domain, make_system
+from kinchaos.potentials import make_system
 
 
 # --- noise streams -----------------------------------------------------------
@@ -112,8 +112,7 @@ def _pairwise_force_one_block(spec, X):
 def test_pairwise_force_blocks_match_one_block(w_family, w_params, N, d):
     # 2**14 // (N d) rows per block: 3, 12 and 57 blocks, the last one short
     assert N % (2**14 // (N * d)) != 0
-    spec = make_system("quadratic", None, w_family, w_params,
-                       domain=Domain(d))
+    spec = make_system("quadratic", None, w_family, w_params, d=d)
     X = np.random.default_rng(N + d).standard_normal((N, d))
     assert np.array_equal(pairwise_force(spec, X),
                           _pairwise_force_one_block(spec, X))
@@ -317,19 +316,32 @@ def test_gibbs_exact_gaussian_marginal(baseline_spec, baseline_params, rng):
     out = sample_gibbs(baseline_spec, baseline_params, N=4, n_samples=20000,
                        rng=rng)
     assert out.method == "exact_gaussian"
-    x = out.positions()[:, :, 0]
-    v = out.velocities()[:, :, 0]
+    x = out.positions[:, :, 0]
+    v = out.velocities[:, :, 0]
     # frozen oracle: Var(x_1) = 0.8*0.75 + 0.25 = 0.85
     se = 0.85 * math.sqrt(2.0 / (x.shape[0] - 1))
     assert np.var(x[:, 0], ddof=1) == pytest.approx(0.85, abs=3 * se)
     assert np.var(v) == pytest.approx(1.0, abs=0.03)
 
 
+def test_gibbs_arrays_equal_direct_draw(baseline_params, rng):
+    # positions, then velocity normals, from one sampler generator
+    spec = make_system("quadratic", {"curvature": 1.0}, "harmonic_W",
+                       {"L_W": 0.25}, d=2)
+    out = sample_gibbs(spec, baseline_params, N=5, n_samples=300, rng=rng)
+    gen = rng.sampler()
+    x = dynamics._gaussian_gibbs_positions(gen, 300, 5, 2, 1.0, 1.0, 0.25)
+    v = gen.standard_normal((300, 5, 2))
+    assert out.positions.shape == out.velocities.shape == (300, 5, 2)
+    assert np.array_equal(out.positions, x)
+    assert np.array_equal(out.velocities, v)
+
+
 def test_gibbs_exact_gaussian_precision(baseline_spec, baseline_params, rng):
     # N=2 position precision [[1.125, -0.125], [-0.125, 1.125]]
     out = sample_gibbs(baseline_spec, baseline_params, N=2, n_samples=60000,
                        rng=rng)
-    x = out.positions()[:, :, 0]
+    x = out.positions[:, :, 0]
     cov = np.cov(x.T)
     expect = np.linalg.inv(np.array([[1.125, -0.125], [-0.125, 1.125]]))
     assert np.allclose(cov, expect, atol=0.02)
@@ -340,7 +352,7 @@ def test_gibbs_mala_matches_exact(baseline_spec, baseline_params, rng):
                        method="mala", rng=rng)
     assert out.acceptance_rate is not None
     assert 0.2 <= out.acceptance_rate <= 0.95
-    x = out.positions()[:, :, 0]
+    x = out.positions[:, :, 0]
     assert np.var(x[:, 0], ddof=1) == pytest.approx(0.85, abs=0.08)
 
 

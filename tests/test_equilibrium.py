@@ -79,13 +79,6 @@ def test_sample_positions_moments(rng):
     assert np.var(x) == pytest.approx(0.8, abs=0.02)
 
 
-def test_csv_header_carries_axes(f_inf):
-    text = f_inf.to_csv_text()
-    head = text.splitlines()[:2]
-    assert "x_axis" in head[0] and "n=128" in head[0]
-    assert "v_axis" in head[1]
-
-
 # --- convolution ------------------------------------------------------------
 
 def test_harmonic_convolution_closed_form(baseline_spec):

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,57 @@ def test_non_gaussian_family_rejected_for_ergodicity():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert "closed-form Gaussian" in str(err.value)
+
+
+@pytest.mark.parametrize("recipe", ["ergodicity", "chaos_scaling",
+                                    "meanfield_decay"])
+def test_fluctuation_dissipation_relation_required(recipe):
+    text = (f"[experiment]\nrecipe = {recipe}\n"
+            "[model]\nsigma = 2.0\nbeta = 1.0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line 4, 5: " in str(err.value)
+    assert "sigma * beta = gamma" in str(err.value)
+    # the relation within 1e-12 and the recipes that do not need it pass
+    parse_config(f"[experiment]\nrecipe = {recipe}\n"
+                 "[model]\ngamma = 0.5\nsigma = 0.25\nbeta = 2.0\n")
+    parse_config("[experiment]\nrecipe = constants_table\n"
+                 "[model]\nsigma = 2.0\n")
+
+
+def test_cli_ergodicity_with_twice_the_noise_exits_2(tmp_path, capsys):
+    # at sigma = 2 the chain relaxes to a law of twice the target variance,
+    # which the W2 verdicts cannot tell apart at N = 64
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = ergodicity\n"
+                    "[model]\nsigma = 2\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "line 4: recipe 'ergodicity' needs sigma * beta = gamma" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base", [CHAOS_SMALL, CONCENTRATION_SMALL],
+                         ids=["chaos_scaling", "concentration"])
+@pytest.mark.parametrize("n_list", ["[64]", "[64, 64]"])
+def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
+    text = base.replace("N_list = [8, 16, 32, 64]", f"N_list = {n_list}")
+    line = text.splitlines().index(f"N_list = {n_list}") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {line}: [numerics] N_list needs at least two distinct" \
+        in str(err.value)
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def test_readme_config_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.recipe == "meanfield_decay"
+    assert cfg.potential["w_family"] == "harmonic_W"
+    assert cfg.numerics["T"] == 10.0
 
 
 # --- recipes and reports --------------------------------------------------------
@@ -241,6 +293,15 @@ def test_cli_particle_dt_guard_exit_code(tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and "dt * max(gamma" in err
+
+
+def test_cli_unknown_potential_parameter_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
+                    "[potential]\nv_family = power_k\nv_k = 1.5\n"
+                    "v_allow_small_k = 1\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "power_k: unknown parameter(s) allow_small_k; it takes k, amp" \
+        in capsys.readouterr().err
 
 
 def test_cli_strict_assumptions_exit_code(tmp_path, capsys):

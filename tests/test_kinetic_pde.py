@@ -136,6 +136,30 @@ def test_cfl_guard(baseline_spec, baseline_params, f_inf):
         step_vfp(st, baseline_spec, baseline_params, 0.2)
 
 
+def test_cfl_checked_on_the_kick_force(monkeypatch, baseline_params, f_inf):
+    # |V'| = 40 |x| reaches 360 on the grid: CFL about 5 at dt = 0.002
+    spec = make_system("quadratic", {"curvature": 40.0})
+    xa, va, dt = f_inf.x_axis, f_inf.v_axis, 0.002
+    calls = []
+    real = kinetic_pde.mean_field_force
+
+    def spy(spec, x_axis, rho_values):
+        calls.append((rho_values, real(spec, x_axis, rho_values)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(kinetic_pde, "mean_field_force", spy)
+    with pytest.raises(StabilityError, match="transport CFL") as err:
+        step_vfp(KineticState(density=f_inf), spec, baseline_params, dt)
+    # one force, from the marginal after the first drift half
+    drifted = kinetic_pde._shift(f_inf.values,
+                                 kinetic_pde._drift_phase(xa, va, dt), axis=0)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], drifted @ va.trapezoid_weights())
+    cfl = dt * (np.max(np.abs(va.nodes)) / xa.h
+                + np.max(np.abs(calls[0][1])) / va.h)
+    assert f"transport CFL {cfl:.3f} > 0.9" in str(err.value)
+
+
 def test_sigma_required(baseline_spec, f_inf):
     st = KineticState(density=f_inf)
     with pytest.raises(ValueError):
@@ -148,7 +172,7 @@ def test_nonfinite_cell_rejected(baseline_spec, baseline_params, f_inf):
     dens = GridDensity.__new__(GridDensity)  # bypass mass validation
     dens.x_axis, dens.v_axis = f_inf.x_axis, f_inf.v_axis
     dens.values, dens.meta = bad, {}
-    st = KineticState(density=dens, force_x=np.zeros(f_inf.x_axis.n))
+    st = KineticState(density=dens)
     with pytest.raises(SchemeError), np.errstate(invalid="ignore"):
         step_vfp(st, baseline_spec, baseline_params, 0.002)
 
@@ -184,10 +208,9 @@ def test_cached_steps_equal_uncached_steps_bitwise(w_family, w_params,
         fresh_x, fresh_v = Axis(xa.lo, xa.hi, xa.n), Axis(va.lo, va.hi, va.n)
         ref = KineticState(GridDensity(fresh_x, ref.density.values, fresh_v),
                            time=ref.time, step=ref.step,
-                           mass_drift=ref.mass_drift, force_x=ref.force_x)
+                           mass_drift=ref.mass_drift)
         ref = step_vfp(ref, spec, baseline_params, dt)
         assert np.array_equal(st.density.values, ref.density.values)
-        assert np.array_equal(st.force_x, ref.force_x)
         assert st.mass_drift == ref.mass_drift
         clear_operator_caches()
         assert free_energy(ref, spec, baseline_params) == energy

@@ -194,6 +194,43 @@ def test_pairwise_energy_single_particle(baseline_spec):
     assert pairwise_interaction_energy(baseline_spec, np.zeros((1, 1))) == 0.0
 
 
+def _pairwise_energy_one_block(spec, X):
+    # the whole N x N pair array at once: the unblocked reference
+    N = X.shape[0]
+    w = spec.W.value(X[:, None, :] - X[None, :, :])
+    w[np.arange(N), np.arange(N)] = 0.0
+    return float(np.sum(w.sum(axis=1))) / (2.0 * N)
+
+
+@pytest.mark.parametrize("w_family, w_params", [
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+])
+@pytest.mark.parametrize("N, d", [(200, 1), (300, 2), (683, 2)])
+def test_pairwise_energy_blocks_match_one_block(w_family, w_params, N, d):
+    # 2**14 // (N d) rows per block: 3, 12 and 57 blocks, the last one short
+    assert N % (2**14 // (N * d)) != 0
+    spec = make_system("quadratic", None, w_family, w_params, d=d)
+    X = np.random.default_rng(N + d).standard_normal((N, d))
+    assert pairwise_interaction_energy(spec, X) \
+        == _pairwise_energy_one_block(spec, X)
+
+
+def test_dimension_is_an_int_checked_on_the_spec():
+    spec = make_system("quadratic", None, "harmonic_W", None, d=3)
+    assert spec.d == 3
+    assert spec.describe()["domain"] == {"d": 3}
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        make_builtin("quadratic", d=0)
+    with pytest.raises(ValueError, match="d <= 3"):
+        make_system("quadratic", None, "mollified_coulomb", None, d=4)
+
+
+def test_power_k_below_two_rejected():
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        make_builtin("power_k", {"k": 1.5})
+
+
 # --- assumption screening ---------------------------------------------------
 
 def test_power4_assumption_pattern():
