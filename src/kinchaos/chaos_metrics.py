@@ -18,6 +18,7 @@ positions are iid under rho (independent velocities make R3 mean zero).
 """
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from scipy.spatial import cKDTree, distance
 from scipy.special import digamma, gammaln
 
 from .dynamics import PhaseEnsemble, sample_f_infty
-from .potentials import Zero
+from .potentials import Zero, pair_blocks
 
 _MAX_ASSIGNMENT = 4096
 
@@ -218,9 +219,10 @@ def _interp_table(rho_inf, table, x):
 def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     """Error terms of an ensemble against the mean-field law rho_inf (d = 1).
 
-    Vectorized over all pairs.  The convolution tables are computed on
-    rho_inf's grid (or passed in precomputed via `tables`) and linearly
-    interpolated at the particle positions.
+    The pair sums run over potentials.pair_blocks, each row reduced in index
+    order.  The convolution tables are computed on rho_inf's grid (or passed
+    in precomputed via `tables`) and linearly interpolated at the particle
+    positions.
     """
 
     del params  # error terms depend on positions/velocities and the kernel
@@ -238,21 +240,21 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
         agg = {"R0": 0.0, "R1": 0.0, "R2": 0.0, "R3": 0.0}
         return ErrorStats(zero_v, zero_m, zero_v, zero_v, agg)
 
-    diff = x[:, None] - x[None, :]
-    k_pair = -spec.W.grad(diff[..., None])[..., 0]
-    dk_pair = -spec.W.hess(diff[..., None])[..., 0, 0]
-    np.fill_diagonal(k_pair, 0.0)
-    np.fill_diagonal(dk_pair, 0.0)
-
     if tables is None:
         tables = mean_field_tables(spec, rho_inf)
     conv_k = _interp_table(rho_inf, tables[0], x)
     conv_dk = _interp_table(rho_inf, tables[1], x)
 
-    r0 = k_pair.sum(axis=1) / N - conv_k
-    r1 = dk_pair.sum(axis=1) / N - conv_dk
-    # grad K is even for even W, so the (j, i) kernel equals the (i, j) one
-    r3 = (dk_pair * v[None, :]).sum(axis=1) / N
+    r0, r1, r3 = np.empty(N), np.empty(N), np.empty(N)
+    for rows, diff, self_pairs in pair_blocks(x[:, None]):
+        k = -spec.W.grad(diff)[..., 0]
+        dk = -spec.W.hess(diff)[..., 0, 0]
+        k[self_pairs] = 0.0
+        dk[self_pairs] = 0.0
+        r0[rows] = k.sum(axis=1) / N - conv_k[rows]
+        r1[rows] = dk.sum(axis=1) / N - conv_dk[rows]
+        # grad K is even for even W, so the (j, i) kernel equals the (i, j) one
+        r3[rows] = (dk * v).sum(axis=1) / N
 
     agg = {"R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
            "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
@@ -363,54 +365,65 @@ class ConcentrationResult:
     """Monte Carlo concentration study of the aggregates over N."""
 
     terms: tuple
-    n_values: tuple
-    rows: tuple          # ConcentrationRow per (term, N)
+    rows: tuple          # ConcentrationRow per (N, term), in n_values order
     fits: dict           # term -> (slope, slope_se, r2) or None when flat
-    n_mc: int
 
     def table(self, term):
         return [(r.N, r.mean_aggregate, r.se) for r in self.rows
                 if r.term == term]
 
 
-def concentration_check(spec, rho_inf, params, n_values, n_mc, rng):
+def _map_indexed(fn, n_items, threads):
+    """fn(i) for i in range(n_items), optionally on a thread pool.
+
+    Work is keyed by index and each point derives its own rng stream, so the
+    results are identical for any thread count.
+    """
+
+    if threads <= 1 or n_items <= 1:
+        return [fn(i) for i in range(n_items)]
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n_items)))
+
+
+def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
+                        threads=1):
     """Sample equilibrium product ensembles and fit aggregate decay in N.
 
-    For each N, n_mc iid ensembles are drawn from rho_inf x Maxwellian and
-    the four aggregates averaged; per term a log-log slope over N follows.
-    Zero kernels yield identically zero aggregates and fits of None.
+    For the i-th N, n_mc iid ensembles are drawn from rho_inf x Maxwellian
+    on rng.derive(20_000 * (i + 1)), substreams 0..n_mc-1, and the four
+    aggregates averaged; the N points fan out over `threads` worker threads
+    with identical results for any count.  Per term a log-log slope over N
+    follows.  Zero kernels yield identically zero aggregates and fits of None.
     """
 
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
     terms = ("R0", "R1", "R2", "R3")
-    zero_w = isinstance(spec.W, Zero)
-    tables = None if zero_w else mean_field_tables(spec, rho_inf)
+    tables = (None if isinstance(spec.W, Zero)
+              else mean_field_tables(spec, rho_inf))
+
+    def one_point(i):
+        point_rng = rng.derive(20_000 * (i + 1))
+        aggs = np.empty((len(terms), n_mc))  # each term's samples contiguous
+        for s in range(n_mc):
+            x, vel = sample_f_infty(rho_inf, params, n_values[i], point_rng,
+                                    substream=s)
+            stats = error_statistics(PhaseEnsemble(x[:, None], vel[:, None]),
+                                     spec, rho_inf, tables=tables)
+            aggs[:, s] = [stats.aggregates[t] for t in terms]
+        return aggs
+
     rows = []
-    means = {t: [] for t in terms}
-    stream = 0
-    for N in n_values:
-        sums = {t: [] for t in terms}
-        for _ in range(n_mc):
-            x, vel = sample_f_infty(rho_inf, params, N, rng,
-                                    substream=stream)
-            stream += 1
-            ens = PhaseEnsemble(x[:, None], vel[:, None])
-            stats = error_statistics(ens, spec, rho_inf, tables=tables)
-            for t in terms:
-                sums[t].append(stats.aggregates[t])
-        for t in terms:
-            vals = np.asarray(sums[t])
-            m = float(vals.mean())
+    for N, aggs in zip(n_values, _map_indexed(one_point, len(n_values),
+                                              threads)):
+        for t, vals in zip(terms, aggs):
             se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-            rows.append(ConcentrationRow(t, int(N), m, se))
-            means[t].append(m)
+            rows.append(ConcentrationRow(t, int(N), float(vals.mean()), se))
     fits = {}
     for t in terms:
-        vals = np.asarray(means[t])
+        means = np.array([r.mean_aggregate for r in rows if r.term == t])
         # a slope needs at least two N values and strictly positive means
-        fits[t] = (None if len(n_values) < 2 or np.any(vals <= 0)
-                   else loglog_fit(n_values, vals))
-    return ConcentrationResult(terms=terms, n_values=tuple(int(n) for n in
-                                                           n_values),
-                               rows=tuple(rows), fits=fits, n_mc=int(n_mc))
+        fits[t] = (None if len(n_values) < 2 or np.any(means <= 0)
+                   else loglog_fit(n_values, means))
+    return ConcentrationResult(terms=terms, rows=tuple(rows), fits=fits)

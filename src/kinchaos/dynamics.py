@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, StabilityError
-from .potentials import Zero, _op_norms
+from .potentials import Zero, _op_norms, pair_blocks
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -122,25 +122,19 @@ class PhaseEnsemble:
 def pairwise_force(spec, X):
     """(1/N) sum_{j != i} K(x_i - x_j) for every i; direct O(N^2) sum.
 
-    Row blocks of about 2**14 pair entries (128 KiB) keep the temporaries in
-    cache and in the allocator's free lists instead of mapping fresh pages on
-    every call; each row is reduced in fixed index order, so the result is
+    Each row of pair_blocks is reduced in fixed index order, so the result is
     independent of blocking and worker count.
     """
 
     X = np.asarray(X, dtype=float)
-    N, d = X.shape
+    N = X.shape[0]
     if N < 2 or isinstance(spec.W, Zero):
         return np.zeros_like(X)
     out = np.empty_like(X)
-    chunk = max(1, 2**14 // (N * d))
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        diff = X[start:stop, None, :] - X[None, :, :]
+    for rows, diff, self_pairs in pair_blocks(X):
         k = -spec.W.grad(diff)                      # K = -grad W
-        rows = np.arange(stop - start)
-        k[rows, np.arange(start, stop)] = 0.0       # exclude self pair
-        out[start:stop] = k.sum(axis=1) / N
+        k[self_pairs] = 0.0
+        out[rows] = k.sum(axis=1) / N
     return out
 
 

@@ -311,7 +311,7 @@ def assemble_f_infty(rho, params, v_axis):
         raise ValueError("rho must be a position (1D) density")
     g = maxwellian_factor(params, v_axis)
     return GridDensity(rho.x_axis, np.outer(rho.values, g), v_axis,
-                       meta={"source": "assemble_f_infty", **rho.meta})
+                       meta=dict(rho.meta))
 
 
 def formal_equilibrium(rho_t, spec, params, v_axis):
@@ -326,8 +326,7 @@ def formal_equilibrium(rho_t, spec, params, v_axis):
     pos = _gibbs_map(spec, params, axis, spec.V.value(axis.nodes[:, None]),
                      rho_t.values)
     g = maxwellian_factor(params, v_axis)
-    return GridDensity(axis, np.outer(pos, g), v_axis,
-                       meta={"source": "formal_equilibrium"})
+    return GridDensity(axis, np.outer(pos, g), v_axis)
 
 
 @dataclass(frozen=True)

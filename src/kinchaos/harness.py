@@ -41,14 +41,14 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .chaos_metrics import (concentration_check, error_statistics, loglog_fit,
-                            w2_exact, w2_gaussian_spectral)
+from .chaos_metrics import (_map_indexed, concentration_check,
+                            error_statistics, loglog_fit, w2_exact,
+                            w2_gaussian_spectral)
 from .constants import (build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_gibbs,
@@ -128,7 +128,6 @@ class ExperimentConfig:
     model: dict
     constants: dict
     numerics: dict
-    echo: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {"recipe": self.recipe, "seed": self.seed,
@@ -337,12 +336,9 @@ def parse_config(text):
     if errors:
         raise ConfigError(errors)
 
-    echo = {name: {k: v for k, (v, _) in entries.items()}
-            for name, entries in sections.items()}
     return ExperimentConfig(recipe=recipe, seed=exp["seed"],
                             out_dir=exp["out_dir"], potential=potential,
-                            model=model, constants=consts, numerics=numerics,
-                            echo=echo)
+                            model=model, constants=consts, numerics=numerics)
 
 
 def load_config(path):
@@ -446,19 +442,6 @@ def write_report(report, out_dir):
         fh.write("\n")
     paths.append(path)
     return paths
-
-
-def _map_indexed(fn, n_items, threads):
-    """fn(i) for i in range(n_items), optionally on a thread pool.
-
-    Work is keyed by index and each point derives its own rng stream, so the
-    results are identical for any thread count.
-    """
-
-    if threads <= 1 or n_items <= 1:
-        return [fn(i) for i in range(n_items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_items)))
 
 
 # ---------------------------------------------------------------- recipes
@@ -654,16 +637,22 @@ def _run_chaos_scaling(cfg, report, threads):
     lam_V = spec.V.curvature
     L_W = spec.W.L_W if cfg.potential["w_family"] == "harmonic_W" else 0.0
 
-    var_mf = 1.0 / (beta * (lam_V + L_W))
+    var_mf = gaussian_closed_form(lam_V, L_W, beta, 1).var_x
     gap_sq = (math.sqrt(1.0 / (beta * lam_V)) - math.sqrt(var_mf)) ** 2
+
+    def marginal_gap(N):
+        """W2^2 between the x_1 marginal of the N-particle law and rho_inf."""
+
+        return (math.sqrt(gaussian_closed_form(lam_V, L_W, beta,
+                                               N).marginal_var_x1)
+                - math.sqrt(var_mf)) ** 2
 
     scaling_rows = []
     joint_vals = []
     marginal_vals = []
     for N in num["N_list"]:
         closed = gaussian_closed_form(lam_V, L_W, beta, N)
-        marginal = (math.sqrt(closed.marginal_var_x1)
-                    - math.sqrt(var_mf)) ** 2
+        marginal = marginal_gap(N)
         joint_pp = w2_gaussian_spectral(
             closed.covariance_spectrum(), ((var_mf, N),)) / N
         scaling_rows.append((N, marginal, joint_pp))
@@ -701,8 +690,6 @@ def _run_chaos_scaling(cfg, report, threads):
 
     def one_point(idx):
         N = num["N_mc_list"][idx]
-        analytic = (math.sqrt(gaussian_closed_form(
-            lam_V, L_W, beta, N).marginal_var_x1) - math.sqrt(var_mf)) ** 2
         nets = []
         for rep in range(reps):
             base = 10_000 * (idx + 1) + 10 * rep
@@ -721,7 +708,7 @@ def _run_chaos_scaling(cfg, report, threads):
         boot_gen = rng.derive(10_000 * (idx + 1) + 9999).sampler()
         picks = boot_gen.integers(0, reps, size=(500, reps))
         se = float(np.std(nets[picks].mean(axis=1), ddof=1))
-        return N, float(nets.mean()), se, analytic
+        return N, float(nets.mean()), se, marginal_gap(N)
 
     points = _map_indexed(one_point, len(num["N_mc_list"]), threads)
     sampled_rows = []
@@ -745,31 +732,13 @@ def _run_concentration(cfg, report, threads):
     axis = Axis(-num["x_max"], num["x_max"], num["nx"])
     rho_inf = _converged_rho_infty(spec, params, axis)
 
-    n_list = num["N_list"]
-
-    def one_point(idx):
-        return concentration_check(spec, rho_inf, params, [n_list[idx]],
-                                   num["n_mc"], rng.derive(20_000 * (idx + 1)))
-
-    points = _map_indexed(one_point, len(n_list), threads)
-    terms = ("R0", "R1", "R2", "R3")
-    means = {t: [] for t in terms}
-    ses = {t: {} for t in terms}
-    for res in points:
-        for row in res.rows:
-            means[row.term].append(row.mean_aggregate)
-            ses[row.term][row.N] = row.se
-
+    result = concentration_check(spec, rho_inf, params, num["N_list"],
+                                 num["n_mc"], rng, threads)
     rows = []
-    for k, t in enumerate(terms):
-        vals = np.asarray(means[t])
-        if np.any(vals <= 0):
-            fitted = (math.nan, math.nan, math.nan)
-        else:
-            fitted = loglog_fit(n_list, vals)
-        slope, slope_se, r2 = fitted
-        for N, m in zip(n_list, means[t]):
-            rows.append((k, N, m, ses[t][N], slope, slope_se, r2))
+    for k, t in enumerate(result.terms):
+        slope, slope_se, r2 = result.fits[t] or (math.nan,) * 3
+        rows.extend((k, N, m, se, slope, slope_se, r2)
+                    for N, m, se in result.table(t))
         passed = math.isfinite(slope) and -1.3 <= slope <= -0.7 and r2 >= 0.8
         report.add_verdict(f"slope_R{k}", passed,
                            {"slope": slope, "slope_se": slope_se, "r2": r2},

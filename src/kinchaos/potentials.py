@@ -20,6 +20,7 @@ witnesses; it samples, it never proves.
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,14 +323,6 @@ class PotentialSpec:
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
 
-    @property
-    def v_family(self):
-        return self.V.family
-
-    @property
-    def w_family(self):
-        return self.W.family
-
     def describe(self):
         return {
             "V": {"family": self.V.family, **self.V.params()},
@@ -422,6 +415,12 @@ def make_builtin(family, params=None, d=1):
     if unknown:
         raise ValueError(f"{family}: unknown parameter(s) {', '.join(unknown)}"
                          f"; it takes {', '.join(known) or 'none'}")
+    for name, value in params.items():
+        numeric = isinstance(known[name].default, (int, float))
+        if numeric and (isinstance(value, bool)
+                        or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{family}: parameter {name} must be a number, "
+                             f"got {value!r}")
     fld = builder(**params)
     if isinstance(fld, MollifiedCoulomb) and d > 3:
         raise ValueError("mollified_coulomb: supported for d <= 3 only")
@@ -478,25 +477,42 @@ def interaction_kernel(spec, r):
     return -spec.W.grad(np.asarray(r, dtype=float))
 
 
-def pairwise_interaction_energy(spec, X):
-    """(1/2N) sum_{i != j} W(x_i - x_j), in row blocks.
+def pair_blocks(X):
+    """Row blocks of the pair differences x_i - x_j of an (N, d) array.
 
-    Blocks of 2**14 // (N*d) rows, as in dynamics.pairwise_force.  Each row
-    is summed over j on its own and the N row sums are summed last, so the
-    result does not depend on the blocking.
+    Yields (rows, diff, self_pairs): the slice of i covered by the block, the
+    (rows, N, d) differences, and the index of the i == j entries in diff's
+    first two axes.  Blocks of 2**14 // (N*d) rows, about 2**14 pair entries
+    (128 KiB), keep the temporaries in cache and in the allocator's free
+    lists instead of mapping fresh pages on every call.  The N-body sums
+    reduce each row over j on its own, in index order, so their results do
+    not depend on the block size.
     """
 
-    X = np.asarray(X, dtype=float)
     N, d = X.shape
-    if N < 2 or isinstance(spec.W, Zero):
-        return 0.0
-    row_sums = np.empty(N)
     chunk = max(1, 2**14 // (N * d))
     for start in range(0, N, chunk):
         stop = min(start + chunk, N)
-        w = spec.W.value(X[start:stop, None, :] - X[None, :, :])
-        w[np.arange(stop - start), np.arange(start, stop)] = 0.0  # self pairs
-        row_sums[start:stop] = w.sum(axis=1)
+        rows = slice(start, stop)
+        yield (rows, X[rows, None, :] - X[None, :, :],
+               (np.arange(stop - start), np.arange(start, stop)))
+
+
+def pairwise_interaction_energy(spec, X):
+    """(1/2N) sum_{i != j} W(x_i - x_j) over pair_blocks.
+
+    Each row is summed over j on its own and the N row sums are summed last.
+    """
+
+    X = np.asarray(X, dtype=float)
+    N = X.shape[0]
+    if N < 2 or isinstance(spec.W, Zero):
+        return 0.0
+    row_sums = np.empty(N)
+    for rows, diff, self_pairs in pair_blocks(X):
+        w = spec.W.value(diff)
+        w[self_pairs] = 0.0
+        row_sums[rows] = w.sum(axis=1)
     return float(np.sum(row_sums)) / (2.0 * N)
 
 

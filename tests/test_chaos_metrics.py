@@ -1,6 +1,7 @@
 """Wasserstein distances, entropy estimation, and mean-field error terms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from kinchaos.chaos_metrics import (concentration_check, entropy_knn,
                                     error_statistics,
                                     error_statistics_reference, loglog_fit,
-                                    w2_exact, w2_gaussian,
+                                    mean_field_tables, w2_exact, w2_gaussian,
                                     w2_gaussian_spectral)
 from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec
 from kinchaos.equilibrium import Axis, solve_rho_infty
@@ -222,6 +223,65 @@ def test_error_stats_rejects_2d(mollified_setup):
         error_statistics(Z, spec, rho, params=params)
 
 
+def _error_terms_one_block(spec, rho, tables, x, v):
+    # the whole N x N pair array at once: the unblocked reference
+    N = x.size
+    diff = x[:, None] - x[None, :]
+    k_pair = -spec.W.grad(diff[..., None])[..., 0]
+    dk_pair = -spec.W.hess(diff[..., None])[..., 0, 0]
+    np.fill_diagonal(k_pair, 0.0)
+    np.fill_diagonal(dk_pair, 0.0)
+    conv_k = np.interp(x, rho.x_axis.nodes, tables[0])
+    conv_dk = np.interp(x, rho.x_axis.nodes, tables[1])
+    r0 = k_pair.sum(axis=1) / N - conv_k
+    r1 = dk_pair.sum(axis=1) / N - conv_dk
+    r3 = (dk_pair * v[None, :]).sum(axis=1) / N
+    return r0, r1, r3
+
+
+@pytest.mark.parametrize("w_family, w_params", [
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+    ("mollified_coulomb", {"a": 0.2, "r0": 1.0, "form": "arctan"}),
+], ids=["harmonic", "coulomb_power", "coulomb_arctan"])
+@pytest.mark.parametrize("N", [200, 300, 683])
+def test_error_stats_blocks_match_one_block(w_family, w_params, N,
+                                            baseline_params):
+    # 2**14 // N rows per block: 3, 6 and 30 blocks, the last one short
+    assert N % (2**14 // N) != 0
+    spec = make_system("quadratic", None, w_family, w_params)
+    rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
+    tables = mean_field_tables(spec, rho)
+    gen = np.random.default_rng(N)
+    x, v = gen.standard_normal(N), gen.standard_normal(N)
+    stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]), spec,
+                             rho, tables=tables)
+    r0, r1, r3 = _error_terms_one_block(spec, rho, tables, x, v)
+    assert np.array_equal(stats.r0[:, 0], r0)
+    assert np.array_equal(stats.r1[:, 0, 0], r1)
+    assert np.array_equal(stats.r2[:, 0], -r0)
+    assert np.array_equal(stats.r3[:, 0], r3)
+    assert stats.aggregates == {
+        "R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
+        "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
+
+
+def test_error_stats_memory_stays_blocked(mollified_setup):
+    # a dense N x N evaluation at N = 1024 peaks near 57 MiB
+    spec, params, rho = mollified_setup
+    tables = mean_field_tables(spec, rho)
+    gen = np.random.default_rng(1024)
+    Z = PhaseEnsemble(gen.standard_normal((1024, 1)),
+                      gen.standard_normal((1024, 1)))
+    tracemalloc.start()
+    try:
+        error_statistics(Z, spec, rho, tables=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # --- concentration ---------------------------------------------------------------
 
 def test_loglog_fit_exact_power():
@@ -278,3 +338,13 @@ def test_concentration_deterministic(mollified_setup, rng):
     b = concentration_check(spec, rho, params, n_values=[16, 32], n_mc=15,
                             rng=rng)
     assert a.rows == b.rows
+
+
+def test_concentration_threads_do_not_change_rows(mollified_setup, rng):
+    spec, params, rho = mollified_setup
+    one = concentration_check(spec, rho, params, n_values=[8, 16, 32],
+                              n_mc=10, rng=rng, threads=1)
+    two = concentration_check(spec, rho, params, n_values=[8, 16, 32],
+                              n_mc=10, rng=rng, threads=2)
+    assert one.rows == two.rows
+    assert one.fits == two.fits

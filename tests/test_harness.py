@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from kinchaos import equilibrium, harness
+from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import main as cli_main
+from kinchaos.dynamics import PhaseEnsemble, RngSpec, sample_f_infty
 from kinchaos.errors import ConfigError
 from kinchaos.harness import parse_config, run_experiment, write_report
 
@@ -302,6 +305,40 @@ def test_cli_unknown_potential_parameter_exit_code(tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert "power_k: unknown parameter(s) allow_small_k; it takes k, amp" \
         in capsys.readouterr().err
+
+
+def test_cli_non_numeric_potential_parameter_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
+                    "[potential]\nv_family = power_k\nv_k = four\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "power_k: parameter k must be a number, got 'four'" \
+        in capsys.readouterr().err
+
+
+def test_repeated_n_rows_keep_their_own_se():
+    # point i of N_list draws from rng.derive(20_000 * (i + 1)), substreams
+    # 0..n_mc-1; the two N = 8 points are different samples
+    text = ("[experiment]\nrecipe = concentration\nseed = 0\n"
+            "[numerics]\nN_list = [8, 8, 16]\nn_mc = 20\nnx = 129\n")
+    cfg = parse_config(text)
+    report = run_experiment(cfg)
+    spec = harness.build_potential_spec(cfg.potential)
+    params = harness.build_model_params(cfg.model)
+    rho = equilibrium.solve_rho_infty(spec, params,
+                                      equilibrium.Axis(-8.0, 8.0, 129))
+    r0_rows = [r for r in report.tables["concentration"][1] if r[0] == 0]
+    assert [r[1] for r in r0_rows] == [8, 8, 16]
+    for i, row in enumerate(r0_rows):
+        point_rng = RngSpec(seed=0).derive(20_000 * (i + 1))
+        aggs = []
+        for s in range(20):
+            x, v = sample_f_infty(rho, params, row[1], point_rng, substream=s)
+            ens = PhaseEnsemble(x[:, None], v[:, None])
+            aggs.append(error_statistics(ens, spec, rho).aggregates["R0"])
+        assert row[2] == pytest.approx(np.mean(aggs), rel=1e-12)
+        assert row[3] == pytest.approx(np.std(aggs, ddof=1) / math.sqrt(20),
+                                       rel=1e-12)
+    assert r0_rows[0][3] != r0_rows[1][3]
 
 
 def test_cli_strict_assumptions_exit_code(tmp_path, capsys):
