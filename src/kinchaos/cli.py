@@ -17,8 +17,9 @@ from . import __version__
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      EvaluationOverflow, SchemeError, StabilityError,
                      StrictAssumptionError)
-from .harness import (ExperimentConfig, constants_records, load_config,
-                      parse_config, run_experiment, write_report)
+from .harness import (_DEFAULT_POTENTIAL, ExperimentConfig, _parse_value,
+                      build_potential_spec, constants_records, load_config,
+                      run_experiment, write_report)
 
 _NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError,
               EvaluationOverflow)
@@ -47,7 +48,6 @@ def _build_parser():
                      help="config file supplying potential/model/constants")
     con.add_argument("--gamma", type=float, default=1.0)
     con.add_argument("--sigma", type=float, default=1.0)
-    con.add_argument("--beta", type=float, default=1.0)
     con.add_argument("--c-k", type=float, default=None, dest="c_k")
     con.add_argument("--c-v", type=float, default=None, dest="c_v")
     con.add_argument("--c-v-theta", type=float, default=None,
@@ -92,9 +92,8 @@ def _config_from_flags_constants(args):
             consts[key] = val
     return ExperimentConfig(
         recipe="constants_table", seed=0, out_dir="out",
-        potential={"v_family": "quadratic", "v_curvature": 1.0,
-                   "w_family": "harmonic_W", "w_L_W": 0.25},
-        model={"gamma": args.gamma, "sigma": args.sigma, "beta": args.beta},
+        potential=dict(_DEFAULT_POTENTIAL),
+        model={"gamma": args.gamma, "sigma": args.sigma},
         constants=consts, numerics={})
 
 
@@ -137,8 +136,6 @@ def _cmd_check_assumptions(args):
 
     if args.config is not None:
         config = load_config(args.config)
-        from .harness import build_potential_spec
-
         spec = build_potential_spec(config.potential)
         theta = config.constants["theta"]
     else:
@@ -150,11 +147,7 @@ def _cmd_check_assumptions(args):
                 errors.append(f"--param {item!r} is not name=value")
                 continue
             name, _, raw = item.partition("=")
-            try:
-                val = float(raw)
-            except ValueError:
-                errors.append(f"--param {item!r}: value must be numeric")
-                continue
+            val = _parse_value(raw)
             if name.startswith("v_"):
                 v_params[name[2:]] = val
             elif name.startswith("w_"):

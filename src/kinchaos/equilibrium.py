@@ -11,9 +11,7 @@ whole family is Gaussian and `gaussian_closed_form` returns the exact
 variances and covariance spectra used as oracles elsewhere.
 """
 
-import collections
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,63 +163,29 @@ def _raw_mass(x_axis, v_axis, values):
                               dx=x_axis.h))
 
 
-# (id(W), x_axis, derivative) -> (W, W.params() snapshot, kernel), least
-# recently used first; holding W keeps its id from being reused.  Two entries
-# cover the VFP loop (derivatives 0 and 1) and the concentration tables (1 and
-# 2); each holds an nx x nx array.
-_KERNELS = collections.OrderedDict()
-_KERNEL_SLOTS = 2
-# a miss builds under the lock, so threads sharing a kernel build it once
-_KERNEL_LOCK = threading.Lock()
-
-
-def _build_kernel(W, x_axis, derivative):
-    nodes = x_axis.nodes
-    diff = nodes[:, None] - nodes[None, :]
-    if derivative == 0:
-        kernel = W.value(diff[..., None])
-    elif derivative == 1:
-        kernel = W.grad(diff[..., None])[..., 0]
-    else:
-        kernel = W.hess(diff[..., None])[..., 0, 0]
-    kernel.flags.writeable = False
-    return kernel
-
-
-def _interaction_kernel(W, x_axis, derivative):
-    """The nx x nx matrix of W^(derivative)(x_i - x_j), built once per W.
-
-    An entry is reused only for the same W object whose params() still
-    match the snapshot taken when it was built, so mutating W in place or
-    passing another object rebuilds it.
-    """
-
-    key = (id(W), x_axis, derivative)
-    params = W.params()
-    with _KERNEL_LOCK:
-        entry = _KERNELS.get(key)
-        if entry is not None and entry[1] == params:
-            _KERNELS.move_to_end(key)
-            return entry[2]
-        kernel = _build_kernel(W, x_axis, derivative)
-        _KERNELS[key] = (W, params, kernel)
-        _KERNELS.move_to_end(key)
-        while len(_KERNELS) > _KERNEL_SLOTS:
-            _KERNELS.popitem(last=False)
-        return kernel
-
-
 def interaction_convolution(spec, x_axis, rho_values, derivative=0):
     """(W * rho), (W' * rho) or (W'' * rho) on the grid by direct quadrature.
 
-    derivative=1 returns the gradient convolution, from which the mean-field
-    force is K*rho = -(W'*rho).
+    On the uniform axis W(x_i - x_j) depends only on i - j, so each call
+    evaluates W^(derivative) once at the 2n - 1 displacements h k,
+    k = 1 - n .. n - 1, and convolves that Toeplitz row with the
+    trapezoid-weighted density.  derivative=1 returns the gradient
+    convolution, from which the mean-field force is K*rho = -(W'*rho).
     """
 
     if derivative not in (0, 1, 2):
         raise ValueError("derivative must be 0, 1 or 2")
-    kernel = _interaction_kernel(spec.W, x_axis, derivative)
-    return kernel @ (rho_values * x_axis.trapezoid_weights())
+    n = x_axis.n
+    disp = x_axis.h * np.arange(1 - n, n, dtype=float)[:, None]
+    W = spec.W
+    if derivative == 0:
+        kernel = W.value(disp)
+    elif derivative == 1:
+        kernel = W.grad(disp)[:, 0]
+    else:
+        kernel = W.hess(disp)[:, 0, 0]
+    return np.convolve(kernel, rho_values * x_axis.trapezoid_weights(),
+                       mode="valid")
 
 
 def _coverage_check(spec, params, axis, tol):

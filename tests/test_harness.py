@@ -370,6 +370,29 @@ def test_cli_check_assumptions_strict_failure(capsys):
     assert code == 3    # A2 fails for a genuinely superquadratic potential
 
 
+def test_cli_check_assumptions_string_parameter(capsys):
+    code = cli_main(["check-assumptions", "--w-family", "mollified_coulomb",
+                     "--param", "w_form=arctan", "--param", "w_r0=1"])
+    assert code == 0
+    # C_K = sup|W''| = 2a / (3 r0^3) for the arctan form (1 for the power form)
+    assert "C_K = 0.666667" in capsys.readouterr().out
+
+
+def test_cli_check_assumptions_non_numeric_parameter(capsys):
+    code = cli_main(["check-assumptions", "--v-family", "power_k",
+                     "--param", "v_k=four"])
+    assert code == 2
+    assert "power_k: parameter k must be a number, got 'four'" \
+        in capsys.readouterr().err
+
+
+def test_cli_constants_has_no_beta_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["constants", "--beta", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta 2" in capsys.readouterr().err
+
+
 def test_cli_version(capsys):
     assert cli_main(["version"]) == 0
     assert capsys.readouterr().out.strip()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kinchaos import equilibrium, kinetic_pde
+from kinchaos import kinetic_pde
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov)
 from kinchaos.equilibrium import (Axis, GridDensity, assemble_f_infty,
@@ -183,7 +183,6 @@ def clear_operator_caches():
     for cached in (kinetic_pde._drift_phase, kinetic_pde._ou_weights,
                    kinetic_pde._quad_weights, kinetic_pde._half_v_sq):
         cached.cache_clear()
-    equilibrium._KERNELS.clear()
 
 
 @pytest.mark.parametrize("w_family,w_params", [
@@ -226,8 +225,8 @@ def test_cached_operators_are_read_only():
             arr[(0,) * arr.ndim] = 1.0
 
 
-def test_twenty_steps_build_the_force_kernel_once(monkeypatch,
-                                                  baseline_params):
+def test_twenty_steps_evaluate_the_force_kernel_once_each(monkeypatch,
+                                                        baseline_params):
     spec = make_system("quadratic", {"curvature": 1.0}, "harmonic_W",
                        {"L_W": 0.25})
     calls = []
@@ -242,7 +241,7 @@ def test_twenty_steps_build_the_force_kernel_once(monkeypatch,
     st = KineticState(gaussian_phase(xa, va, 1.0, 0.5, 1.0, 1.0))
     for _ in range(20):
         st = step_vfp(st, spec, baseline_params, 0.004)
-    assert calls == [(64, 64, 1)]
+    assert calls == [(2 * 64 - 1, 1)] * 20
 
 
 # --- functionals --------------------------------------------------------------
