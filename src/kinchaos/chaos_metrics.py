@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree, distance
 from scipy.special import digamma, gammaln
 
 from .dynamics import PhaseEnsemble, sample_f_infty
-from .potentials import Zero, pair_blocks
+from .potentials import pair_blocks
 
 _MAX_ASSIGNMENT = 4096
 
@@ -234,12 +234,6 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     v = ensemble.velocities[:, 0]
     N = x.size
 
-    if isinstance(spec.W, Zero):
-        zero_v = np.zeros((N, 1))
-        zero_m = np.zeros((N, 1, 1))
-        agg = {"R0": 0.0, "R1": 0.0, "R2": 0.0, "R3": 0.0}
-        return ErrorStats(zero_v, zero_m, zero_v, zero_v, agg)
-
     if tables is None:
         tables = mean_field_tables(spec, rho_inf)
     conv_k = _interp_table(rho_inf, tables[0], x)
@@ -400,8 +394,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
     terms = ("R0", "R1", "R2", "R3")
-    tables = (None if isinstance(spec.W, Zero)
-              else mean_field_tables(spec, rho_inf))
+    tables = mean_field_tables(spec, rho_inf)
 
     def one_point(i):
         point_rng = rng.derive(20_000 * (i + 1))

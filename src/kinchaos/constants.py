@@ -32,6 +32,11 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+# the derived quantities of a TheoremConstants record, in report order
+OUTPUT_NAMES = ("a", "delta", "rate", "sigma_star", "H0_min", "m2_prime",
+                "m2_doubleprime")
+
+
 @dataclass
 class TheoremConstants:
     """Outputs of one constant recipe plus echoed inputs and validity flags."""
@@ -49,8 +54,7 @@ class TheoremConstants:
 
     def as_dict(self):
         out = {"tag": self.tag, "inputs": dict(self.inputs), "flags": dict(self.flags)}
-        for k in ("a", "delta", "rate", "sigma_star", "H0_min",
-                  "m2_prime", "m2_doubleprime"):
+        for k in OUTPUT_NAMES:
             v = getattr(self, k)
             if v is not None:
                 out[k] = v
@@ -61,8 +65,7 @@ class TheoremConstants:
         rows = [("tag", self.tag)]
         rows += [(k, f"{v:.12g}" if isinstance(v, (int, float)) else str(v))
                  for k, v in self.inputs.items()]
-        for k in ("a", "delta", "rate", "sigma_star", "H0_min",
-                  "m2_prime", "m2_doubleprime"):
+        for k in OUTPUT_NAMES:
             v = getattr(self, k)
             if v is not None:
                 rows.append((k, f"{v:.12g}"))

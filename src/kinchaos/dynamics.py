@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, StabilityError
-from .potentials import Zero, _op_norms, pair_blocks
+from .potentials import (HarmonicW, Quadratic, Zero, _op_norms, pair_blocks,
+                         pairwise_interaction_energy)
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -128,7 +129,7 @@ def pairwise_force(spec, X):
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
-    if N < 2 or isinstance(spec.W, Zero):
+    if N < 2:
         return np.zeros_like(X)
     out = np.empty_like(X)
     for rows, diff, self_pairs in pair_blocks(X):
@@ -306,10 +307,15 @@ def _potential_gradient_total(spec, X):
     return spec.V.grad(X) - pairwise_force(spec, X)
 
 
-def _mala_positions(gen, spec, n_samples, N, d, beta, step_size, burn_in, thin):
+# MALA: initial step size, adapted during the burn-in, then one kept sample
+# every _MALA_THIN iterations
+_MALA_STEP, _MALA_BURN_IN, _MALA_THIN = 0.1, 500, 5
+
+
+def _mala_positions(gen, spec, n_samples, N, d, beta):
     """Metropolis-adjusted Langevin chain on beta * U with burn-in adaptation."""
 
-    from .potentials import pairwise_interaction_energy
+    burn_in, thin = _MALA_BURN_IN, _MALA_THIN
 
     def potential(X):
         return float(np.sum(spec.V.value(X))) + pairwise_interaction_energy(spec, X)
@@ -317,7 +323,7 @@ def _mala_positions(gen, spec, n_samples, N, d, beta, step_size, burn_in, thin):
     X = gen.standard_normal((N, d))
     U = potential(X)
     G = _potential_gradient_total(spec, X)
-    h = step_size
+    h = _MALA_STEP
     accepted = 0
     proposed = 0
     out = []
@@ -347,8 +353,7 @@ def _mala_positions(gen, spec, n_samples, N, d, beta, step_size, burn_in, thin):
     return np.stack(out), rate, h
 
 
-def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None,
-                 step_size=0.1, burn_in=500, thin=5):
+def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None):
     """Sample the stationary N-particle law: velocities exact Gaussians of
     variance 1/beta; positions either closed-form Gaussian (quadratic V plus
     harmonic or zero W) or a Metropolis-adjusted Langevin chain on the
@@ -363,8 +368,6 @@ def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None,
     warning = None
     info = {}
     if method == "exact_gaussian":
-        from .potentials import HarmonicW, Quadratic
-
         if not isinstance(spec.V, Quadratic) or not isinstance(spec.W, (HarmonicW, Zero)):
             raise ValueError("exact_gaussian requires quadratic V with harmonic "
                              "or zero W")
@@ -373,9 +376,9 @@ def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None,
         X = _gaussian_gibbs_positions(gen, n_samples, N, d, beta, lam_V, L_W)
         acceptance = None
     elif method == "mala":
-        X, acceptance, h = _mala_positions(gen, spec, n_samples, N, d, beta,
-                                           step_size, burn_in, thin)
-        info = {"adapted_step_size": h, "burn_in": burn_in, "thin": thin}
+        X, acceptance, h = _mala_positions(gen, spec, n_samples, N, d, beta)
+        info = {"adapted_step_size": h, "burn_in": _MALA_BURN_IN,
+                "thin": _MALA_THIN}
         if not 0.2 <= acceptance <= 0.8:
             warning = (f"MALA acceptance rate {acceptance:.3f} outside [0.2, 0.8] "
                        "after adaptation")

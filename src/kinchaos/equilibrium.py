@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .potentials import Zero
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -206,9 +204,8 @@ def _coverage_check(spec, params, axis, tol):
 def _gibbs_map(spec, params, axis, v_vals, rho_values):
     """normalize(exp(-beta (V + W * rho))) on the nodes; v_vals = V(nodes)."""
 
-    conv = 0.0 if isinstance(spec.W, Zero) else \
-        interaction_convolution(spec, axis, rho_values)
-    exponent = -params.beta * (v_vals + conv)
+    exponent = -params.beta * (
+        v_vals + interaction_convolution(spec, axis, rho_values))
     exponent -= np.max(exponent)
     out = np.exp(exponent)
     if not np.all(np.isfinite(out)):
@@ -219,36 +216,34 @@ def _gibbs_map(spec, params, axis, v_vals, rho_values):
     return out
 
 
-def solve_rho_infty(spec, params, grid, damping=0.5, tol=1e-10, max_iter=500):
+def solve_rho_infty(spec, params, grid, tol=1e-10, max_iter=500):
     """Damped fixed-point iteration for the equilibrium position marginal.
 
-    Each sweep maps rho to normalize(exp(-beta (V + W*rho))) and blends
-    geometrically with exponent `damping`.  Returns a GridDensity whose meta
-    records iterations, the final L1 residual and a converged flag; hitting
-    max_iter returns the best iterate flagged non-converged.
+    Each sweep maps rho on the Axis `grid` to normalize(exp(-beta (V +
+    W*rho))) and blends geometrically, cand^(1/2) rho^(1/2).  Returns a
+    GridDensity whose meta records iterations, the final L1 residual and a
+    converged flag; hitting max_iter returns the best iterate flagged
+    non-converged.
     """
 
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
-    axis = grid if isinstance(grid, Axis) else Axis(*grid)
-    _coverage_check(spec, params, axis, max(tol, 1e-14))
-    nodes = axis.nodes
-    w = axis.trapezoid_weights()
+    _coverage_check(spec, params, grid, max(tol, 1e-14))
+    nodes = grid.nodes
+    w = grid.trapezoid_weights()
     v_vals = spec.V.value(nodes[:, None])
     rho = np.exp(-params.beta * (v_vals - np.min(v_vals)))
     rho /= float(rho @ w)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        cand = _gibbs_map(spec, params, axis, v_vals, rho)
+        cand = _gibbs_map(spec, params, grid, v_vals, rho)
         # geometric damping in log space keeps iterates positive
-        new = cand**damping * rho ** (1.0 - damping)
+        new = cand**0.5 * rho**0.5
         new /= float(new @ w)
         residual = float(np.abs(new - rho) @ w)
         rho = new
         if residual < tol:
-            return GridDensity(axis, rho, meta={
+            return GridDensity(grid, rho, meta={
                 "iterations": it, "residual": residual, "converged": True})
-    return GridDensity(axis, rho, meta={
+    return GridDensity(grid, rho, meta={
         "iterations": max_iter, "residual": residual, "converged": False})
 
 

@@ -49,10 +49,10 @@ from . import __version__
 from .chaos_metrics import (_map_indexed, concentration_check,
                             error_statistics, loglog_fit, w2_exact,
                             w2_gaussian_spectral)
-from .constants import (build_weight_matrix, thm13_constants,
+from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
-from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_gibbs,
-                       step_particle_system)
+from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
+                       sample_gibbs, step_particle_system)
 from .equilibrium import (Axis, GridDensity, assemble_f_infty,
                           formal_equilibrium, gaussian_closed_form,
                           solve_rho_infty)
@@ -222,13 +222,10 @@ def _coerce(value, want):
     raise AssertionError(want)
 
 
-def _apply_schema(section_name, entries, schema, errors, allow_extra=False):
+def _apply_schema(section_name, entries, schema, errors):
     out = {}
     for key, (value, lineno) in entries.items():
         if key not in schema:
-            if allow_extra:
-                out[key] = value
-                continue
             errors.append(f"line {lineno}: unknown key '{key}' in "
                           f"[{section_name}]")
             continue
@@ -747,14 +744,14 @@ def _run_concentration(cfg, report, threads):
                      ("k", "N", "mean_aggregate", "se", "slope", "slope_se",
                       "r2"), rows)
 
-    # zero-kernel control: no interaction means identically zero error terms
+    # zero-kernel control: no interaction means identically zero error terms;
+    # the ensemble is drawn from rho_inf, so it stays on the table grid
     zero_spec = build_potential_spec(
         {**{k: v for k, v in cfg.potential.items() if k.startswith("v_")},
          "w_family": "zero"})
-    gen = rng.derive(1).sampler()
-    ens = PhaseEnsemble(gen.standard_normal((32, 1)),
-                        gen.standard_normal((32, 1)))
-    stats = error_statistics(ens, zero_spec, rho_inf, params)
+    x, vel = sample_f_infty(rho_inf, params, 32, rng.derive(1))
+    stats = error_statistics(PhaseEnsemble(x[:, None], vel[:, None]),
+                             zero_spec, rho_inf, params)
     all_zero = all(v == 0.0 for v in stats.aggregates.values())
     report.add_verdict("zero_kernel_control", all_zero,
                        stats.aggregates, 0.0, "W = 0 gives exact zeros")
@@ -802,8 +799,7 @@ def _run_constants_table(cfg, report, threads):
     finite = True
     for rec in records:
         d = rec.as_dict()
-        for key in ("a", "delta", "rate", "sigma_star", "H0_min", "m2_prime",
-                    "m2_doubleprime"):
+        for key in OUTPUT_NAMES:
             if key in d:
                 rows.append((rec.tag, key, d[key]))
                 finite = finite and math.isfinite(d[key]) and d[key] > 0

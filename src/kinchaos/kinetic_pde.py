@@ -31,7 +31,6 @@ import numpy as np
 
 from .equilibrium import GridDensity, interaction_convolution
 from .errors import SchemeError, StabilityError
-from .potentials import Zero
 
 _LOG_FLOOR = 1e-300
 
@@ -61,11 +60,8 @@ class KineticState:
 def mean_field_force(spec, x_axis, rho_values):
     """-V'(x) + (K * rho)(x) on the nodes; K = -grad W."""
 
-    force = -spec.V.grad(x_axis.nodes[:, None])[:, 0]
-    if not isinstance(spec.W, Zero):
-        force = force - interaction_convolution(spec, x_axis, rho_values,
-                                                derivative=1)
-    return force
+    return (-spec.V.grad(x_axis.nodes[:, None])[:, 0]
+            - interaction_convolution(spec, x_axis, rho_values, derivative=1))
 
 
 def _chang_cooper_delta(w):
@@ -243,12 +239,8 @@ def free_energy(density, spec, params):
     safe = np.where(F > _LOG_FLOOR, F, 1.0)
     ent = float(np.sum(w2d * F * np.log(safe))) / params.beta
     rho = np.trapezoid(F, dx=density.v_axis.h, axis=1)
-    if isinstance(spec.W, Zero):
-        inter = 0.0
-    else:
-        conv = interaction_convolution(spec, density.x_axis, rho)
-        inter = 0.5 * float(
-            (rho * density.x_axis.trapezoid_weights()) @ conv)
+    conv = interaction_convolution(spec, density.x_axis, rho)
+    inter = 0.5 * float((rho * density.x_axis.trapezoid_weights()) @ conv)
     return FreeEnergyParts(total=kin + conf + ent + inter, kinetic=kin,
                            confinement=conf, entropy=ent, interaction=inter)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinchaos import equilibrium, harness
+from kinchaos import chaos_metrics, equilibrium, harness
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import main as cli_main
 from kinchaos.dynamics import PhaseEnsemble, RngSpec, sample_f_infty
@@ -313,6 +313,54 @@ def test_cli_non_numeric_potential_parameter_exit_code(tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert "power_k: parameter k must be a number, got 'four'" \
         in capsys.readouterr().err
+
+
+def test_cli_wrong_side_family_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
+                    "[potential]\nv_family = mollified_coulomb\n"
+                    "w_family = power_k\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: mollified_coulomb cannot be the confinement V: it is a " \
+        "W family" in capsys.readouterr().err
+    code = cli_main(["check-assumptions", "--v-family", "harmonic_W",
+                     "--w-family", "quadratic"])
+    assert code == 2
+    assert "error: harmonic_W cannot be the confinement V" \
+        in capsys.readouterr().err
+
+
+def test_zero_kernel_control_trips_on_tables_of_another_spec(monkeypatch):
+    # tables kept from the first spec (mollified Coulomb) leave the zero-W
+    # pair sums far from the mean-field terms, so the control must fail
+    build = chaos_metrics.mean_field_tables
+    kept = []
+
+    def first_tables(spec, rho_inf):
+        if not kept:
+            kept.append(build(spec, rho_inf))
+        return kept[0]
+
+    monkeypatch.setattr(chaos_metrics, "mean_field_tables", first_tables)
+    text = CONCENTRATION_SMALL.replace("n_mc = 40", "n_mc = 4")
+    report = run_experiment(parse_config(text))
+    control = next(v for v in report.verdicts
+                   if v["name"] == "zero_kernel_control")
+    assert not control["passed"]
+    assert control["measured"]["R0"] > 0.0
+
+
+def test_zero_kernel_control_stays_on_a_narrow_grid():
+    # x_max = 3 covers rho_inf for curvature 10; 32 standard normals drawn at
+    # seed 5 would reach x = 3.7, off the table grid
+    text = ("[experiment]\nrecipe = concentration\nseed = 5\n"
+            "[potential]\nv_family = quadratic\nv_curvature = 10.0\n"
+            "w_family = mollified_coulomb\nw_a = 0.2\n"
+            "[numerics]\nN_list = [8, 16]\nn_mc = 4\nnx = 129\n"
+            "x_max = 3.0\n")
+    report = run_experiment(parse_config(text))
+    control = next(v for v in report.verdicts
+                   if v["name"] == "zero_kernel_control")
+    assert control["passed"]
 
 
 def test_repeated_n_rows_keep_their_own_se():

@@ -226,6 +226,27 @@ def test_dimension_is_an_int_checked_on_the_spec():
         make_system("quadratic", None, "mollified_coulomb", None, d=4)
 
 
+@pytest.mark.parametrize("v_family, w_family, named, side", [
+    # the wrong side used to be filled with zero: V = W = 0 here
+    ("harmonic_W", "quadratic", "harmonic_W", "confinement V"),
+    ("mollified_coulomb", "harmonic_W", "mollified_coulomb", "confinement V"),
+    ("quadratic", "power_k", "power_k", "interaction W"),
+    ("quadratic", "exp_power", "exp_power", "interaction W"),
+])
+def test_make_system_rejects_a_family_on_the_wrong_side(v_family, w_family,
+                                                       named, side):
+    with pytest.raises(ValueError, match=f"^{named} cannot be the {side}"):
+        make_system(v_family, None, w_family, None)
+
+
+def test_zero_stands_on_either_side():
+    spec = make_system("zero", None, "zero")
+    assert spec.V.family == spec.W.family == "zero"
+    assert spec.describe()["constants"] == dict.fromkeys(
+        ("lam", "M_lb", "C_V", "C_K", "theta", "C_V_theta", "W_grad_sup"),
+        0.0)
+
+
 def test_power_k_below_two_rejected():
     with pytest.raises(ValueError, match="k must be >= 2"):
         make_builtin("power_k", {"k": 1.5})
@@ -269,6 +290,22 @@ def test_zero_interaction_a4_a5_vacuous():
     report = check_assumptions(spec)
     assert report.status("A4") == "pass"
     assert report.status("A5") == "pass"
+
+
+def test_zero_interaction_a4_passes_for_a_non_convex_well():
+    # hess V(0) = 0 for power_k, so half the convexity modulus, 0, is not
+    # above C_K = 0; with no interaction there is no smallness condition to
+    # meet, and A4 passes
+    spec = make_system("power_k", {"k": 4.0}, "zero")
+    report = check_assumptions(spec, theta=0.25)
+    assert report.status("A4") == "pass"
+    assert report.verdicts["A4"].margin == 0.0
+    assert report.status("A5") == "pass"
+
+
+def test_assumption_screening_is_one_dimensional():
+    with pytest.raises(ValueError, match="d = 1 only, got d = 2"):
+        check_assumptions(make_system("quadratic", None, "harmonic_W", d=2))
 
 
 def test_quadratic_tail_fails_at_quartic_theta(baseline_spec):
