@@ -18,15 +18,14 @@ from .equilibrium import (Axis, GridDensity, assemble_f_infty,
                           formal_equilibrium, gaussian_closed_form,
                           solve_rho_infty)
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
-                     EvaluationOverflow, KinchaosError, SchemeError,
-                     StabilityError, StrictAssumptionError)
+                     KinchaosError, SchemeError, StabilityError,
+                     StrictAssumptionError)
 from .harness import (ExperimentConfig, RunReport, parse_config,
                       run_experiment, write_report)
 from .kinetic_pde import (DecayFit, KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp,
                           weighted_fisher)
 from .potentials import (AssumptionReport, PotentialSpec, check_assumptions,
-                         evaluate, interaction_kernel, make_builtin,
-                         make_system, system_energy)
+                         make_system)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

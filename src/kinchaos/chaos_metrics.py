@@ -27,6 +27,7 @@ from scipy.spatial import cKDTree, distance
 from scipy.special import digamma, gammaln
 
 from .dynamics import PhaseEnsemble, sample_f_infty
+from .kinetic_pde import _line_fit
 from .potentials import pair_blocks
 
 _MAX_ASSIGNMENT = 4096
@@ -95,23 +96,20 @@ def w2_gaussian(mean1, cov1, mean2, cov2):
 def w2_gaussian_spectral(evals1, evals2, mean_gap_sq=0.0):
     """W2² for commuting Gaussians from eigenvalues paired by shared basis.
 
-    Spectra are given as ((value, multiplicity), ...) or flat arrays and are
-    paired in descending order; this keeps full precision where the dense
-    Bures trace cancels catastrophically.
+    Spectra are given as ((value, multiplicity), ...) and are paired in
+    descending order; this keeps full precision where the dense Bures trace
+    cancels catastrophically.
     """
 
-    def flat(spec):
-        arr = []
-        for item in np.atleast_1d(np.asarray(spec, dtype=object)):
-            if isinstance(item, tuple) or (isinstance(item, np.ndarray)
-                                           and item.size == 2):
-                v, m = item
-                arr.extend([float(v)] * int(m))
-            else:
-                arr.append(float(item))
-        return np.sort(np.asarray(arr))[::-1]
+    def expand(spectrum):
+        try:
+            values, mults = zip(*((float(v), int(m)) for v, m in spectrum))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"a spectrum must be ((value, multiplicity), "
+                             f"...) pairs, got {spectrum!r}") from exc
+        return np.sort(np.repeat(values, mults))[::-1]
 
-    a, b = flat(evals1), flat(evals2)
+    a, b = expand(evals1), expand(evals2)
     if a.shape != b.shape:
         raise ValueError("spectra have different total multiplicity")
     if a.min() < 0 or b.min() < 0:
@@ -334,15 +332,8 @@ def loglog_fit(n_values, means):
     """Least squares of log(mean) on log(N); returns slope, se, r2."""
 
     x = np.log(np.asarray(n_values, dtype=float))
-    y = np.log(np.asarray(means, dtype=float))
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    dof = max(x.size - 2, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0 else 1.0 - float(resid @ resid) / ss_tot
+    coef, A, ss_res, r2 = _line_fit(x, np.log(np.asarray(means, dtype=float)))
+    cov = ss_res / max(x.size - 2, 1) * np.linalg.inv(A.T @ A)
     return float(coef[0]), math.sqrt(max(cov[0, 0], 0.0)), r2
 
 

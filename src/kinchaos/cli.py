@@ -15,14 +15,13 @@ import sys
 
 from . import __version__
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
-                     EvaluationOverflow, SchemeError, StabilityError,
-                     StrictAssumptionError)
+                     SchemeError, StabilityError, StrictAssumptionError)
 from .harness import (_DEFAULT_POTENTIAL, ExperimentConfig, _parse_value,
                       build_potential_spec, constants_records, load_config,
                       run_experiment, write_report)
+from .potentials import check_assumptions
 
-_NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError,
-              EvaluationOverflow)
+_NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError)
 
 
 def _build_parser():
@@ -132,32 +131,28 @@ def _cmd_constants(args):
 
 
 def _cmd_check_assumptions(args):
-    from .potentials import check_assumptions, make_system
-
     if args.config is not None:
         config = load_config(args.config)
-        spec = build_potential_spec(config.potential)
+        potential = config.potential
         theta = config.constants["theta"]
     else:
-        v_params = {}
-        w_params = {}
+        potential = {"v_family": args.v_family, "w_family": args.w_family}
         errors = []
         for item in args.param:
-            if "=" not in item:
+            name, eq, raw = item.partition("=")
+            if not eq:
                 errors.append(f"--param {item!r} is not name=value")
-                continue
-            name, _, raw = item.partition("=")
-            val = _parse_value(raw)
-            if name.startswith("v_"):
-                v_params[name[2:]] = val
-            elif name.startswith("w_"):
-                w_params[name[2:]] = val
-            else:
+            elif name in ("v_family", "w_family"):
+                errors.append(f"--param {item!r}: set the family with "
+                              f"--{name.replace('_', '-')}")
+            elif name[:2] not in ("v_", "w_"):
                 errors.append(f"--param {item!r}: name needs a v_ or w_ prefix")
+            else:
+                potential[name] = _parse_value(raw)
         if errors:
             raise ConfigError(errors)
-        spec = make_system(args.v_family, v_params, args.w_family, w_params)
         theta = args.theta
+    spec = build_potential_spec(potential)
     result = check_assumptions(spec, theta=theta, seed=args.seed)
     print(json.dumps(result.as_dict(), indent=2, sort_keys=True, default=str))
     print()

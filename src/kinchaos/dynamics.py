@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BlowUpError, StabilityError
-from .potentials import (HarmonicW, Quadratic, Zero, _op_norms, pair_blocks,
-                         pairwise_interaction_energy)
+from .equilibrium import _closed_form
+from .potentials import _op_norms, pair_blocks, pairwise_interaction_energy
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -287,18 +287,18 @@ class GibbsSamples:
     info: dict = field(default_factory=dict)
 
 
-def _gaussian_gibbs_positions(gen, n_samples, N, d, beta, lam_V, L_W):
-    """Exact positions under precision beta (lam_V I + L_W (I - J/N)) per axis.
+def _gaussian_gibbs_positions(gen, n_samples, closed, d):
+    """Exact positions under the precision of a GaussianClosedForm, per axis.
 
-    Standard normals split into the mean direction (eigenvalue beta lam_V)
-    and its orthogonal complement (beta (lam_V + L_W)).
+    Standard normals split into the mean direction and its orthogonal
+    complement, scaled by the two precision eigenvalues.
     """
 
-    z = gen.standard_normal((n_samples, N, d))
+    (mean_prec, _), (rest_prec, _) = closed.precision_eigenvalues
+    z = gen.standard_normal((n_samples, closed.N, d))
     mean_part = z.mean(axis=1, keepdims=True)
-    rest = z - mean_part
-    return (mean_part / math.sqrt(beta * lam_V)
-            + rest / math.sqrt(beta * (lam_V + L_W)))
+    return (mean_part / math.sqrt(mean_prec)
+            + (z - mean_part) / math.sqrt(rest_prec))
 
 
 def _potential_gradient_total(spec, X):
@@ -368,12 +368,8 @@ def sample_gibbs(spec, params, N, n_samples, method="exact_gaussian", rng=None):
     warning = None
     info = {}
     if method == "exact_gaussian":
-        if not isinstance(spec.V, Quadratic) or not isinstance(spec.W, (HarmonicW, Zero)):
-            raise ValueError("exact_gaussian requires quadratic V with harmonic "
-                             "or zero W")
-        lam_V = spec.V.curvature
-        L_W = spec.W.L_W if isinstance(spec.W, HarmonicW) else 0.0
-        X = _gaussian_gibbs_positions(gen, n_samples, N, d, beta, lam_V, L_W)
+        X = _gaussian_gibbs_positions(gen, n_samples,
+                                      _closed_form(spec, beta, N), d)
         acceptance = None
     elif method == "mala":
         X, acceptance, h = _mala_positions(gen, spec, n_samples, N, d, beta)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .potentials import HarmonicW, Quadratic, Zero
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -111,20 +113,6 @@ class GridDensity:
             return self
         rho = np.trapezoid(self.values, dx=self.v_axis.h, axis=1)
         return GridDensity.from_values(self.x_axis, rho)
-
-    def interp(self, x):
-        """Linear interpolation of a 1D density; raises outside the grid."""
-
-        if self.v_axis is not None:
-            raise ValueError("interp is defined for position densities")
-        x = np.asarray(x, dtype=float)
-        eps = 1e-12 * max(1.0, abs(self.x_axis.hi))
-        bad = (x < self.x_axis.lo - eps) | (x > self.x_axis.hi + eps)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"point index {i} at x={x.flat[i]!r} escapes the "
-                             f"grid [{self.x_axis.lo}, {self.x_axis.hi}]")
-        return np.interp(x, self.x_axis.nodes, self.values)
 
     def sample_positions(self, gen, n):
         """Inverse-CDF draws with linear interpolation within cells."""
@@ -310,10 +298,9 @@ class GaussianClosedForm:
     def covariance_matrix(self):
         """Dense N x N position covariance (per spatial coordinate)."""
 
-        N = self.N
-        J = np.full((N, N), 1.0 / N)
-        return (1.0 / (self.beta * self.lam_V)) * J \
-            + (1.0 / (self.beta * (self.lam_V + self.L_W))) * (np.eye(N) - J)
+        (mean_var, _), (rest_var, _) = self.covariance_spectrum()
+        J = np.full((self.N, self.N), 1.0 / self.N)
+        return mean_var * J + rest_var * (np.eye(self.N) - J)
 
 
 def gaussian_closed_form(lam_V, L_W, beta, N):
@@ -336,3 +323,15 @@ def gaussian_closed_form(lam_V, L_W, beta, N):
         precision_eigenvalues=((beta * lam_V, 1),
                                (beta * (lam_V + L_W), N - 1)),
         marginal_var_x1=marginal)
+
+
+def _closed_form(spec, beta, N):
+    """gaussian_closed_form of a quadratic V with harmonic or zero W."""
+
+    if not (isinstance(spec.V, Quadratic)
+            and isinstance(spec.W, (HarmonicW, Zero))):
+        raise ValueError(f"the Gaussian closed form needs quadratic V with "
+                         f"harmonic or zero W, got "
+                         f"{spec.V.family}/{spec.W.family}")
+    L_W = spec.W.L_W if isinstance(spec.W, HarmonicW) else 0.0
+    return gaussian_closed_form(spec.V.curvature, L_W, beta, N)

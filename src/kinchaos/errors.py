@@ -9,15 +9,6 @@ class KinchaosError(Exception):
     """Base class for package errors."""
 
 
-class EvaluationOverflow(KinchaosError):
-    """A potential evaluation produced a non-finite value."""
-
-    def __init__(self, which, point):
-        self.which = which
-        self.point = point
-        super().__init__(f"non-finite {which} evaluation at {point!r}")
-
-
 class BlowUpError(KinchaosError):
     """Integrator state became non-finite."""
 

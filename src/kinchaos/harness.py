@@ -53,9 +53,8 @@ from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
-from .equilibrium import (Axis, GridDensity, assemble_f_infty,
-                          formal_equilibrium, gaussian_closed_form,
-                          solve_rho_infty)
+from .equilibrium import (Axis, GridDensity, _closed_form, assemble_f_infty,
+                          formal_equilibrium, solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
@@ -272,8 +271,9 @@ def _validate_potential(entries, errors):
     return out
 
 
-def _check_recipe_inputs(recipe, sections, model, numerics, errors):
-    """The fluctuation-dissipation relation and the N sweep, line-numbered."""
+def _check_recipe_inputs(recipe, sections, potential, model, numerics,
+                         errors):
+    """Fluctuation-dissipation, the N sweep and W != 0, line-numbered."""
 
     gap = model["sigma"] * model["beta"] - model["gamma"]
     if recipe in _FLUCTUATION_DISSIPATION and abs(gap) > 1e-12:
@@ -290,6 +290,14 @@ def _check_recipe_inputs(recipe, sections, model, numerics, errors):
         errors.append(f"line {line}: [numerics] N_list needs at least two "
                       f"distinct values for recipe '{recipe}', got "
                       f"{numerics['N_list']}")
+    if recipe == "concentration" and potential["w_family"] == "zero":
+        # W = 0 is given, or is the default of a [potential] with entries
+        entries = sections["potential"]
+        line = entries.get("w_family", min(entries.values(),
+                                           key=lambda e: e[1]))[1]
+        errors.append(f"line {line}: recipe 'concentration' needs an "
+                      f"interaction W: with W = 0 every error term is exactly "
+                      f"0, so there is no slope against N to fit")
 
 
 def parse_config(text):
@@ -328,7 +336,8 @@ def parse_config(text):
                 errors.append(f"recipe '{recipe}' needs the closed-form "
                               "Gaussian family: quadratic V with harmonic_W "
                               f"(or zero) W, got {fams[0]}/{fams[1]}")
-        _check_recipe_inputs(recipe, sections, model, numerics, errors)
+        _check_recipe_inputs(recipe, sections, potential, model, numerics,
+                             errors)
 
     if errors:
         raise ConfigError(errors)
@@ -468,9 +477,7 @@ def _run_ergodicity(cfg, report, threads):
     consts = thm13_constants(cfg.model["gamma"], cfg.model["sigma"],
                              max(spec.C_K, 1e-12), spec.C_V,
                              cfg.constants["rho_LS"])
-    lam_V = spec.V.curvature
-    L_W = spec.W.L_W if cfg.potential["w_family"] == "harmonic_W" else 0.0
-    closed = gaussian_closed_form(lam_V, L_W, params.beta, N)
+    closed = _closed_form(spec, params.beta, N)
 
     gen = rng.sampler(0)
     ref = np.column_stack([
@@ -630,31 +637,24 @@ def _run_chaos_scaling(cfg, report, threads):
     params = build_model_params(cfg.model)
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
-    beta = params.beta
-    lam_V = spec.V.curvature
-    L_W = spec.W.L_W if cfg.potential["w_family"] == "harmonic_W" else 0.0
-
-    var_mf = gaussian_closed_form(lam_V, L_W, beta, 1).var_x
-    gap_sq = (math.sqrt(1.0 / (beta * lam_V)) - math.sqrt(var_mf)) ** 2
+    single = _closed_form(spec, params.beta, 1)
+    var_mf = single.var_x
+    mean_var = single.covariance_spectrum()[0][0]   # 1/(beta lam_V), any N
+    gap_sq = (math.sqrt(mean_var) - math.sqrt(var_mf)) ** 2
 
     def marginal_gap(N):
         """W2^2 between the x_1 marginal of the N-particle law and rho_inf."""
 
-        return (math.sqrt(gaussian_closed_form(lam_V, L_W, beta,
-                                               N).marginal_var_x1)
+        return (math.sqrt(_closed_form(spec, params.beta, N).marginal_var_x1)
                 - math.sqrt(var_mf)) ** 2
 
     scaling_rows = []
-    joint_vals = []
-    marginal_vals = []
     for N in num["N_list"]:
-        closed = gaussian_closed_form(lam_V, L_W, beta, N)
-        marginal = marginal_gap(N)
+        closed = _closed_form(spec, params.beta, N)
         joint_pp = w2_gaussian_spectral(
             closed.covariance_spectrum(), ((var_mf, N),)) / N
-        scaling_rows.append((N, marginal, joint_pp))
-        joint_vals.append(joint_pp)
-        marginal_vals.append(marginal)
+        scaling_rows.append((N, marginal_gap(N), joint_pp))
+    _, marginal_vals, joint_vals = zip(*scaling_rows)
     report.add_table("scaling", ("N", "marginal_w2_sq",
                                  "joint_w2_sq_per_particle"), scaling_rows)
 
@@ -707,13 +707,9 @@ def _run_chaos_scaling(cfg, report, threads):
         se = float(np.std(nets[picks].mean(axis=1), ddof=1))
         return N, float(nets.mean()), se, marginal_gap(N)
 
-    points = _map_indexed(one_point, len(num["N_mc_list"]), threads)
-    sampled_rows = []
-    ok = True
-    for N, mean_net, se, analytic in points:
-        sampled_rows.append((N, mean_net, se, analytic))
-        if abs(mean_net - analytic) > 3.0 * se:
-            ok = False
+    sampled_rows = _map_indexed(one_point, len(num["N_mc_list"]), threads)
+    ok = not any(abs(mean_net - analytic) > 3.0 * se
+                 for _, mean_net, se, analytic in sampled_rows)
     report.add_table("sampled", ("N", "w2_sq_mc", "se_boot",
                                  "w2_sq_analytic"), sampled_rows)
     report.add_verdict("sampled_matches_analytic_3se", ok,
@@ -744,11 +740,10 @@ def _run_concentration(cfg, report, threads):
                      ("k", "N", "mean_aggregate", "se", "slope", "slope_se",
                       "r2"), rows)
 
-    # zero-kernel control: no interaction means identically zero error terms;
-    # the ensemble is drawn from rho_inf, so it stays on the table grid
-    zero_spec = build_potential_spec(
-        {**{k: v for k, v in cfg.potential.items() if k.startswith("v_")},
-         "w_family": "zero"})
+    # zero-kernel control: the run's V with no interaction must give
+    # identically zero error terms; the ensemble is drawn from rho_inf, so it
+    # stays on the table grid
+    zero_spec = make_system(spec.V.family, spec.V.params(), d=spec.d)
     x, vel = sample_f_infty(rho_inf, params, 32, rng.derive(1))
     stats = error_statistics(PhaseEnsemble(x[:, None], vel[:, None]),
                              zero_spec, rho_inf, params)

@@ -396,12 +396,20 @@ def fit_decay(times, values, window=None):
         return DecayFit(rate=0.0, intercept=math.exp(float(y[0])), r2=0.0,
                         n_used=int(t.size), n_skipped=skipped,
                         window=(float(window[0]), float(window[1])))
-    A = np.column_stack([t, np.ones_like(t)])
+    coef, _, _, r2 = _line_fit(t, y)
+    return DecayFit(rate=-float(coef[0]), intercept=math.exp(float(coef[1])),
+                    r2=r2, n_used=int(t.size), n_skipped=skipped,
+                    window=(float(window[0]), float(window[1])))
+
+
+def _line_fit(x, y):
+    """Least squares y = slope x + intercept on 1D arrays: (slope, intercept)
+    coefficients, design matrix, residual sum of squares and r2 (0 for a
+    constant y)."""
+
+    A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DecayFit(rate=-float(coef[0]), intercept=math.exp(float(coef[1])),
-                    r2=r2, n_used=int(t.size), n_skipped=skipped,
-                    window=(float(window[0]), float(window[1])))
+    return coef, A, ss_res, 0.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationOverflow
-
 
 class Field:
     """Scalar potential with analytic derivatives, vectorized over (..., d).
@@ -399,14 +397,14 @@ _FAMILIES = {cls.family: cls for cls in (
 _SIDES = {"V": "confinement V", "W": "interaction W"}
 
 
-def _build_field(family, params, d, role=None):
-    """One builtin field from validated parameters; `role`, when given, must
-    be one the family declares."""
+def _build_field(family, params, d, role):
+    """One builtin field from validated parameters, on a side (`role`) that
+    the family declares."""
 
     if family not in _FAMILIES:
         raise ValueError(f"unknown potential family {family!r}")
     cls, params = _FAMILIES[family], params or {}
-    if role is not None and role not in cls.roles:
+    if role not in cls.roles:
         raise ValueError(f"{family} cannot be the {_SIDES[role]}: it is a "
                          f"{'/'.join(cls.roles)} family")
     known = inspect.signature(cls).parameters
@@ -425,21 +423,6 @@ def _build_field(family, params, d, role=None):
     return cls(**params)
 
 
-def make_builtin(family, params=None, d=1):
-    """Build a PotentialSpec with `family` installed on its declared side(s).
-
-    Confining families (quadratic, power_k, exp_power) get a zero interaction;
-    interaction families (harmonic_W, mollified_coulomb) get a zero confinement.
-    Combine two builtins with make_system.  Parameter violations raise
-    ValueError naming the constraint.
-    """
-
-    fld = _build_field(family, params, d)
-    return PotentialSpec(V=fld if "V" in fld.roles else Zero(),
-                         W=fld if "W" in fld.roles else Zero(), d=d,
-                         **fld.constants())
-
-
 def make_system(v_family, v_params=None, w_family="zero", w_params=None,
                 d=1):
     """Combine a confining family and an interaction family into one spec.
@@ -450,36 +433,6 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
     V = _build_field(v_family, v_params, d, "V")
     W = _build_field(w_family, w_params, d, "W")
     return PotentialSpec(V=V, W=W, d=d, **V.constants(), **W.constants())
-
-
-def evaluate(spec, which, x):
-    """Evaluate V or W at one point: (value, gradient, hessian).
-
-    A non-finite value raises EvaluationOverflow carrying the offending
-    point.
-    """
-
-    if which not in ("V", "W"):
-        raise ValueError("which must be 'V' or 'W'")
-    fld = spec.V if which == "V" else spec.W
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    val = fld.value(x)
-    g = fld.grad(x)
-    h = fld.hess(x)
-    if not (np.all(np.isfinite(val)) and np.all(np.isfinite(g))
-            and np.all(np.isfinite(h))):
-        raise EvaluationOverflow(which, np.asarray(x).tolist())
-    return float(val), g, h
-
-
-def interaction_kernel(spec, r):
-    """Interaction force K(r) = -grad W at displacement(s) r.
-
-    Vectorized over leading axes.  Antisymmetric for every even W:
-    K(-r) = -K(r).
-    """
-
-    return -spec.W.grad(np.asarray(r, dtype=float))
 
 
 def pair_blocks(X):
@@ -519,23 +472,6 @@ def pairwise_interaction_energy(spec, X):
         w[self_pairs] = 0.0
         row_sums[rows] = w.sum(axis=1)
     return float(np.sum(row_sums)) / (2.0 * N)
-
-
-def system_energy(spec, Z):
-    """Hamiltonian and potential energy of an ensemble.
-
-    H = sum_i |v_i|^2/2 + U(X) with U = sum_i V(x_i)
-    + (1/2N) sum_{i != j} W(x_i - x_j).
-    """
-
-    X = np.asarray(Z.positions, dtype=float)
-    Vsum = float(np.sum(spec.V.value(X)))
-    U = Vsum + pairwise_interaction_energy(spec, X)
-    kinetic = 0.5 * float(np.sum(np.asarray(Z.velocities) ** 2))
-    H = kinetic + U
-    if not (math.isfinite(H) and math.isfinite(U)):
-        raise EvaluationOverflow("system_energy", None)
-    return H, U
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,13 @@ def test_w2_gaussian_spectral_mean_gap():
     assert d2 == pytest.approx(0.09, rel=1e-14)
 
 
+def test_w2_gaussian_spectral_rejects_a_flat_spectrum():
+    # only ((value, multiplicity), ...) is accepted; a flat eigenvalue array
+    # must not end in a bare unpacking TypeError
+    with pytest.raises(ValueError, match=r"must be \(\(value, multiplicity"):
+        w2_gaussian_spectral(np.array([1.0, 0.8]), ((0.8, 2),))
+
+
 # --- entropy ---------------------------------------------------------------------
 
 def test_entropy_standard_normal(rng):

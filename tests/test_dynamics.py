@@ -330,7 +330,8 @@ def test_gibbs_arrays_equal_direct_draw(baseline_params, rng):
                        {"L_W": 0.25}, d=2)
     out = sample_gibbs(spec, baseline_params, N=5, n_samples=300, rng=rng)
     gen = rng.sampler()
-    x = dynamics._gaussian_gibbs_positions(gen, 300, 5, 2, 1.0, 1.0, 0.25)
+    x = dynamics._gaussian_gibbs_positions(
+        gen, 300, gaussian_closed_form(1.0, 0.25, 1.0, 5), 2)
     v = gen.standard_normal((300, 5, 2))
     assert out.positions.shape == out.velocities.shape == (300, 5, 2)
     assert np.array_equal(out.positions, x)
@@ -358,7 +359,14 @@ def test_gibbs_mala_matches_exact(baseline_spec, baseline_params, rng):
 
 def test_gibbs_exact_rejected_off_family(baseline_params, rng):
     spec = make_system("power_k", {"k": 4.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got power_k/zero"):
+        sample_gibbs(spec, baseline_params, N=4, n_samples=10,
+                     method="exact_gaussian", rng=rng)
+
+
+def test_gibbs_exact_rejects_a_non_harmonic_interaction(baseline_params, rng):
+    spec = make_system("quadratic", None, "mollified_coulomb", {"a": 0.2})
+    with pytest.raises(ValueError, match="got quadratic/mollified_coulomb"):
         sample_gibbs(spec, baseline_params, N=4, n_samples=10,
                      method="exact_gaussian", rng=rng)
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from kinchaos.dynamics import ModelParams
-from kinchaos.equilibrium import (Axis, GridDensity, assemble_f_infty,
-                                  formal_equilibrium, gaussian_closed_form,
+from kinchaos.equilibrium import (Axis, GridDensity, _closed_form,
+                                  assemble_f_infty, formal_equilibrium,
+                                  gaussian_closed_form,
                                   interaction_convolution, solve_rho_infty)
 from kinchaos.potentials import make_system
 from tests.conftest import grid_var
@@ -57,13 +58,6 @@ def test_density_rejects_unnormalized():
     ax = Axis(-8.0, 8.0, 128)
     with pytest.raises(ValueError):
         GridDensity(ax, np.full(ax.n, 1.0))
-
-
-def test_interp_escape_names_index():
-    ax = Axis(-2.0, 2.0, 64)
-    rho = GridDensity.from_values(ax, np.exp(-ax.nodes**2))
-    with pytest.raises(ValueError, match="index 1"):
-        rho.interp(np.array([0.0, 5.0]))
 
 
 def test_sample_positions_moments(rng):
@@ -258,3 +252,22 @@ def test_closed_form_limits():
     free = gaussian_closed_form(1.0, 0.0, 1.0, 16)
     assert free.marginal_var_x1 == pytest.approx(1.0, rel=1e-14)
     assert free.var_x == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("w_family, w_params, L_W", [
+    ("harmonic_W", {"L_W": 0.25}, 0.25),
+    ("zero", None, 0.0),
+])
+def test_spec_closed_form_reads_the_fields(w_family, w_params, L_W):
+    spec = make_system("quadratic", {"curvature": 1.5}, w_family, w_params)
+    assert _closed_form(spec, 2.0, 8) == gaussian_closed_form(1.5, L_W, 2.0, 8)
+
+
+@pytest.mark.parametrize("v_family, w_family", [
+    ("power_k", "harmonic_W"),
+    ("quadratic", "mollified_coulomb"),
+])
+def test_spec_closed_form_rejects_non_gaussian_families(v_family, w_family):
+    spec = make_system(v_family, None, w_family, None)
+    with pytest.raises(ValueError, match=f"got {v_family}/{w_family}"):
+        _closed_form(spec, 1.0, 8)

@@ -164,6 +164,28 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("potential, named", [
+    ("v_family = quadratic\nw_family = zero\n", "w_family = zero"),
+    # W defaults to zero; the error names the first [potential] line
+    ("v_family = quadratic\nv_curvature = 2.0\n", "v_family = quadratic"),
+])
+def test_concentration_needs_an_interaction(potential, named, tmp_path,
+                                            capsys):
+    # W = 0 makes every aggregate exactly 0: no slope against N exists, and
+    # the four slope verdicts would FAIL a correct program
+    text = CONCENTRATION_SMALL.replace(
+        "v_family = quadratic\nv_curvature = 1.0\nw_family = mollified_coulomb"
+        "\nw_a = 0.2\nw_b = 1.0\nw_k = 2.0\n", potential)
+    line = text.splitlines().index(named) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"line {line}: recipe 'concentration' needs an interaction W" \
+        in str(err.value)
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_example_parses():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
@@ -172,6 +194,14 @@ def test_readme_config_example_parses():
     assert cfg.recipe == "meanfield_decay"
     assert cfg.potential["w_family"] == "harmonic_W"
     assert cfg.numerics["T"] == 10.0
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "rate           0.00170068027211" in capsys.readouterr().out
 
 
 # --- recipes and reports --------------------------------------------------------
@@ -432,6 +462,18 @@ def test_cli_check_assumptions_non_numeric_parameter(capsys):
     assert code == 2
     assert "power_k: parameter k must be a number, got 'four'" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, message", [
+    ("v_k", "--param 'v_k' is not name=value"),
+    ("k=4", "--param 'k=4': name needs a v_ or w_ prefix"),
+    ("v_family=power_k", "--param 'v_family=power_k': set the family with "
+                         "--v-family"),
+])
+def test_cli_check_assumptions_malformed_parameter(item, message, capsys):
+    code = cli_main(["check-assumptions", "--param", item])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_constants_has_no_beta_flag(capsys):

@@ -1,4 +1,5 @@
-"""Potential families, energies, and the structural assumption checker."""
+"""Potential families, the pair energy, and the structural assumption
+checker."""
 
 import math
 
@@ -7,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinchaos.dynamics import PhaseEnsemble
-from kinchaos.errors import EvaluationOverflow
-from kinchaos.potentials import (check_assumptions, evaluate,
-                                 interaction_kernel, make_builtin,
-                                 make_system, pairwise_interaction_energy,
-                                 system_energy)
+from kinchaos.potentials import (check_assumptions, make_system,
+                                 pairwise_interaction_energy)
 
 
 def fd_gradient(fld, x, h=1e-6):
@@ -25,11 +22,26 @@ def fd_gradient(fld, x, h=1e-6):
     return g
 
 
-# --- families and evaluate -------------------------------------------------
+def builtin_field(family, params, side):
+    """The field of one builtin family, installed on `side` ("V" or "W")."""
+
+    spec = (make_system(family, params) if side == "V"
+            else make_system("zero", None, family, params))
+    return getattr(spec, side)
+
+
+def point_values(fld, x):
+    """(value, gradient, Hessian) of a field at one point."""
+
+    x = np.array([[x]])
+    return fld.value(x)[0], fld.grad(x)[0], fld.hess(x)[0]
+
+
+# --- families ----------------------------------------------------------------
 
 def test_quadratic_point_values():
     spec = make_system("quadratic", {"curvature": 1.0})
-    val, grad, hess = evaluate(spec, "V", np.array([2.0]))
+    val, grad, hess = point_values(spec.V, 2.0)
     assert val == pytest.approx(2.0, abs=1e-14)
     assert grad[0] == pytest.approx(2.0, abs=1e-14)
     assert hess[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -37,7 +49,7 @@ def test_quadratic_point_values():
 
 def test_harmonic_w_point_values():
     spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25})
-    val, grad, hess = evaluate(spec, "W", np.array([2.0]))
+    val, grad, hess = point_values(spec.W, 2.0)
     assert val == pytest.approx(0.5, abs=1e-14)
     assert grad[0] == pytest.approx(0.5, abs=1e-14)
     assert hess[0, 0] == pytest.approx(0.25, abs=1e-14)
@@ -46,7 +58,7 @@ def test_harmonic_w_point_values():
 def test_mollified_coulomb_at_origin():
     spec = make_system("quadratic", None, "mollified_coulomb",
                        {"a": 1.0, "b": 1.0, "k": 2.0})
-    val, grad, _ = evaluate(spec, "W", np.array([0.0]))
+    val, grad, _ = point_values(spec.W, 0.0)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -75,19 +87,13 @@ def test_mollified_coulomb_declared_curvature():
     assert spec.W_grad_sup > 0.0
 
 
-def test_exp_power_overflow_signalled():
-    spec = make_system("exp_power", {"a": 1.0, "k": 0.5})
-    with np.errstate(over="ignore"), pytest.raises(EvaluationOverflow):
-        evaluate(spec, "V", np.array([1e300]))
-
-
 @pytest.mark.parametrize("family,params", [
     ("quadratic", {"curvature": 1.3}),
     ("power_k", {"k": 4.0}),
     ("exp_power", {"a": 0.7, "k": 0.5}),
 ])
 def test_gradient_matches_finite_differences(family, params):
-    fld = make_builtin(family, params).V
+    fld = builtin_field(family, params, "V")
     gen = np.random.default_rng(3)
     for _ in range(100):
         x = gen.uniform(-2.5, 2.5, size=1)
@@ -96,7 +102,8 @@ def test_gradient_matches_finite_differences(family, params):
 
 
 def test_hessian_matches_finite_differences():
-    fld = make_builtin("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.0}).W
+    fld = builtin_field("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.0},
+                        "W")
     gen = np.random.default_rng(4)
     for _ in range(100):
         x = gen.uniform(-3.0, 3.0, size=1)
@@ -127,7 +134,7 @@ def general_radial_hess(fld, x):
     ("exp_power", {"a": 0.7, "k": 0.5}, "V"),
 ])
 def test_radial_hess_1d_equals_general_formula_bitwise(family, params, side):
-    fld = getattr(make_builtin(family, params), side)
+    fld = builtin_field(family, params, side)
     gen = np.random.default_rng(11)
     x = gen.standard_normal(512) * 2.0
     x[7] = x[3]                         # a duplicated point
@@ -141,16 +148,16 @@ def test_radial_hess_1d_equals_general_formula_bitwise(family, params, side):
     assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
 
 
-# --- interaction kernel ----------------------------------------------------
+# --- interaction kernel K = -grad W -------------------------------------------
 
 def test_kernel_zero_w():
     spec = make_system("quadratic", None, "zero")
-    assert np.all(interaction_kernel(spec, np.array([1.7])) == 0.0)
+    assert np.all(-spec.W.grad(np.array([1.7])) == 0.0)
 
 
 def test_kernel_harmonic_value():
     spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25})
-    k = interaction_kernel(spec, np.array([2.0]))
+    k = -spec.W.grad(np.array([2.0]))
     assert k[0] == pytest.approx(-0.5, abs=1e-14)
 
 
@@ -159,39 +166,22 @@ def test_kernel_harmonic_value():
 def test_kernel_antisymmetry(r):
     spec = make_system("quadratic", None, "mollified_coulomb",
                        {"a": 0.2, "b": 1.0, "k": 2.0})
-    plus = interaction_kernel(spec, np.array([r]))
-    minus = interaction_kernel(spec, np.array([-r]))
+    plus = -spec.W.grad(np.array([r]))
+    minus = -spec.W.grad(np.array([-r]))
     assert np.array_equal(plus, -minus)
 
 
-# --- energies ---------------------------------------------------------------
-
-def test_system_energy_zero_configuration(baseline_spec):
-    Z = PhaseEnsemble(np.zeros((3, 1)), np.zeros((3, 1)))
-    H, U = system_energy(baseline_spec, Z)
-    assert H == 0.0 and U == 0.0
-
-
-def test_system_energy_hand_value(baseline_spec):
-    # N=2, x=(0,2), v=0: U = V(2) + (1/4)(W(2)+W(-2)) = 2 + 0.25
-    Z = PhaseEnsemble(np.array([[0.0], [2.0]]), np.zeros((2, 1)))
-    H, U = system_energy(baseline_spec, Z)
-    assert U == pytest.approx(2.25, abs=1e-14)
-    assert H == pytest.approx(2.25, abs=1e-14)
-
-
-def test_system_energy_kinetic_scaling(baseline_spec):
-    gen = np.random.default_rng(0)
-    X = gen.standard_normal((5, 1))
-    V = gen.standard_normal((5, 1))
-    H1, U1 = system_energy(baseline_spec, PhaseEnsemble(X, V))
-    H2, U2 = system_energy(baseline_spec, PhaseEnsemble(X, 2.0 * V))
-    assert U2 == U1
-    assert H2 - U2 == pytest.approx(4.0 * (H1 - U1), rel=1e-12)
-
+# --- pair energy --------------------------------------------------------------
 
 def test_pairwise_energy_single_particle(baseline_spec):
     assert pairwise_interaction_energy(baseline_spec, np.zeros((1, 1))) == 0.0
+
+
+def test_pairwise_energy_hand_value(baseline_spec):
+    # N = 2, x = (0, 2): (1/4)(W(2) + W(-2)) with W = 0.125 x^2
+    X = np.array([[0.0], [2.0]])
+    assert pairwise_interaction_energy(baseline_spec, X) == pytest.approx(
+        0.25, abs=1e-14)
 
 
 def _pairwise_energy_one_block(spec, X):
@@ -221,7 +211,7 @@ def test_dimension_is_an_int_checked_on_the_spec():
     assert spec.d == 3
     assert spec.describe()["domain"] == {"d": 3}
     with pytest.raises(ValueError, match="d must be >= 1"):
-        make_builtin("quadratic", d=0)
+        make_system("quadratic", d=0)
     with pytest.raises(ValueError, match="d <= 3"):
         make_system("quadratic", None, "mollified_coulomb", None, d=4)
 
@@ -249,7 +239,7 @@ def test_zero_stands_on_either_side():
 
 def test_power_k_below_two_rejected():
     with pytest.raises(ValueError, match="k must be >= 2"):
-        make_builtin("power_k", {"k": 1.5})
+        make_system("power_k", {"k": 1.5})
 
 
 # --- assumption screening ---------------------------------------------------
