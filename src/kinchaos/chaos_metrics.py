@@ -218,9 +218,10 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     """Error terms of an ensemble against the mean-field law rho_inf (d = 1).
 
     The pair sums run over potentials.pair_blocks, each row reduced in index
-    order.  The convolution tables are computed on rho_inf's grid (or passed
-    in precomputed via `tables`) and linearly interpolated at the particle
-    positions.
+    order; K and K' of a block come from one evaluation of W, which a radial
+    W serves from one |x|, W'/s and W''.  The convolution tables are
+    computed on rho_inf's grid (or passed in precomputed via `tables`) and
+    linearly interpolated at the particle positions.
     """
 
     del params  # error terms depend on positions/velocities and the kernel
@@ -239,8 +240,9 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
 
     r0, r1, r3 = np.empty(N), np.empty(N), np.empty(N)
     for rows, diff, self_pairs in pair_blocks(x[:, None]):
-        k = -spec.W.grad(diff)[..., 0]
-        dk = -spec.W.hess(diff)[..., 0, 0]
+        grad, hess = spec.W._grad_hess(diff)
+        k = -grad[..., 0]
+        dk = -hess[..., 0, 0]
         k[self_pairs] = 0.0
         dk[self_pairs] = 0.0
         r0[rows] = k.sum(axis=1) / N - conv_k[rows]
@@ -254,25 +256,8 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
                       r3[:, None], agg)
 
 
-def error_statistics_reference(ensemble, spec, rho_inf, params=None):
-    """Plain double-loop evaluation of the same error terms.
-
-    Kept deliberately naive (explicit loops, scalar kernel calls, quadrature
-    and interpolation spelled out by hand) as an independent check of
-    error_statistics.  Quadratic in N and in the grid size; use modest sizes.
-    """
-
-    del params
-    if ensemble.d != 1:
-        raise ValueError("error statistics are implemented for d = 1")
-    if rho_inf.is_phase_space:
-        rho_inf = rho_inf.marginal_x()
-    x = ensemble.positions[:, 0]
-    v = ensemble.velocities[:, 0]
-    N = x.size
-    axis = rho_inf.x_axis
-    nodes = axis.nodes
-    nx = nodes.size
+def _scalar_kernels(spec):
+    """K(r) = -W'(r) and K'(r) = -W''(r), one scalar field call each."""
 
     def kernel(r):
         return -float(spec.W.grad(np.array([[r]]))[0, 0])
@@ -280,7 +265,23 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None):
     def kernel_grad(r):
         return -float(spec.W.hess(np.array([[r]]))[0, 0, 0])
 
-    # trapezoid convolution tables on the grid, node by node
+    return kernel, kernel_grad
+
+
+def mean_field_tables_reference(spec, rho_inf):
+    """Plain double-loop trapezoid tables (K*rho, grad K*rho) on rho's grid.
+
+    The naive counterpart of mean_field_tables, independent of it: O(nx²)
+    scalar kernel calls, so build it once per rho_inf and pass it to
+    error_statistics_reference through `tables`.
+    """
+
+    if rho_inf.is_phase_space:
+        rho_inf = rho_inf.marginal_x()
+    kernel, kernel_grad = _scalar_kernels(spec)
+    axis = rho_inf.x_axis
+    nodes = axis.nodes
+    nx = nodes.size
     table_k = np.zeros(nx)
     table_dk = np.zeros(nx)
     for m in range(nx):
@@ -293,6 +294,34 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None):
                 * rho_inf.values[mm] * wq
         table_k[m] = acc_k
         table_dk[m] = acc_dk
+    return table_k, table_dk
+
+
+def error_statistics_reference(ensemble, spec, rho_inf, params=None,
+                               tables=None):
+    """Plain double-loop evaluation of the same error terms.
+
+    Kept deliberately naive (explicit loops, scalar kernel calls, quadrature
+    and interpolation spelled out by hand) as an independent check of
+    error_statistics.  The tables come from mean_field_tables_reference
+    unless passed in via `tables`.  Quadratic in N and in the grid size; use
+    modest sizes.
+    """
+
+    del params
+    if ensemble.d != 1:
+        raise ValueError("error statistics are implemented for d = 1")
+    if rho_inf.is_phase_space:
+        rho_inf = rho_inf.marginal_x()
+    x = ensemble.positions[:, 0]
+    v = ensemble.velocities[:, 0]
+    N = x.size
+    axis = rho_inf.x_axis
+    nodes = axis.nodes
+    kernel, kernel_grad = _scalar_kernels(spec)
+    if tables is None:
+        tables = mean_field_tables_reference(spec, rho_inf)
+    table_k, table_dk = tables
 
     def lerp(table, xi):
         if xi <= nodes[0]:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import BlowUpError, StabilityError
 from .equilibrium import _closed_form
-from .potentials import _op_norms, pair_blocks, pairwise_interaction_energy
+from .potentials import (Zero, _op_norms, pair_blocks,
+                         pairwise_interaction_energy)
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -124,12 +125,13 @@ def pairwise_force(spec, X):
     """(1/N) sum_{j != i} K(x_i - x_j) for every i; direct O(N^2) sum.
 
     Each row of pair_blocks is reduced in fixed index order, so the result is
-    independent of blocking and worker count.
+    independent of blocking and worker count.  With W = 0 the sum is exactly
+    zero and no pair is formed, so an uncoupled step costs O(N).
     """
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
-    if N < 2:
+    if N < 2 or isinstance(spec.W, Zero):
         return np.zeros_like(X)
     out = np.empty_like(X)
     for rows, diff, self_pairs in pair_blocks(X):

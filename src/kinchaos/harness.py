@@ -53,12 +53,13 @@ from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
-from .equilibrium import (Axis, GridDensity, _closed_form, assemble_f_infty,
-                          formal_equilibrium, solve_rho_infty)
+from .equilibrium import (Axis, GridDensity, _closed_form, _has_closed_form,
+                          assemble_f_infty, formal_equilibrium,
+                          solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
-from .potentials import check_assumptions, make_system
+from .potentials import _FAMILIES, Field, check_assumptions, make_system
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
 
@@ -100,6 +101,8 @@ _FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
 
 # recipes that fit a slope against N, which needs two distinct N
 _N_SWEEPS = ("chaos_scaling", "concentration")
+# recipes whose oracle is the Gaussian closed form
+_CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
 _CONSTANTS_SCHEMA = {
     "rho_LS": ("float", 1.0), "rho_ls": ("float", 1.0),
@@ -273,7 +276,8 @@ def _validate_potential(entries, errors):
 
 def _check_recipe_inputs(recipe, sections, potential, model, numerics,
                          errors):
-    """Fluctuation-dissipation, the N sweep and W != 0, line-numbered."""
+    """Fluctuation-dissipation, the N sweep, the closed-form families and
+    W != 0, line-numbered."""
 
     gap = model["sigma"] * model["beta"] - model["gamma"]
     if recipe in _FLUCTUATION_DISSIPATION and abs(gap) > 1e-12:
@@ -290,6 +294,18 @@ def _check_recipe_inputs(recipe, sections, potential, model, numerics,
         errors.append(f"line {line}: [numerics] N_list needs at least two "
                       f"distinct values for recipe '{recipe}', got "
                       f"{numerics['N_list']}")
+    fams = (potential["v_family"], potential["w_family"])
+    # the runners' _closed_form asks the same predicate of the built fields;
+    # an unknown name maps to the base Field, which has no closed form
+    if recipe in _CLOSED_FORM and not _has_closed_form(
+            *(_FAMILIES.get(f, Field) for f in fams)):
+        # the defaults pass, so a failing pair names at least one family
+        lines = sorted(line for key, (_, line) in sections["potential"].items()
+                       if key in ("v_family", "w_family"))
+        errors.append(f"line {', '.join(map(str, lines))}: recipe "
+                      f"'{recipe}' needs the closed-form Gaussian family: "
+                      f"quadratic V with harmonic_W (or zero) W, got "
+                      f"{fams[0]}/{fams[1]}")
     if recipe == "concentration" and potential["w_family"] == "zero":
         # W = 0 is given, or is the default of a [potential] with entries
         entries = sections["potential"]
@@ -329,13 +345,6 @@ def parse_config(text):
         schema = _NUMERICS_SCHEMA[recipe]
         numerics = _apply_schema("numerics", sections.get("numerics", {}),
                                  schema, errors)
-        if recipe in ("ergodicity", "chaos_scaling"):
-            fams = (potential.get("v_family"), potential.get("w_family"))
-            if fams != ("quadratic", "harmonic_W") \
-                    and fams != ("quadratic", "zero"):
-                errors.append(f"recipe '{recipe}' needs the closed-form "
-                              "Gaussian family: quadratic V with harmonic_W "
-                              f"(or zero) W, got {fams[0]}/{fams[1]}")
         _check_recipe_inputs(recipe, sections, potential, model, numerics,
                              errors)
 

@@ -46,6 +46,12 @@ class Field:
     def hess(self, x):
         raise NotImplementedError
 
+    def _grad_hess(self, x):
+        """(grad(x), hess(x)) in one call; radial fields share the norm and
+        the radial derivatives between the two."""
+
+        return self.grad(x), self.hess(x)
+
     def params(self):
         return {}
 
@@ -111,7 +117,8 @@ class RadialField(Field):
 
     Subclasses provide _v(s), _w1(s) = W'(s)/s and _w2(s) = W''(s); the
     gradient is w1*x and the Hessian splits into the radial eigenvalue W''
-    and the tangential eigenvalue W'/s.
+    and the tangential eigenvalue W'/s.  A family whose W'/s and W'' share
+    subexpressions overrides _w12(s), which returns both bit for bit.
     """
 
     def _v(self, s):
@@ -123,8 +130,15 @@ class RadialField(Field):
     def _w2(self, s):
         raise NotImplementedError
 
+    def _w12(self, s):
+        return self._w1(s), self._w2(s)
+
     def _norm(self, x):
-        return np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] == 1:
+            # a sum over one entry returns that entry: the same bits
+            return np.sqrt(x[..., 0] ** 2)
+        return np.sqrt(np.sum(x**2, axis=-1))
 
     def value(self, x):
         return self._v(self._norm(x))
@@ -135,10 +149,18 @@ class RadialField(Field):
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
         s = self._norm(x)
-        w1 = self._w1(s)
-        w2 = self._w2(s)
+        return self._radial_hess(x, s, self._w1(s), self._w2(s))
+
+    def _grad_hess(self, x):
+        x = np.asarray(x, dtype=float)
+        s = self._norm(x)
+        w1, w2 = self._w12(s)
+        return w1[..., None] * x, self._radial_hess(x, s, w1, w2)
+
+    @staticmethod
+    def _radial_hess(x, s, w1, w2):
+        d = x.shape[-1]
         if d == 1:
             # u u^T = 1 exactly for s > 0 whenever x² is a normal float, so
             # this is the general formula below bit for bit, without its
@@ -339,6 +361,35 @@ class MollifiedCoulomb(RadialField):
                          + (r0**2 + safe**2) ** 2 * np.arctan(u)) / (
             safe**3 * (r0**2 + safe**2) ** 2)
         return np.where(small, series, exact)
+
+    def _w12(self, s):
+        # _w1 and _w2 with their shared subexpressions evaluated once: s**k,
+        # s**k + b**k and -a s**(k-2), or arctan(u), r0² + s² and s³.  Each
+        # formula keeps the operation order of its own method, so the bits
+        # are the same.
+        a = self.a
+        if self.form == "power":
+            k, bk = self.k, self.b**self.k
+            sk = s**k
+            lead = -a * s ** (k - 2.0)
+            base = sk + bk
+            return (lead * base ** (-(k + 1.0) / k),
+                    lead * (bk * (k - 1.0) - 2 * sk)
+                    * base ** (-(2 * k + 1.0) / k))
+        r0 = self.r0
+        u = s / r0
+        small = u < self._SERIES_CUT
+        us = np.where(small, u, 1.0)
+        safe = np.where(small, 1.0, s)
+        atan, q, cube = np.arctan(u), r0**2 + safe**2, safe**3
+        w1 = np.where(
+            small, (a / r0**3) * (-2.0 / 3 + 4 * us**2 / 5 - 6 * us**4 / 7),
+            a * (r0 * safe - q * atan) / (cube * q))
+        w2 = np.where(
+            small, (a / r0**3) * (-2.0 / 3 + 12 * us**2 / 5 - 30 * us**4 / 7),
+            2 * a * (-(r0**3) * safe - 2 * r0 * cube + q**2 * atan)
+            / (cube * q**2))
+        return w1, w2
 
     def params(self):
         p = {"a": self.a, "form": self.form}

@@ -15,8 +15,8 @@ import pytest
 
 from kinchaos.chaos_metrics import (entropy_knn, error_statistics,
                                     error_statistics_reference, loglog_fit,
-                                    w2_exact, w2_gaussian,
-                                    w2_gaussian_spectral)
+                                    mean_field_tables_reference, w2_exact,
+                                    w2_gaussian, w2_gaussian_spectral)
 from kinchaos.constants import (build_weight_matrix, thm13_constants,
                                 thm14_case1_constants, thm14_case2_constants)
 from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec, sample_f_infty
@@ -240,11 +240,13 @@ def test_criterion_8_metric_suite():
     params = ModelParams(1.0, 1.0, 1.0)
     rho = solve_rho_infty(spec, params, Axis(-9.0, 9.0, 256))
     stats_ok = True
+    ref_tables = mean_field_tables_reference(spec, rho)
     for N in (2, 16, 64):
         x, v = sample_f_infty(rho, params, N, rng=RngSpec(seed=70 + N))
         Z = PhaseEnsemble(x[:, None], v[:, None])
         fast = error_statistics(Z, spec, rho, params=params)
-        ref = error_statistics_reference(Z, spec, rho, params=params)
+        ref = error_statistics_reference(Z, spec, rho, params=params,
+                                         tables=ref_tables)
         for name in ("R0", "R1", "R2", "R3"):
             f_val, r_val = fast.aggregate(name), ref.aggregate(name)
             stats_ok &= abs(f_val - r_val) <= 1e-12 * max(abs(r_val), 1e-300)

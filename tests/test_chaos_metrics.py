@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kinchaos import chaos_metrics, equilibrium
 from kinchaos.chaos_metrics import (concentration_check, entropy_knn,
                                     error_statistics,
                                     error_statistics_reference, loglog_fit,
-                                    mean_field_tables, w2_exact, w2_gaussian,
-                                    w2_gaussian_spectral)
+                                    mean_field_tables,
+                                    mean_field_tables_reference, w2_exact,
+                                    w2_gaussian, w2_gaussian_spectral)
 from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec
 from kinchaos.equilibrium import Axis, solve_rho_infty
-from kinchaos.potentials import make_system
+from kinchaos.potentials import RadialField, make_system, pair_blocks
 
 W2_1D_GAUSS = 0.10557280900008414      # |1 - sqrt(0.8)|
 CHAOS_GAP = 0.011145618000168249       # (1 - sqrt(0.8))^2
@@ -188,13 +190,41 @@ def test_error_stats_zero_kernel(baseline_params, rng):
 
 def test_error_stats_match_reference(mollified_setup, rng):
     spec, params, rho = mollified_setup
+    ref_tables = mean_field_tables_reference(spec, rho)
     for n in (1, 2, 16, 64):
         Z = ensemble_from(rho, params, rng.derive(n), n)
         fast = error_statistics(Z, spec, rho, params=params)
-        ref = error_statistics_reference(Z, spec, rho, params=params)
+        ref = error_statistics_reference(Z, spec, rho, params=params,
+                                         tables=ref_tables)
         for name in ("R0", "R1", "R2", "R3"):
             assert fast.aggregate(name) == pytest.approx(
                 ref.aggregate(name), rel=1e-12, abs=1e-300), (name, n)
+
+
+def test_reference_tables_stand_apart_from_the_fast_tables(monkeypatch,
+                                                          baseline_params,
+                                                          rng):
+    spec = make_system("quadratic", {"curvature": 1.0}, "mollified_coulomb",
+                       {"a": 0.2, "r0": 1.0, "form": "arctan"})
+    rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 48))
+    Z = ensemble_from(rho, baseline_params, rng, 16)
+    built = error_statistics_reference(Z, spec, rho)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference reached the fast tables")
+
+    monkeypatch.setattr(chaos_metrics, "mean_field_tables", refuse)
+    monkeypatch.setattr(equilibrium, "interaction_convolution", refuse)
+    tables = mean_field_tables_reference(spec, rho)
+    passed = error_statistics_reference(Z, spec, rho, tables=tables)
+    assert passed.aggregates == built.aggregates
+    assert np.array_equal(passed.r1, built.r1)
+    # the passed tables are the ones used: zero tables leave the pair sums
+    bare = error_statistics_reference(Z, spec, rho, tables=(np.zeros(48),
+                                                            np.zeros(48)))
+    shift = np.interp(Z.positions[:, 0], rho.x_axis.nodes, tables[0])
+    assert np.allclose(bare.r0[:, 0] - shift, built.r0[:, 0], rtol=0,
+                       atol=1e-15)
 
 
 def test_error_stats_harmonic_closed_form(baseline_spec, baseline_params,
@@ -287,6 +317,28 @@ def test_error_stats_memory_stays_blocked(mollified_setup):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
+                                                     monkeypatch):
+    # K and K' of a block come from one |x|: one _norm call per pair block
+    spec, params, rho = mollified_setup
+    tables = mean_field_tables(spec, rho)
+    gen = np.random.default_rng(300)
+    x = gen.standard_normal((300, 1))
+    n_blocks = len(list(pair_blocks(x)))
+    assert n_blocks == 6
+    calls = []
+    norm = RadialField._norm
+
+    def counted(self, diff):
+        calls.append(diff.shape)
+        return norm(self, diff)
+
+    monkeypatch.setattr(RadialField, "_norm", counted)
+    error_statistics(PhaseEnsemble(x, gen.standard_normal((300, 1))), spec,
+                     rho, tables=tables)
+    assert len(calls) == n_blocks
 
 
 # --- concentration ---------------------------------------------------------------

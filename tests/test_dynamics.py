@@ -96,6 +96,25 @@ def test_pairwise_force_single_particle(baseline_spec):
     assert np.all(pairwise_force(baseline_spec, np.ones((1, 1))) == 0.0)
 
 
+def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_spec,
+                                              baseline_params, rng):
+    def refuse(X):
+        raise AssertionError("pair_blocks entered")
+
+    monkeypatch.setattr(dynamics, "pair_blocks", refuse)
+    X = np.random.default_rng(8).standard_normal((64, 2))
+    uncoupled = make_system("quadratic", None, d=2)
+    f = pairwise_force(uncoupled, X)
+    assert f.shape == X.shape and np.all(f == 0.0)
+    assert not np.any(np.signbit(f))
+    Z = PhaseEnsemble(X[:, :1], np.zeros((64, 1)))
+    step_particle_system(Z, make_system("quadratic"), baseline_params, 0.01,
+                         rng=rng)
+    # the patch is live: an interaction does reach the pair blocks
+    with pytest.raises(AssertionError, match="pair_blocks entered"):
+        pairwise_force(baseline_spec, X[:, :1])
+
+
 def _pairwise_force_one_block(spec, X):
     # the whole N x N x d pair array at once: the unblocked reference
     N = X.shape[0]

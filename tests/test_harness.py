@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinchaos import chaos_metrics, equilibrium, harness
+from kinchaos import chaos_metrics, equilibrium, harness, potentials
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import main as cli_main
 from kinchaos.dynamics import PhaseEnsemble, RngSpec, sample_f_infty
@@ -121,6 +121,24 @@ def test_non_gaussian_family_rejected_for_ergodicity():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert "closed-form Gaussian" in str(err.value)
+
+
+def test_closed_form_check_asks_the_family_classes(monkeypatch, tmp_path,
+                                                   capsys):
+    # the config check maps names to Field classes and asks the predicate of
+    # the runners' closed form, so a Gaussian family under a new name passes
+    class Stiff(potentials.Quadratic):
+        family = "stiff_quadratic"
+
+    monkeypatch.setitem(potentials._FAMILIES, Stiff.family, Stiff)
+    parse_config("[experiment]\nrecipe = ergodicity\n[potential]\n"
+                 "v_family = stiff_quadratic\nw_family = harmonic_W\n")
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = chaos_scaling\n"
+                    "[potential]\nv_family = quadratic\n"
+                    "w_family = mollified_coulomb\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert ("line 4, 5: recipe 'chaos_scaling' needs the closed-form "
+            "Gaussian family") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("recipe", ["ergodicity", "chaos_scaling",

@@ -148,6 +148,47 @@ def test_radial_hess_1d_equals_general_formula_bitwise(family, params, side):
     assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
 
 
+def awkward_pair_differences(d, cut):
+    """Pair differences of 64 points in d dimensions, among them s = 0 (the
+    diagonal and a duplicated point), signed zeros, subnormal entries, and
+    radii just below, at and just above `cut`."""
+
+    pts = np.random.default_rng(17 + d).standard_normal((64, d)) * 2.0
+    pts[7] = pts[3]
+    pts[10], pts[11] = 0.0, -0.0
+    pts[12] = 5e-324
+    pts[13] = 0.0
+    pts[13, 0] = 1e-310
+    pts[20:23] = 0.0
+    pts[20:23, 0] = cut * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    diff = pts[:, None, :] - pts[None, :, :]
+    diff[5, 6] = -0.0
+    return diff
+
+
+@pytest.mark.parametrize("family,params,side", [
+    ("power_k", {"k": 4.0}, "V"),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V"),
+    ("harmonic_W", {"L_W": 0.25}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 0.8, "k": 2.5}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.3, "k": 3.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W"),
+], ids=["power_k", "exp_power", "harmonic", "coulomb_k2", "coulomb_k2.5",
+        "coulomb_k3", "coulomb_arctan"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grad_hess_equals_grad_and_hess_bitwise(family, params, side, d):
+    spec = (make_system(family, params, d=d) if side == "V"
+            else make_system("zero", None, family, params, d=d))
+    fld = getattr(spec, side)
+    # the arctan form switches to its series below |x| = 1e-3 r0
+    diff = awkward_pair_differences(d, 1e-3 * params.get("r0", 1.0))
+    grad, hess = fld._grad_hess(diff)
+    for fused, alone in ((grad, fld.grad(diff)), (hess, fld.hess(diff))):
+        assert fused.shape == alone.shape
+        assert np.array_equal(fused.view(np.uint64), alone.view(np.uint64))
+
+
 # --- interaction kernel K = -grad W -------------------------------------------
 
 def test_kernel_zero_w():
