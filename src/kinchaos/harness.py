@@ -274,8 +274,8 @@ def _validate_potential(entries, errors):
     return out
 
 
-def _check_recipe_inputs(recipe, sections, potential, model, numerics,
-                         errors):
+def _check_recipe_inputs(recipe, sections, potential, model, consts,
+                         numerics, errors):
     """Fluctuation-dissipation, the N sweep, the closed-form families and
     W != 0, line-numbered."""
 
@@ -306,14 +306,19 @@ def _check_recipe_inputs(recipe, sections, potential, model, numerics,
                       f"'{recipe}' needs the closed-form Gaussian family: "
                       f"quadratic V with harmonic_W (or zero) W, got "
                       f"{fams[0]}/{fams[1]}")
-    if recipe == "concentration" and potential["w_family"] == "zero":
+    if potential["w_family"] == "zero":
         # W = 0 is given, or is the default of a [potential] with entries
         entries = sections["potential"]
         line = entries.get("w_family", min(entries.values(),
                                            key=lambda e: e[1]))[1]
-        errors.append(f"line {line}: recipe 'concentration' needs an "
-                      f"interaction W: with W = 0 every error term is exactly "
-                      f"0, so there is no slope against N to fit")
+        if recipe == "concentration":
+            errors.append(f"line {line}: recipe 'concentration' needs an "
+                          f"interaction W: with W = 0 every error term is "
+                          f"exactly 0, so there is no slope against N to fit")
+        elif recipe == "constants_table" and consts.get("C_K") is None:
+            errors.append(f"line {line}: recipe 'constants_table' with W = 0 "
+                          f"has C_K = 0, and the rate constants need C_K > 0: "
+                          f"set [constants] C_K")
 
 
 def parse_config(text):
@@ -345,8 +350,8 @@ def parse_config(text):
         schema = _NUMERICS_SCHEMA[recipe]
         numerics = _apply_schema("numerics", sections.get("numerics", {}),
                                  schema, errors)
-        _check_recipe_inputs(recipe, sections, potential, model, numerics,
-                             errors)
+        _check_recipe_inputs(recipe, sections, potential, model, consts,
+                             numerics, errors)
 
     if errors:
         raise ConfigError(errors)
@@ -567,20 +572,21 @@ def _run_meanfield_decay(cfg, report, threads):
     w2_times = {round(frac * T / dt): None for frac in
                 (0.08, 0.16, 0.24, 0.32, 0.40)}
 
-    def functionals(state):
-        """(H_W, H_formal, I_M, E_M) of a checkpoint state."""
+    def functionals(state, F):
+        """(H_W, H_formal, I_M, E_M) of a checkpoint state of free energy F."""
 
         f_hat = formal_equilibrium(state.density.marginal_x(), spec, params,
                                    v_axis)
         E_M = modulated_energy(state, spec, params, weights, f_inf,
-                               f_hat=f_hat, free_energy_infty=F_inf)
+                               f_hat=f_hat, free_energy_infty=F_inf,
+                               free_energy_f=F)
         H_formal = relative_entropy_grid(state.density, f_hat)
         return E_M.free_energy_gap, H_formal, E_M.fisher, E_M.total
 
     rows = []
     w2_rows = []
     F0 = free_energy(state, spec, params).total
-    H_W0, H_f0, I_M0, E_M0 = functionals(state)
+    H_W0, H_f0, I_M0, E_M0 = functionals(state, F0)
     rows.append((0.0, F0, H_W0, H_f0, I_M0, E_M0, 1.0))
     prev_F = F0
     max_increase = 0.0
@@ -595,7 +601,7 @@ def _run_meanfield_decay(cfg, report, threads):
         at_checkpoint = k % every == 0 or k == n_steps
         if not (at_checkpoint or k in w2_times):
             continue
-        H_W, H_formal, I_M, E_M = functionals(state)
+        H_W, H_formal, I_M, E_M = functionals(state, F_now)
         if at_checkpoint:
             rows.append((state.time, F_now, H_W, H_formal, I_M, E_M,
                          1.0 + state.mass_drift))

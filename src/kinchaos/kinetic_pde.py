@@ -330,11 +330,12 @@ class ModulatedEnergy:
 
 
 def modulated_energy(density, spec, params, weights, f_infty, f_hat=None,
-                     free_energy_infty=None):
+                     free_energy_infty=None, free_energy_f=None):
     """Modulated energy of f against the equilibrium f_infty.
 
     f_hat defaults to the formal equilibrium built from f's own marginal.
-    Passing free_energy_infty (a float) skips recomputing F(f_infty).
+    Passing free_energy_infty or free_energy_f (floats) skips recomputing
+    F(f_infty) or F(f).
     """
 
     from .equilibrium import formal_equilibrium
@@ -346,7 +347,9 @@ def modulated_energy(density, spec, params, weights, f_infty, f_hat=None,
                                    density.v_axis)
     if free_energy_infty is None:
         free_energy_infty = free_energy(f_infty, spec, params).total
-    gap = free_energy(density, spec, params).total - float(free_energy_infty)
+    if free_energy_f is None:
+        free_energy_f = free_energy(density, spec, params).total
+    gap = float(free_energy_f) - float(free_energy_infty)
     fisher, excluded = weighted_fisher(density, f_hat, weights)
     return ModulatedEnergy(total=gap + fisher, free_energy_gap=gap,
                            fisher=fisher, fisher_excluded=excluded)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial import distance
 
 from kinchaos import chaos_metrics, equilibrium
 from kinchaos.chaos_metrics import (concentration_check, entropy_knn,
@@ -74,6 +76,112 @@ def test_w2_shape_errors():
         w2_exact(np.zeros((3, 1)), np.zeros((4, 1)))
     with pytest.raises(ValueError):
         w2_exact(np.zeros((5000, 2)), np.zeros((5000, 2)))
+
+
+def _w2_raw_assignment(a, b):
+    """W2 from the assignment on the raw cdist cost, summed in row order."""
+
+    if a.tobytes() > b.tobytes():
+        a, b = b, a
+    cost = distance.cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(float(cost[rows, cols].sum()) / len(a))
+
+
+def _assert_matches_raw_assignment(a, b):
+    expected = _w2_raw_assignment(a, b)
+    assert w2_exact(a, b) == expected
+    assert w2_exact(b, a) == expected
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 256, 512, 1024])
+def test_w2_centred_solve_matches_raw_assignment(d, n):
+    gen = np.random.default_rng(1000 * d + n)
+    a = gen.standard_normal((n, d))
+    b = 0.7 * gen.standard_normal((n, d)) + 0.4
+    _assert_matches_raw_assignment(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_w2_centred_solve_matches_raw_assignment_far_from_origin(d):
+    gen = np.random.default_rng(d)
+    a = gen.standard_normal((256, d))
+    b = 1.3 * gen.standard_normal((256, d))
+    _assert_matches_raw_assignment(a + 1e3, b + 1e3)
+    _assert_matches_raw_assignment(a + 1e3, b)
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_w2_pair_costs_follow_cdist_order_in_high_dimension(d):
+    # a row-wise numpy sum regroups the terms from d = 8 on; cdist does not.
+    # A regrouped pair cost moves the result in about 1 case in 8 at n = 2.
+    gen = np.random.default_rng(d)
+    for _ in range(50):
+        a = 50.0 * gen.standard_normal((2, d))
+        b = gen.standard_normal((2, d)) + 2.0
+        _assert_matches_raw_assignment(a, b)
+
+
+@pytest.mark.parametrize("x0", [3.0, np.nextafter(3.0, 0.0)])
+def test_w2_cloud_of_identical_rows(x0):
+    # The ergodicity start: every particle at x = 3 sigma with v = 0.  The
+    # low byte of 3.0 is 0x00 and that of its predecessor is 0xff, so the
+    # repeated cloud is the first argument once and the second once.  Every
+    # coupling is optimal, and the solver's pick on the centred cost gives
+    # other bits in about 1 case in 3.
+    for n in (17, 256):
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            same = np.tile([x0, 0.0], (n, 1))
+            ref = np.column_stack([0.8 * gen.standard_normal(n),
+                                   gen.standard_normal(n)])
+            assert (same.tobytes() < ref.tobytes()) == (x0 == 3.0)
+            _assert_matches_raw_assignment(same, ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("lead", [3.0, np.nextafter(3.0, 0.0)])
+def test_w2_clouds_with_duplicated_points(d, lead):
+    # lead sets the low byte of a's first value (see above), so a is the
+    # first canonical argument for one lead and the second for the other
+    for n in (64, 256):
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            a = gen.standard_normal((n, d))
+            a[0, 0] = lead
+            a[n // 2:] = a[:n - n // 2]
+            b = gen.standard_normal((n, d)) + 0.5
+            _assert_matches_raw_assignment(a, b)
+            b[1::2] = b[::2][:n // 2]
+            _assert_matches_raw_assignment(a, b)
+
+
+def test_w2_solves_the_centred_cost(monkeypatch):
+    seen = []
+
+    def spy(cost):
+        seen.append(float(cost.max()))
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(chaos_metrics, "linear_sum_assignment", spy)
+    gen = np.random.default_rng(4)
+    w2_exact(gen.standard_normal((64, 2)) + 1e3, gen.standard_normal((64, 2)))
+    # the raw squared distances are about 2e6
+    assert len(seen) == 1 and seen[0] < 100.0
+
+
+def test_w2_peak_memory_is_one_cost_matrix():
+    gen = np.random.default_rng(1024)
+    a = gen.standard_normal((1024, 2))
+    b = gen.standard_normal((1024, 2)) + 0.3
+    tracemalloc.start()
+    try:
+        w2_exact(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1024 * 1024 * 8
 
 
 # --- Gaussian closed forms ------------------------------------------------------

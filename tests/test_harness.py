@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinchaos import chaos_metrics, equilibrium, harness, potentials
+from kinchaos import (chaos_metrics, equilibrium, harness, kinetic_pde,
+                      potentials)
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import main as cli_main
 from kinchaos.dynamics import PhaseEnsemble, RngSpec, sample_f_infty
@@ -202,6 +203,48 @@ def test_concentration_needs_an_interaction(potential, named, tmp_path,
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+ZERO_W_CONSTANTS = ("[experiment]\nrecipe = constants_table\n"
+                    "[potential]\nv_family = quadratic\nw_family = zero\n")
+
+
+def test_cli_constants_table_without_an_interaction_exits_2(tmp_path,
+                                                            capsys):
+    # W = 0 has C_K = 0, which every rate recipe rejects
+    cfg = write_cfg(tmp_path, ZERO_W_CONSTANTS)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert ("config error: line 5: recipe 'constants_table' with W = 0 has "
+            "C_K = 0, and the rate constants need C_K > 0: set [constants] "
+            "C_K") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_constants_table_without_an_interaction_takes_a_given_c_k(
+        tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ZERO_W_CONSTANTS + "[constants]\nC_K = 0.5\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_meanfield_decay_evaluates_the_free_energy_once_per_state(
+        monkeypatch, tmp_path):
+    # F(f_inf), then F of the start and of each of the 20 steps; a
+    # checkpoint's modulated energy takes the F its step already computed
+    calls = []
+
+    def counted(density, spec, params):
+        calls.append(density)
+        return free_energy(density, spec, params)
+
+    free_energy = kinetic_pde.free_energy
+    monkeypatch.setattr(kinetic_pde, "free_energy", counted)
+    monkeypatch.setattr(harness, "free_energy", counted)
+    report, _ = run_to_dir("[experiment]\nrecipe = meanfield_decay\n"
+                           "[numerics]\nnx = 64\nnv = 64\nT = 0.04\n"
+                           "checkpoint_every = 0.01\nn_w2 = 64\n", tmp_path)
+    assert len(report.tables["decay"][1]) == 5
+    assert len(calls) == 1 + 1 + 20
 
 
 def test_readme_config_example_parses():

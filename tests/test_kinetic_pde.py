@@ -383,6 +383,22 @@ def test_modulated_energy_positive_off_equilibrium(baseline_spec,
     assert em.fisher > 0.0
 
 
+def test_modulated_energy_takes_a_given_free_energy(baseline_spec,
+                                                    baseline_params, f_inf):
+    from kinchaos.constants import build_weight_matrix
+    weights = build_weight_matrix("M1_constant", 1.0, 1.5)
+    f = gaussian_phase(f_inf.x_axis, f_inf.v_axis, 1.0, -0.5, 0.8, 1.0)
+    F_f = free_energy(f, baseline_spec, baseline_params).total
+    F_inf = free_energy(f_inf, baseline_spec, baseline_params).total
+    inside = modulated_energy(f, baseline_spec, baseline_params, weights,
+                              f_inf)
+    given = modulated_energy(f, baseline_spec, baseline_params, weights,
+                             f_inf, free_energy_infty=F_inf,
+                             free_energy_f=F_f)
+    assert given == inside
+    assert given.free_energy_gap == F_f - F_inf
+
+
 # --- fit_decay ----------------------------------------------------------------
 
 def test_fit_exact_exponential():
