@@ -108,6 +108,17 @@ class PhaseEnsemble:
                 and np.all(np.isfinite(self.velocities))):
             raise ValueError("ensemble state must be finite")
 
+    @classmethod
+    def _checked(cls, positions, velocities, time, step):
+        """Wrap (N, d) float arrays that the caller has already checked to
+        be finite; skips re-validation."""
+
+        Z = cls.__new__(cls)
+        Z.positions, Z.velocities, Z.time, Z.step = (positions, velocities,
+                                                       time, step)
+        Z._closing_force = None
+        return Z
+
     @property
     def N(self):
         return self.positions.shape[0]
@@ -217,7 +228,8 @@ def _advance(Z, params, dt, scheme, rng, force, f_start=None):
         raise ValueError(f"unknown scheme {scheme!r}")
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise BlowUpError(Z.step, f"(t = {Z.time:.6g})")
-    return PhaseEnsemble(x_new, v_new, Z.time + dt, Z.step + 1), f_end
+    out = PhaseEnsemble._checked(x_new, v_new, Z.time + dt, Z.step + 1)
+    return out, f_end
 
 
 def step_particle_system(Z, spec, params, dt, scheme="baoab", rng=None,

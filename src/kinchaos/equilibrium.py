@@ -99,6 +99,16 @@ class GridDensity:
                              "non-finite mass")
         return cls(x_axis, values / m, v_axis, meta or {})
 
+    @classmethod
+    def _checked(cls, x_axis, values, v_axis, meta):
+        """Wrap a float array that its caller has already checked to be of
+        the axes' shape, nonnegative and of unit mass; skips re-validation."""
+
+        density = cls.__new__(cls)
+        density.x_axis, density.values = x_axis, values
+        density.v_axis, density.meta = v_axis, meta
+        return density
+
     def mass(self):
         return _raw_mass(self.x_axis, self.v_axis, self.values)
 

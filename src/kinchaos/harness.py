@@ -306,19 +306,29 @@ def _check_recipe_inputs(recipe, sections, potential, model, consts,
                       f"'{recipe}' needs the closed-form Gaussian family: "
                       f"quadratic V with harmonic_W (or zero) W, got "
                       f"{fams[0]}/{fams[1]}")
-    if potential["w_family"] == "zero":
+    entries = sections.get("potential", {})
+    if recipe == "concentration" and potential["w_family"] == "zero":
         # W = 0 is given, or is the default of a [potential] with entries
-        entries = sections["potential"]
         line = entries.get("w_family", min(entries.values(),
                                            key=lambda e: e[1]))[1]
-        if recipe == "concentration":
-            errors.append(f"line {line}: recipe 'concentration' needs an "
-                          f"interaction W: with W = 0 every error term is "
-                          f"exactly 0, so there is no slope against N to fit")
-        elif recipe == "constants_table" and consts.get("C_K") is None:
-            errors.append(f"line {line}: recipe 'constants_table' with W = 0 "
-                          f"has C_K = 0, and the rate constants need C_K > 0: "
-                          f"set [constants] C_K")
+        errors.append(f"line {line}: recipe 'concentration' needs an "
+                      f"interaction W: with W = 0 every error term is "
+                      f"exactly 0, so there is no slope against N to fit")
+    if recipe == "constants_table" and consts.get("C_K") is None:
+        try:
+            c_k = build_potential_spec(potential).C_K
+        except ValueError:
+            c_k = None  # the run reports the family or parameter at fault
+        if c_k == 0:
+            # the W entries, or the first [potential] entry when W = 0 is
+            # that section's default
+            lines = sorted(line for key, (_, line) in entries.items()
+                           if key.startswith("w_")) \
+                or [min(line for _, line in entries.values())]
+            errors.append(f"line {', '.join(map(str, lines))}: recipe "
+                          f"'constants_table' with W = 0 has C_K = 0, and "
+                          f"the rate constants need C_K > 0: set "
+                          f"[constants] C_K")
 
 
 def parse_config(text):

@@ -8,15 +8,21 @@ Drift and kick are constant-coefficient translations along grid lines, so they
 are applied as exact spectral shifts (FFT phase factors); for densities that
 decay below rounding well inside the boundary this realizes the sub-flows
 without numerical diffusion, and the free energy error per step is only the
-O(dt^3) symmetric-splitting remainder.  The OU stage uses a Chang-Cooper flux
-whose interface weights make the discrete Maxwellian exp(-gamma v²/(2 sigma))
-stationary; in mass variables it is a stochastic update, so it only ever
-dissipates the free energy.  Mass is conserved to rounding; the leftover
-drift is measured, reported, and renormalized away each step.
+O(dt^3) symmetric-splitting remainder.  The OU stage is the explicit
+Chang-Cooper update, whose interface weights make the discrete Maxwellian
+exp(-gamma v²/(2 sigma)) stationary; in mass variables it is a stochastic
+update, so it only ever dissipates the free energy.  Mass is conserved to
+rounding; the leftover drift is measured, reported, and renormalized away
+each step.
 
-Operators that depend only on the grid (the drift phase factors, the OU
-interface weights, the quadrature weights) are built once per grid and time
-step and shared read-only; the kick phase factor is built once per step.
+Operators that depend only on the grid are built once per grid and time step
+and shared read-only: the drift phase factors and the OU update, a
+three-point stencil stored as its lower, diagonal and upper rows.  A phase
+factor exp(-i k_j s) is built as the powers z^j of z = exp(-i k_1 s) by one
+cumulative product, so the kick, whose shifts follow the force, costs one
+complex exponential per grid line each step.  Every integral is the
+trapezoid rule through the `Axis` weights: the step's mass is wx @ (F @ wv),
+and the free energy takes rho = F @ wv once.
 
 Also provides the free energy, relative entropy, weighted Fisher information
 and modulated energy functionals used to monitor decay, plus an exponential
@@ -92,13 +98,18 @@ def _phase(axis_obj, shifts, axis):
 
     `shifts` holds one distance per line (length = the other axis size).
     Applied by _shift, it advects the band-limited interpolant exactly; no
-    CFL restriction and no numerical diffusion.
+    CFL restriction and no numerical diffusion.  The factor of wavenumber
+    k_j = j k_1 is the power z^j of z = exp(-i k_1 s), taken by one
+    cumulative product along the wavenumber axis; the j - 1 products keep it
+    within about j roundings of exp(-i k_j s).
     """
 
-    k = 2.0 * np.pi * np.fft.rfftfreq(axis_obj.n, d=axis_obj.h)
-    if axis == 0:
-        return np.exp(-1j * k[:, None] * shifts[None, :])
-    return np.exp(-1j * k[None, :] * shifts[:, None])
+    k1 = 2.0 * np.pi / (axis_obj.n * axis_obj.h)
+    powers = np.empty((shifts.size, axis_obj.n // 2 + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.exp(-1j * k1 * shifts)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    return np.ascontiguousarray(powers.T) if axis == 0 else powers
 
 
 def _shift(values, phase, axis):
@@ -117,15 +128,42 @@ def _drift_phase(x_axis, v_axis, dt):
 
 
 @functools.lru_cache(maxsize=8)
-def _ou_weights(v_axis, gamma, sigma):
-    """(gamma v, delta, 1 - delta) on the velocity cell interfaces."""
+def _ou_stencil(v_axis, gamma, sigma, dt):
+    """The explicit Chang-Cooper OU step as (lower, diag, upper) rows.
 
-    v = v_axis.nodes
+    With the interface flux gamma v (delta f_j + (1-delta) f_{j+1})
+    + sigma (f_{j+1} - f_j)/dv = a_j f_j + b_j f_{j+1}, zero outside the
+    grid, the update is f_j + dt/dv (flux_j - flux_{j-1}).  Row entry j is
+    the share of cell j's mass that one step moves to cell j - 1, keeps, or
+    moves to cell j + 1; the three shares sum to 1, so mass is conserved,
+    and the flux vanishes on the discrete Maxwellian.
+    """
+
+    v, dv = v_axis.nodes, v_axis.h
     v_half = 0.5 * (v[1:] + v[:-1])
-    delta = _chang_cooper_delta(gamma * v_half * v_axis.h / sigma)
-    return tuple(_read_only(a) for a in (gamma * v_half[None, :],
-                                         delta[None, :],
-                                         1.0 - delta[None, :]))
+    delta = _chang_cooper_delta(gamma * v_half * dv / sigma)
+    c = dt / dv
+    lower = np.zeros(v.size)
+    upper = np.zeros(v.size)
+    lower[1:] = c * (gamma * v_half * (1.0 - delta) + sigma / dv)
+    upper[:-1] = c * (sigma / dv - gamma * v_half * delta)
+    diag = 1.0 - lower - upper
+    return tuple(_read_only(row[None, :]) for row in (lower, diag, upper))
+
+
+def _ou_stage(F, v_axis, gamma, sigma, dt):
+    """One explicit Chang-Cooper OU step of each velocity line of F.
+
+    lower is 0 in the first column and upper in the last, so shifting the
+    flattened array never carries mass from one grid line to the next.
+    """
+
+    lower, diag, upper = _ou_stencil(v_axis, gamma, sigma, dt)
+    G = diag * F
+    flat = G.ravel()
+    flat[:-1] += (lower * F).ravel()[1:]
+    flat[1:] += (upper * F).ravel()[:-1]
+    return G
 
 
 def step_vfp(state, spec, params, dt):
@@ -136,7 +174,8 @@ def step_vfp(state, spec, params, dt):
     kick and OU stages leave that marginal untouched, so both halves of the
     kick see a consistent field.  Raises StabilityError when dt violates the
     OU-diffusion limit (checked first) or the transport CFL (checked on the
-    force the kick applies), and SchemeError if any cell drops below -1e-13.
+    force the kick applies), and SchemeError if any cell drops below -1e-13
+    or the mass is not positive and finite.
     """
 
     if params.sigma <= 0:
@@ -147,9 +186,10 @@ def step_vfp(state, spec, params, dt):
         raise StabilityError(
             f"diffusion number {params.sigma * dt / dv**2:.3f} > 0.45")
 
+    wv = va.trapezoid_weights()
     drift = _drift_phase(xa, va, dt)
     F = _shift(state.density.values, drift, axis=0)
-    rho_mid = F @ va.trapezoid_weights()
+    rho_mid = F @ wv
     force = mean_field_force(spec, xa, rho_mid)
     cfl = dt * (float(np.max(np.abs(va.nodes))) / dx
                 + float(np.max(np.abs(force))) / dv)
@@ -158,34 +198,31 @@ def step_vfp(state, spec, params, dt):
     kick = _phase(va, force * (0.5 * dt), axis=1)
     F = _shift(F, kick, axis=1)
 
-    # OU stage: d/dv (gamma v f + sigma df/dv) with Chang-Cooper weights
-    gamma_v, delta, one_minus_delta = _ou_weights(va, params.gamma,
-                                                  params.sigma)
-    flux = gamma_v * (delta * F[:, :-1] + one_minus_delta * F[:, 1:])
-    flux += params.sigma * (F[:, 1:] - F[:, :-1]) / dv
-    F[:, 0] += dt / dv * flux[:, 0]
-    F[:, 1:-1] += dt / dv * (flux[:, 1:] - flux[:, :-1])
-    F[:, -1] -= dt / dv * flux[:, -1]
-
+    F = _ou_stage(F, va, params.gamma, params.sigma, dt)
     F = _shift(F, kick, axis=1)
     F = _shift(F, drift, axis=0)
 
+    step = state.step + 1
     if not np.all(np.isfinite(F)):
-        raise SchemeError(f"non-finite cell after step {state.step + 1}")
+        raise SchemeError(f"non-finite cell after step {step}")
     low = float(np.min(F))
     if low < -1e-13:
         i, j = np.unravel_index(int(np.argmin(F)), F.shape)
         raise SchemeError(
             f"cell ({i},{j}) went negative ({low:.3e}) after step "
-            f"{state.step + 1}; reduce dt or widen the grid")
+            f"{step}; reduce dt or widen the grid")
     if low < 0:
         F[F < 0] = 0.0
 
-    mass = float(np.trapezoid(np.trapezoid(F, dx=dv, axis=1), dx=dx))
+    mass = float(xa.trapezoid_weights() @ (F @ wv))
+    if not (mass > 0 and math.isfinite(mass)):
+        raise SchemeError(f"mass {mass!r} is not positive and finite after "
+                          f"step {step}")
     F /= mass
 
-    density = GridDensity(xa, F, va, meta=dict(state.density.meta))
-    return KineticState(density, time=state.time + dt, step=state.step + 1,
+    # finite, nonnegative and of unit mass by the checks above
+    density = GridDensity._checked(xa, F, va, dict(state.density.meta))
+    return KineticState(density, time=state.time + dt, step=step,
                         mass_drift=mass - 1.0)
 
 
@@ -208,22 +245,6 @@ class FreeEnergyParts:
         return self.total
 
 
-@functools.lru_cache(maxsize=8)
-def _quad_weights(x_axis, v_axis):
-    """Product trapezoid weights on the (x, v) grid."""
-
-    wx = x_axis.trapezoid_weights()
-    wv = v_axis.trapezoid_weights()
-    return _read_only(wx[:, None] * wv[None, :])
-
-
-@functools.lru_cache(maxsize=8)
-def _half_v_sq(v_axis):
-    """The kinetic energy density 0.5 v² as a (1, nv) row."""
-
-    return _read_only(0.5 * v_axis.nodes[None, :] ** 2)
-
-
 def free_energy(density, spec, params):
     """Free energy of a phase-space GridDensity (or a KineticState)."""
 
@@ -232,15 +253,15 @@ def free_energy(density, spec, params):
     if not density.is_phase_space:
         raise ValueError("free_energy needs a phase-space density")
     F = density.values
-    w2d = _quad_weights(density.x_axis, density.v_axis)
-    kin = float(np.sum(w2d * F * _half_v_sq(density.v_axis)))
-    vvals = spec.V.value(density.x_axis.nodes[:, None])
-    conf = float(np.sum(w2d * F * vvals[:, None]))
-    safe = np.where(F > _LOG_FLOOR, F, 1.0)
-    ent = float(np.sum(w2d * F * np.log(safe))) / params.beta
-    rho = np.trapezoid(F, dx=density.v_axis.h, axis=1)
-    conv = interaction_convolution(spec, density.x_axis, rho)
-    inter = 0.5 * float((rho * density.x_axis.trapezoid_weights()) @ conv)
+    xa, va = density.x_axis, density.v_axis
+    wx, wv = xa.trapezoid_weights(), va.trapezoid_weights()
+    rho = F @ wv
+    kin = 0.5 * float(wx @ (F @ (wv * va.nodes**2)))
+    conf = float((wx * spec.V.value(xa.nodes[:, None])) @ rho)
+    f_log_f = F * np.log(np.where(F > _LOG_FLOOR, F, 1.0))
+    ent = float(wx @ (f_log_f @ wv)) / params.beta
+    conv = interaction_convolution(spec, xa, rho)
+    inter = 0.5 * float((rho * wx) @ conv)
     return FreeEnergyParts(total=kin + conf + ent + inter, kinetic=kin,
                            confinement=conf, entropy=ent, interaction=inter)
 
@@ -264,11 +285,12 @@ def relative_entropy_grid(f, g):
     mask = fv > _LOG_FLOOR
     if np.any(gv[mask] <= 0):
         return math.inf
-    w = _quad_weights(f.x_axis, f.v_axis) if f.is_phase_space else \
-        f.x_axis.trapezoid_weights()
     ratio = np.ones_like(fv)
     ratio[mask] = fv[mask] / gv[mask]
-    return float(np.sum(w * fv * np.log(ratio)))
+    integrand = fv * np.log(ratio)
+    if f.is_phase_space:
+        integrand = integrand @ f.v_axis.trapezoid_weights()
+    return float(f.x_axis.trapezoid_weights() @ integrand)
 
 
 def weighted_fisher(f, g, weights):
@@ -309,11 +331,11 @@ def weighted_fisher(f, g, weights):
     quad = fv * (e_b * ux**2 + 2 * f_b * ux * uv + g_b * uv**2)
     quad[~interior_ok] = 0.0
 
-    w = _quad_weights(f.x_axis, f.v_axis)
-    inner = np.zeros_like(w)
-    inner[1:-1, 1:-1] = w[1:-1, 1:-1]
-    excluded = float(np.sum((w - inner) * fv))
-    return float(np.sum(inner * quad)), excluded
+    wx, wv = f.x_axis.trapezoid_weights(), f.v_axis.trapezoid_weights()
+    ring = fv.copy()
+    ring[1:-1, 1:-1] = 0.0
+    excluded = float(wx @ (ring @ wv))
+    return float(wx[1:-1] @ (quad[1:-1, 1:-1] @ wv[1:-1])), excluded
 
 
 @dataclass(frozen=True)

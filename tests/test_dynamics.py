@@ -208,6 +208,34 @@ def test_euler_maruyama_scheme_runs(baseline_spec, baseline_params, rng):
                              scheme="verlet", rng=rng)
 
 
+def test_steps_validate_each_state_once(monkeypatch, baseline_spec,
+                                       baseline_params, rng):
+    # _advance checks the new state for finiteness itself, so the ensemble
+    # it returns skips the constructor's second check
+    checks = []
+    post_init = PhaseEnsemble.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PhaseEnsemble, "__post_init__", counted)
+    Z = _cloud()
+    for scheme in ("baoab", "euler_maruyama"):
+        out = step_particle_system(Z, baseline_spec, baseline_params, 0.01,
+                                   scheme=scheme, rng=rng)
+        mv = step_mckean_vlasov(Z, baseline_spec, baseline_params, 0.01,
+                                lambda x: np.zeros_like(x), rng=rng,
+                                scheme=scheme)
+        for state in (out, mv):
+            assert state.positions.dtype == np.float64
+            assert state.positions.shape == state.velocities.shape == (32, 1)
+            assert (state.time, state.step) == (0.01, 1)
+    assert len(checks) == 1  # the start, built by the public constructor
+    with pytest.raises(ValueError, match="finite"):
+        PhaseEnsemble(np.array([[np.nan]]), np.zeros((1, 1)))
+
+
 # --- carried closing force ---------------------------------------------------
 
 @pytest.fixture()

@@ -227,6 +227,24 @@ def test_cli_constants_table_without_an_interaction_takes_a_given_c_k(
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_constants_table_with_a_zero_harmonic_w_exits_2(tmp_path, capsys):
+    # harmonic_W with L_W = 0 is W = 0 under another name: the refusal asks
+    # the built spec for C_K, not the family name
+    text = ("[experiment]\nrecipe = constants_table\n[potential]\n"
+            "v_family = quadratic\nw_family = harmonic_W\nw_L_W = 0.0\n")
+    message = ("line 5, 6: recipe 'constants_table' with W = 0 has C_K = 0, "
+               "and the rate constants need C_K > 0: set [constants] C_K")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert message in str(err.value)
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    given = write_cfg(tmp_path, text + "[constants]\nC_K = 0.5\n")
+    assert cli_main(["run", given, "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_meanfield_decay_evaluates_the_free_energy_once_per_state(
         monkeypatch, tmp_path):
     # F(f_inf), then F of the start and of each of the 20 steps; a
