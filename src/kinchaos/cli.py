@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import __version__
+from .dynamics import ModelParams
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      SchemeError, StabilityError, StrictAssumptionError)
 from .harness import (_DEFAULT_POTENTIAL, ExperimentConfig, _parse_value,
@@ -89,11 +90,12 @@ def _config_from_flags_constants(args):
                      ("W_grad_sup", args.w_grad_sup)):
         if val is not None:
             consts[key] = val
+    model = {"gamma": args.gamma, "sigma": args.sigma}
     return ExperimentConfig(
         recipe="constants_table", seed=0, out_dir="out",
-        potential=dict(_DEFAULT_POTENTIAL),
-        model={"gamma": args.gamma, "sigma": args.sigma},
-        constants=consts, numerics={})
+        potential=dict(_DEFAULT_POTENTIAL), model=model, constants=consts,
+        numerics={}, spec=build_potential_spec(_DEFAULT_POTENTIAL),
+        params=ModelParams(**model))
 
 
 def _cmd_run(args):
@@ -133,7 +135,7 @@ def _cmd_constants(args):
 def _cmd_check_assumptions(args):
     if args.config is not None:
         config = load_config(args.config)
-        potential = config.potential
+        spec = config.spec
         theta = config.constants["theta"]
     else:
         potential = {"v_family": args.v_family, "w_family": args.w_family}
@@ -152,7 +154,7 @@ def _cmd_check_assumptions(args):
         if errors:
             raise ConfigError(errors)
         theta = args.theta
-    spec = build_potential_spec(potential)
+        spec = build_potential_spec(potential)
     result = check_assumptions(spec, theta=theta, seed=args.seed)
     print(json.dumps(result.as_dict(), indent=2, sort_keys=True, default=str))
     print()

@@ -335,19 +335,18 @@ def gaussian_closed_form(lam_V, L_W, beta, N):
         marginal_var_x1=marginal)
 
 
-def _has_closed_form(v_class, w_class):
-    """Whether a V and a W family, given as Field classes, make a system
-    that gaussian_closed_form describes: quadratic V with harmonic or zero W.
-    """
+def _has_closed_form(spec):
+    """Whether gaussian_closed_form describes a built spec: quadratic V with
+    harmonic or zero W."""
 
-    return (issubclass(v_class, Quadratic)
-            and issubclass(w_class, (HarmonicW, Zero)))
+    return (isinstance(spec.V, Quadratic)
+            and isinstance(spec.W, (HarmonicW, Zero)))
 
 
 def _closed_form(spec, beta, N):
     """gaussian_closed_form of a quadratic V with harmonic or zero W."""
 
-    if not _has_closed_form(type(spec.V), type(spec.W)):
+    if not _has_closed_form(spec):
         raise ValueError(f"the Gaussian closed form needs quadratic V with "
                          f"harmonic or zero W, got "
                          f"{spec.V.family}/{spec.W.family}")

@@ -59,7 +59,7 @@ from .equilibrium import (Axis, GridDensity, _closed_form, _has_closed_form,
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
-from .potentials import _FAMILIES, Field, check_assumptions, make_system
+from .potentials import PotentialSpec, check_assumptions, make_system
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
 
@@ -123,6 +123,9 @@ _EXPERIMENT_SCHEMA = {"recipe": ("str", None), "seed": ("int", 0),
 
 @dataclass
 class ExperimentConfig:
+    """A validated config: the built `spec` and `params`, and the entries
+    they were built from, which the report echoes."""
+
     recipe: str
     seed: int
     out_dir: str
@@ -130,6 +133,8 @@ class ExperimentConfig:
     model: dict
     constants: dict
     numerics: dict
+    spec: PotentialSpec
+    params: ModelParams
 
     def as_dict(self):
         return {"recipe": self.recipe, "seed": self.seed,
@@ -249,91 +254,77 @@ _DEFAULT_POTENTIAL = {"v_family": "quadratic", "v_curvature": 1.0,
 
 
 def _validate_potential(entries, errors):
+    """The [potential] entries with the defaults filled in; the build checks
+    the families and the values, on the lines of their side."""
+
     out = {}
     for key, (value, lineno) in entries.items():
-        if key in ("v_family", "w_family"):
-            if not isinstance(value, str):
-                errors.append(f"line {lineno}: [potential] {key} must be a "
-                              "family name string")
-                continue
-            out[key] = value
-        elif key.startswith("v_") or key.startswith("w_"):
-            if not isinstance(value, (int, float, str)) \
-                    or isinstance(value, bool):
-                errors.append(f"line {lineno}: [potential] {key} must be a "
-                              f"number or string, got {value!r}")
-                continue
+        if key.startswith(("v_", "w_")):
             out[key] = value
         else:
             errors.append(f"line {lineno}: unknown key '{key}' in [potential]"
                           "; parameters take v_/w_ prefixes")
-    if "v_family" not in out and "w_family" not in out and not entries:
+    if not entries:
         out.update(_DEFAULT_POTENTIAL)
     out.setdefault("v_family", "quadratic")
     out.setdefault("w_family", "zero")
     return out
 
 
-def _check_recipe_inputs(recipe, sections, potential, model, consts,
-                         numerics, errors):
-    """Fluctuation-dissipation, the N sweep, the closed-form families and
-    W != 0, line-numbered."""
+def _lines(entries, pick):
+    """'line a, b' of the section entries whose key `pick` accepts, or of the
+    section's first entry when it accepts none."""
 
-    gap = model["sigma"] * model["beta"] - model["gamma"]
+    lines = sorted(line for key, (_, line) in entries.items() if pick(key)) \
+        or [min((line for _, line in entries.values()), default="?")]
+    return f"line {', '.join(map(str, lines))}"
+
+
+def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
+                         errors):
+    """Fluctuation-dissipation, the N sweep, the closed form and W != 0,
+    asked of the built spec and model, line-numbered."""
+
+    gap = 0.0 if params is None \
+        else params.sigma * params.beta - params.gamma
     if recipe in _FLUCTUATION_DISSIPATION and abs(gap) > 1e-12:
-        lines = sorted(line for key, (_, line)
-                       in sections.get("model", {}).items()
-                       if key in _MODEL_SCHEMA)
+        lines = _lines(sections["model"], lambda key: key in _MODEL_SCHEMA)
         errors.append(
-            f"line {', '.join(map(str, lines))}: recipe '{recipe}' needs "
-            f"sigma * beta = gamma (its oracles use the law at beta, the "
-            f"dynamics are stationary at exp(-(gamma/sigma) H)), got "
-            f"sigma * beta - gamma = {gap!r}")
+            f"{lines}: recipe '{recipe}' needs sigma * beta = gamma (its "
+            f"oracles use the law at beta, the dynamics are stationary at "
+            f"exp(-(gamma/sigma) H)), got sigma * beta - gamma = {gap!r}")
     if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
-        line = sections.get("numerics", {}).get("N_list", (None, "?"))[1]
+        line = sections["numerics"]["N_list"][1]  # the default passes
         errors.append(f"line {line}: [numerics] N_list needs at least two "
                       f"distinct values for recipe '{recipe}', got "
                       f"{numerics['N_list']}")
-    fams = (potential["v_family"], potential["w_family"])
-    # the runners' _closed_form asks the same predicate of the built fields;
-    # an unknown name maps to the base Field, which has no closed form
-    if recipe in _CLOSED_FORM and not _has_closed_form(
-            *(_FAMILIES.get(f, Field) for f in fams)):
-        # the defaults pass, so a failing pair names at least one family
-        lines = sorted(line for key, (_, line) in sections["potential"].items()
-                       if key in ("v_family", "w_family"))
-        errors.append(f"line {', '.join(map(str, lines))}: recipe "
-                      f"'{recipe}' needs the closed-form Gaussian family: "
-                      f"quadratic V with harmonic_W (or zero) W, got "
-                      f"{fams[0]}/{fams[1]}")
+    if spec is None:
+        return  # its build error names the family or parameter at fault
     entries = sections.get("potential", {})
-    if recipe == "concentration" and potential["w_family"] == "zero":
-        # W = 0 is given, or is the default of a [potential] with entries
-        line = entries.get("w_family", min(entries.values(),
-                                           key=lambda e: e[1]))[1]
-        errors.append(f"line {line}: recipe 'concentration' needs an "
-                      f"interaction W: with W = 0 every error term is "
-                      f"exactly 0, so there is no slope against N to fit")
-    if recipe == "constants_table" and consts.get("C_K") is None:
-        try:
-            c_k = build_potential_spec(potential).C_K
-        except ValueError:
-            c_k = None  # the run reports the family or parameter at fault
-        if c_k == 0:
-            # the W entries, or the first [potential] entry when W = 0 is
-            # that section's default
-            lines = sorted(line for key, (_, line) in entries.items()
-                           if key.startswith("w_")) \
-                or [min(line for _, line in entries.values())]
-            errors.append(f"line {', '.join(map(str, lines))}: recipe "
-                          f"'constants_table' with W = 0 has C_K = 0, and "
-                          f"the rate constants need C_K > 0: set "
-                          f"[constants] C_K")
+    if recipe in _CLOSED_FORM and not _has_closed_form(spec):
+        # the defaults pass, so a failing pair names at least one family
+        lines = _lines(entries, lambda key: key in ("v_family", "w_family"))
+        errors.append(f"{lines}: recipe '{recipe}' needs the closed-form "
+                      f"Gaussian family: quadratic V with harmonic_W (or "
+                      f"zero) W, got {spec.V.family}/{spec.W.family}")
+    if spec.C_K == 0:
+        # W = 0, on the lines that set W, or on the first [potential] entry
+        # when W = 0 is that section's default
+        lines = _lines(entries, lambda key: key.startswith("w_"))
+        if recipe == "concentration":
+            errors.append(f"{lines}: recipe 'concentration' needs an "
+                          f"interaction W: with W = 0 every error term is "
+                          f"exactly 0, so there is no slope against N to "
+                          f"fit")
+        elif recipe == "constants_table" and consts.get("C_K") is None:
+            errors.append(f"{lines}: recipe 'constants_table' with W = 0 "
+                          f"has C_K = 0, and the rate constants need "
+                          f"C_K > 0: set [constants] C_K")
 
 
 def parse_config(text):
-    """Parse and validate a config document; raises ConfigError with every
-    problem found (line-numbered), not just the first."""
+    """Parse, validate and build a config document; raises ConfigError with
+    every problem found (line-numbered), not just the first."""
 
     errors = []
     sections = _read_sections(text, errors)
@@ -349,9 +340,24 @@ def parse_config(text):
                       f"of {', '.join(_RECIPES)}")
         recipe = None
 
-    potential = _validate_potential(sections.get("potential", {}), errors)
+    # the one build of the spec and the model; a failure is an error on the
+    # [potential] lines of the side at fault, or on the [model] lines
+    spec = params = None
+    entries = sections.get("potential", {})
+    potential = _validate_potential(entries, errors)
+    try:
+        spec = build_potential_spec(potential)
+    except ValueError as exc:
+        side = exc.side.lower() + "_"
+        lines = _lines(entries, lambda key: key.startswith(side))
+        errors.append(f"{lines}: {exc}")
     model = _apply_schema("model", sections.get("model", {}), _MODEL_SCHEMA,
                           errors)
+    try:
+        params = ModelParams(**model)
+    except ValueError as exc:
+        lines = _lines(sections["model"], lambda key: key in _MODEL_SCHEMA)
+        errors.append(f"{lines}: {exc}")
     consts = _apply_schema("constants", sections.get("constants", {}),
                            _CONSTANTS_SCHEMA, errors)
 
@@ -360,7 +366,7 @@ def parse_config(text):
         schema = _NUMERICS_SCHEMA[recipe]
         numerics = _apply_schema("numerics", sections.get("numerics", {}),
                                  schema, errors)
-        _check_recipe_inputs(recipe, sections, potential, model, consts,
+        _check_recipe_inputs(recipe, sections, spec, params, consts,
                              numerics, errors)
 
     if errors:
@@ -368,7 +374,8 @@ def parse_config(text):
 
     return ExperimentConfig(recipe=recipe, seed=exp["seed"],
                             out_dir=exp["out_dir"], potential=potential,
-                            model=model, constants=consts, numerics=numerics)
+                            model=model, constants=consts, numerics=numerics,
+                            spec=spec, params=params)
 
 
 def load_config(path):
@@ -377,7 +384,8 @@ def load_config(path):
 
 
 def build_potential_spec(potential_cfg):
-    """PotentialSpec from the flattened v_*/w_* parameter keys."""
+    """PotentialSpec from the flattened v_*/w_* parameter keys; the one
+    builder, called by parse_config and the CLI's flag paths."""
 
     v_params = {k[2:]: v for k, v in potential_cfg.items()
                 if k.startswith("v_") and k != "v_family"}
@@ -385,11 +393,6 @@ def build_potential_spec(potential_cfg):
                 if k.startswith("w_") and k != "w_family"}
     return make_system(potential_cfg["v_family"], v_params,
                        potential_cfg["w_family"], w_params)
-
-
-def build_model_params(model_cfg):
-    return ModelParams(gamma=model_cfg["gamma"], sigma=model_cfg["sigma"],
-                       beta=model_cfg["beta"])
 
 
 @dataclass
@@ -490,15 +493,14 @@ def _converged_rho_infty(spec, params, axis):
 
 def _run_ergodicity(cfg, report, threads):
     del threads  # single trajectory; nothing to fan out
-    spec = build_potential_spec(cfg.potential)
-    params = build_model_params(cfg.model)
+    spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
     N, dt, T = num["N"], num["dt"], num["T"]
     every = max(1, round(num["checkpoint_every"] / dt))
     n_steps = round(T / dt)
 
-    consts = thm13_constants(cfg.model["gamma"], cfg.model["sigma"],
+    consts = thm13_constants(params.gamma, params.sigma,
                              max(spec.C_K, 1e-12), spec.C_V,
                              cfg.constants["rho_LS"])
     closed = _closed_form(spec, params.beta, N)
@@ -556,8 +558,7 @@ def _run_ergodicity(cfg, report, threads):
 
 def _run_meanfield_decay(cfg, report, threads):
     del threads  # one PDE trajectory
-    spec = build_potential_spec(cfg.potential)
-    params = build_model_params(cfg.model)
+    spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
 
@@ -658,8 +659,7 @@ def _run_meanfield_decay(cfg, report, threads):
 
 
 def _run_chaos_scaling(cfg, report, threads):
-    spec = build_potential_spec(cfg.potential)
-    params = build_model_params(cfg.model)
+    spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
     single = _closed_form(spec, params.beta, 1)
@@ -743,8 +743,7 @@ def _run_chaos_scaling(cfg, report, threads):
 
 
 def _run_concentration(cfg, report, threads):
-    spec = build_potential_spec(cfg.potential)
-    params = build_model_params(cfg.model)
+    spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
     axis = Axis(-num["x_max"], num["x_max"], num["nx"])
@@ -777,38 +776,29 @@ def _run_concentration(cfg, report, threads):
                        stats.aggregates, 0.0, "W = 0 gives exact zeros")
 
 
-def _assemble_constant_inputs(cfg, spec):
-    c = cfg.constants
-    return {
-        "gamma": cfg.model["gamma"], "sigma": cfg.model["sigma"],
-        "C_K": c["C_K"] if c.get("C_K") is not None else spec.C_K,
-        "C_V": c["C_V"] if c.get("C_V") is not None else spec.C_V,
-        "C_V_theta": c["C_V_theta"] if c.get("C_V_theta") is not None
-        else (spec.C_V_theta if math.isfinite(spec.C_V_theta)
-              and spec.C_V_theta > 0 else 1.0),
-        "W_grad_sup": c["W_grad_sup"] if c.get("W_grad_sup") is not None
-        else (spec.W_grad_sup if math.isfinite(spec.W_grad_sup)
-              and spec.W_grad_sup > 0 else 1.0),
-        "theta": c["theta"], "d": c["d"], "a_rule": c["a_rule"],
-        "rho_LS": c["rho_LS"], "rho_ls": c["rho_ls"],
-        "rho_wls": c["rho_wls"],
-        "meanfield_variant": c["meanfield_variant"],
-    }
-
-
 def constants_records(cfg):
-    """The three rate records for a config; shared by recipe and CLI."""
+    """The three rate records of a config's built spec and model, with each
+    constant that [constants] sets taken from there; shared by recipe and
+    CLI."""
 
-    spec = build_potential_spec(cfg.potential)
-    inp = _assemble_constant_inputs(cfg, spec)
-    t13 = thm13_constants(inp["gamma"], inp["sigma"], inp["C_K"], inp["C_V"],
-                          inp["rho_LS"])
-    t14c1 = thm14_case1_constants(inp["gamma"], inp["sigma"], inp["C_K"],
-                                  inp["C_V"], inp["rho_ls"], inp["a_rule"])
-    t14c2 = thm14_case2_constants(inp["gamma"], inp["sigma"], inp["C_K"],
-                                  inp["C_V_theta"], inp["theta"],
-                                  inp["W_grad_sup"], inp["rho_wls"], inp["d"],
-                                  inp["meanfield_variant"])
+    c, spec, params = cfg.constants, cfg.spec, cfg.params
+
+    def given(name, built):
+        return c[name] if c.get(name) is not None else built
+
+    def finite_positive(value):
+        return value if math.isfinite(value) and value > 0 else 1.0
+
+    gamma, sigma = params.gamma, params.sigma
+    C_K, C_V = given("C_K", spec.C_K), given("C_V", spec.C_V)
+    t13 = thm13_constants(gamma, sigma, C_K, C_V, c["rho_LS"])
+    t14c1 = thm14_case1_constants(gamma, sigma, C_K, C_V, c["rho_ls"],
+                                  c["a_rule"])
+    t14c2 = thm14_case2_constants(
+        gamma, sigma, C_K,
+        given("C_V_theta", finite_positive(spec.C_V_theta)), c["theta"],
+        given("W_grad_sup", finite_positive(spec.W_grad_sup)), c["rho_wls"],
+        c["d"], c["meanfield_variant"])
     return [t13, t14c1, t14c2]
 
 
@@ -832,8 +822,7 @@ def _run_constants_table(cfg, report, threads):
 
 def _run_assumptions(cfg, report, threads):
     del threads
-    spec = build_potential_spec(cfg.potential)
-    result = check_assumptions(spec, theta=cfg.constants["theta"],
+    result = check_assumptions(cfg.spec, theta=cfg.constants["theta"],
                                seed=cfg.seed)
     rows = []
     for name in sorted(result.verdicts):
@@ -843,7 +832,7 @@ def _run_assumptions(cfg, report, threads):
                            "pass", v.note)
     report.add_table("assumptions", ("assumption", "status", "margin"), rows)
     report.scalars["report"] = result.as_dict()
-    report.scalars["potential"] = spec.describe()
+    report.scalars["potential"] = cfg.spec.describe()
 
 
 _RECIPE_RUNNERS = {

@@ -452,7 +452,7 @@ def _build_field(family, params, d, role):
     """One builtin field from validated parameters, on a side (`role`) that
     the family declares."""
 
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown potential family {family!r}")
     cls, params = _FAMILIES[family], params or {}
     if role not in cls.roles:
@@ -478,11 +478,20 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
                 d=1):
     """Combine a confining family and an interaction family into one spec.
 
-    A family given on a side it does not declare raises ValueError naming it.
+    A family or parameter that does not build raises ValueError, whose
+    `side` attribute is the field at fault, "V" or "W"; a family given on a
+    side it does not declare is such an error and names it.
     """
 
-    V = _build_field(v_family, v_params, d, "V")
-    W = _build_field(w_family, w_params, d, "W")
+    fields = []
+    for side, family, params in (("V", v_family, v_params),
+                                 ("W", w_family, w_params)):
+        try:
+            fields.append(_build_field(family, params, d, side))
+        except ValueError as exc:
+            exc.side = side
+            raise
+    V, W = fields
     return PotentialSpec(V=V, W=W, d=d, **V.constants(), **W.constants())
 
 

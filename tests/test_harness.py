@@ -13,7 +13,8 @@ from kinchaos import (chaos_metrics, equilibrium, harness, kinetic_pde,
                       potentials)
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import main as cli_main
-from kinchaos.dynamics import PhaseEnsemble, RngSpec, sample_f_infty
+from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
+                              sample_f_infty)
 from kinchaos.errors import ConfigError
 from kinchaos.harness import parse_config, run_experiment, write_report
 
@@ -126,8 +127,8 @@ def test_non_gaussian_family_rejected_for_ergodicity():
 
 def test_closed_form_check_asks_the_family_classes(monkeypatch, tmp_path,
                                                    capsys):
-    # the config check maps names to Field classes and asks the predicate of
-    # the runners' closed form, so a Gaussian family under a new name passes
+    # the config check asks the built spec the predicate of the runners'
+    # closed form, so a Gaussian family under a new name passes
     class Stiff(potentials.Quadratic):
         family = "stiff_quadratic"
 
@@ -187,6 +188,9 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
     ("v_family = quadratic\nw_family = zero\n", "w_family = zero"),
     # W defaults to zero; the error names the first [potential] line
     ("v_family = quadratic\nv_curvature = 2.0\n", "v_family = quadratic"),
+    # W = 0 under another name: the rule asks the built spec for C_K
+    ("v_family = quadratic\nw_family = harmonic_W\nw_L_W = 0.0\n",
+     "w_family = harmonic_W\nw_L_W = 0.0"),
 ])
 def test_concentration_needs_an_interaction(potential, named, tmp_path,
                                             capsys):
@@ -195,13 +199,15 @@ def test_concentration_needs_an_interaction(potential, named, tmp_path,
     text = CONCENTRATION_SMALL.replace(
         "v_family = quadratic\nv_curvature = 1.0\nw_family = mollified_coulomb"
         "\nw_a = 0.2\nw_b = 1.0\nw_k = 2.0\n", potential)
-    line = text.splitlines().index(named) + 1
+    lines = ", ".join(str(text.splitlines().index(n) + 1)
+                      for n in named.splitlines())
+    message = f"line {lines}: recipe 'concentration' needs an interaction W"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert f"line {line}: recipe 'concentration' needs an interaction W" \
-        in str(err.value)
+    assert message in str(err.value)
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -338,6 +344,59 @@ def test_assumptions_recipe_baseline(tmp_path):
     assert not verdicts["A5"]["passed"]     # harmonic W: honest failure
 
 
+TINY_NUMERICS = {
+    "ergodicity": "N = 8\nT = 1.5\n",
+    "meanfield_decay": "nx = 64\nnv = 64\nT = 0.04\ncheckpoint_every = 0.01\n"
+                       "n_w2 = 64\n",
+    "chaos_scaling": "N_list = [8, 16]\nN_mc_list = [8]\nn_mc = 2\n"
+                     "n_cloud = 256\n",
+    "concentration": "N_list = [8, 16]\nn_mc = 4\nnx = 129\n",
+    "constants_table": "",
+    "assumptions": "",
+}
+
+
+@pytest.mark.parametrize("recipe", TINY_NUMERICS)
+def test_recipes_build_nothing_after_parse_config(recipe, monkeypatch):
+    # the runners read cfg.spec and cfg.params; the one build after parsing
+    # is the W = 0 spec of the concentration zero-kernel control
+    cfg = parse_config(f"[experiment]\nrecipe = {recipe}\n"
+                       f"[numerics]\n{TINY_NUMERICS[recipe]}")
+    make_system = potentials.make_system
+    zero_w_builds = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a potential or model built after parse_config")
+
+    def zero_w_only(v_family, v_params=None, w_family="zero", w_params=None,
+                    d=1):
+        if w_family != "zero" or w_params:
+            refused()
+        zero_w_builds.append(v_family)
+        return make_system(v_family, v_params, d=d)
+
+    for module in (harness, potentials):
+        monkeypatch.setattr(module, "make_system", zero_w_only)
+    monkeypatch.setattr(harness, "build_potential_spec", refused)
+    monkeypatch.setattr(harness, "ModelParams", refused)
+    report = run_experiment(cfg)
+    assert report.tables
+    assert zero_w_builds == (["quadratic"] if recipe == "concentration"
+                             else [])
+
+
+def test_benchmark_workloads_parse_and_build():
+    # a parse-time rule that refused a workload would make the benchmark's
+    # run fail; each workload parses, and its spec and model build
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+    paths = sorted(workloads.glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert isinstance(cfg.spec, potentials.PotentialSpec), path.name
+        assert isinstance(cfg.params, ModelParams), path.name
+
+
 def test_verdicts_recomputable_from_series(tmp_path):
     report, _ = run_to_dir(MINIMAL_ERGODICITY, tmp_path)
     cols, rows = report.tables["w2_series"]
@@ -412,16 +471,16 @@ def test_cli_unknown_potential_parameter_exit_code(tmp_path, capsys):
                     "[potential]\nv_family = power_k\nv_k = 1.5\n"
                     "v_allow_small_k = 1\n")
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    assert "power_k: unknown parameter(s) allow_small_k; it takes k, amp" \
-        in capsys.readouterr().err
+    assert ("config error: line 4, 5, 6: power_k: unknown parameter(s) "
+            "allow_small_k; it takes k, amp") in capsys.readouterr().err
 
 
 def test_cli_non_numeric_potential_parameter_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
                     "[potential]\nv_family = power_k\nv_k = four\n")
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    assert "power_k: parameter k must be a number, got 'four'" \
-        in capsys.readouterr().err
+    assert ("config error: line 4, 5: power_k: parameter k must be a number, "
+            "got 'four'") in capsys.readouterr().err
 
 
 def test_cli_wrong_side_family_exit_code(tmp_path, capsys):
@@ -429,13 +488,41 @@ def test_cli_wrong_side_family_exit_code(tmp_path, capsys):
                     "[potential]\nv_family = mollified_coulomb\n"
                     "w_family = power_k\n")
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    assert "error: mollified_coulomb cannot be the confinement V: it is a " \
-        "W family" in capsys.readouterr().err
+    assert ("config error: line 4: mollified_coulomb cannot be the "
+            "confinement V: it is a W family") in capsys.readouterr().err
     code = cli_main(["check-assumptions", "--v-family", "harmonic_W",
                      "--w-family", "quadratic"])
     assert code == 2
     assert "error: harmonic_W cannot be the confinement V" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nrecipe = assumptions\n[potential]\nv_family = quadratic"
+     "\nv_curvature = -1\n",
+     "line 4, 5: quadratic: curvature must be positive"),
+    ("[experiment]\nrecipe = assumptions\n[potential]\nv_family = quadratic"
+     "\nw_family = mollified_coulomb\nw_a = -3\n",
+     "line 5, 6: mollified_coulomb: a must be positive"),
+    ("[experiment]\nrecipe = ergodicity\n[potential]\nv_family = quadratic"
+     "\nw_family = harmonic_w\n",
+     "line 5: unknown potential family 'harmonic_w'"),
+    ("[experiment]\nrecipe = assumptions\n[model]\ngamma = -1\n",
+     "line 4: gamma and sigma must be nonnegative"),
+    ("[experiment]\nrecipe = constants_table\n[model]\nbeta = 0\n",
+     "line 4: beta must be positive"),
+], ids=["v_curvature", "coulomb_a", "unknown_family", "gamma", "beta"])
+def test_build_errors_are_line_numbered_config_errors(text, message,
+                                                       tmp_path, capsys):
+    # parse_config builds the spec and the model, so a value that does not
+    # build is refused with the lines of its side before anything runs
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [message]
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_kernel_control_trips_on_tables_of_another_spec(monkeypatch):
@@ -479,8 +566,7 @@ def test_repeated_n_rows_keep_their_own_se():
             "[numerics]\nN_list = [8, 8, 16]\nn_mc = 20\nnx = 129\n")
     cfg = parse_config(text)
     report = run_experiment(cfg)
-    spec = harness.build_potential_spec(cfg.potential)
-    params = harness.build_model_params(cfg.model)
+    spec, params = cfg.spec, cfg.params
     rho = equilibrium.solve_rho_infty(spec, params,
                                       equilibrium.Axis(-8.0, 8.0, 129))
     r0_rows = [r for r in report.tables["concentration"][1] if r[0] == 0]

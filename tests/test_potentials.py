@@ -266,8 +266,10 @@ def test_dimension_is_an_int_checked_on_the_spec():
 ])
 def test_make_system_rejects_a_family_on_the_wrong_side(v_family, w_family,
                                                        named, side):
-    with pytest.raises(ValueError, match=f"^{named} cannot be the {side}"):
+    with pytest.raises(ValueError, match=f"^{named} cannot be the {side}") \
+            as err:
         make_system(v_family, None, w_family, None)
+    assert err.value.side == side[-1]   # the field at fault, "V" or "W"
 
 
 def test_zero_stands_on_either_side():
