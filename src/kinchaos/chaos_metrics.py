@@ -28,7 +28,7 @@ from scipy.special import digamma, gammaln
 
 from .dynamics import PhaseEnsemble, sample_f_infty
 from .kinetic_pde import _line_fit
-from .potentials import pair_blocks
+from .potentials import pair_panels
 
 _MAX_ASSIGNMENT = 4096
 
@@ -232,11 +232,13 @@ def _interp_table(rho_inf, table, x):
 def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     """Error terms of an ensemble against the mean-field law rho_inf (d = 1).
 
-    The pair sums run over potentials.pair_blocks, each row reduced in index
-    order; K and K' of a block come from one evaluation of W, which a radial
-    W serves from one |x|, W'/s and W''.  The convolution tables are
-    computed on rho_inf's grid (or passed in precomputed via `tables`) and
-    linearly interpolated at the particle positions.
+    The pair sums run over potentials.pair_panels, so each unordered pair is
+    evaluated once: K is odd and K' even, so a panel's column sums reach the
+    rows after it with the signs - and +.  K and K' of a panel come from one
+    evaluation of W, which a radial W serves from one |x|, W'/s and W''.
+    The convolution tables are computed on rho_inf's grid (or passed in
+    precomputed via `tables`) and linearly interpolated at the particle
+    positions.
     """
 
     del params  # error terms depend on positions/velocities and the kernel
@@ -253,17 +255,23 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     conv_k = _interp_table(rho_inf, tables[0], x)
     conv_dk = _interp_table(rho_inf, tables[1], x)
 
-    r0, r1, r3 = np.empty(N), np.empty(N), np.empty(N)
-    for rows, diff, self_pairs in pair_blocks(x[:, None]):
+    r0, r1, r3 = np.zeros(N), np.zeros(N), np.zeros(N)
+    for rows, diff, self_pairs in pair_panels(x[:, None]):
         grad, hess = spec.W._grad_hess(diff)
         k = -grad[..., 0]
         dk = -hess[..., 0, 0]
         k[self_pairs] = 0.0
         dk[self_pairs] = 0.0
-        r0[rows] = k.sum(axis=1) / N - conv_k[rows]
-        r1[rows] = dk.sum(axis=1) / N - conv_dk[rows]
-        # grad K is even for even W, so the (j, i) kernel equals the (i, j) one
-        r3[rows] = (dk * v).sum(axis=1) / N
+        tail = slice(rows.stop - rows.start, None)  # columns after the square
+        r0[rows] += k.sum(axis=1)
+        r0[rows.stop:] -= k[:, tail].sum(axis=0)
+        r1[rows] += dk.sum(axis=1)
+        r1[rows.stop:] += dk[:, tail].sum(axis=0)
+        r3[rows] += (dk * v[rows.start:]).sum(axis=1)
+        r3[rows.stop:] += (dk[:, tail] * v[rows, None]).sum(axis=0)
+    r0 = r0 / N - conv_k
+    r1 = r1 / N - conv_dk
+    r3 /= N
 
     agg = {"R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
            "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
@@ -419,33 +427,41 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
                         threads=1):
     """Sample equilibrium product ensembles and fit aggregate decay in N.
 
-    For the i-th N, n_mc iid ensembles are drawn from rho_inf x Maxwellian
-    on rng.derive(20_000 * (i + 1)), substreams 0..n_mc-1, and the four
-    aggregates averaged; the N points fan out over `threads` worker threads
-    with identical results for any count.  Per term a log-log slope over N
-    follows.  Zero kernels yield identically zero aggregates and fits of None.
+    For the k-th smallest N, n_mc iid ensembles are drawn from rho_inf x
+    Maxwellian on rng.derive(20_000 * (k + 1)), substreams 0..n_mc-1, and
+    the four aggregates averaged, so a permuted n_values gives the same rows,
+    permuted.  The N points fan out over `threads` worker threads, the
+    largest N (the costliest point) submitted first, with identical results
+    for any count.  Per term a log-log slope over N follows.  Zero kernels
+    yield identically zero aggregates and fits of None.
     """
 
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
     terms = ("R0", "R1", "R2", "R3")
     tables = mean_field_tables(spec, rho_inf)
+    n_points = len(n_values)
+    ranked = sorted(range(n_points), key=lambda i: n_values[i])
 
-    def one_point(i):
-        point_rng = rng.derive(20_000 * (i + 1))
+    def one_point(k):
+        point_rng = rng.derive(20_000 * (k + 1))
         aggs = np.empty((len(terms), n_mc))  # each term's samples contiguous
         for s in range(n_mc):
-            x, vel = sample_f_infty(rho_inf, params, n_values[i], point_rng,
-                                    substream=s)
+            x, vel = sample_f_infty(rho_inf, params, n_values[ranked[k]],
+                                    point_rng, substream=s)
             stats = error_statistics(PhaseEnsemble(x[:, None], vel[:, None]),
                                      spec, rho_inf, tables=tables)
             aggs[:, s] = [stats.aggregates[t] for t in terms]
         return aggs
 
+    # a point costs O(n_mc N²): with the largest first, the pool's last busy
+    # thread finishes on a small point
+    largest_first = _map_indexed(lambda j: one_point(n_points - 1 - j),
+                                 n_points, threads)
+    aggs_at = dict(zip(reversed(ranked), largest_first))
     rows = []
-    for N, aggs in zip(n_values, _map_indexed(one_point, len(n_values),
-                                              threads)):
-        for t, vals in zip(terms, aggs):
+    for i, N in enumerate(n_values):
+        for t, vals in zip(terms, aggs_at[i]):
             se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
             rows.append(ConcentrationRow(t, int(N), float(vals.mean()), se))
     fits = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BlowUpError, StabilityError
 from .equilibrium import _closed_form
-from .potentials import (Zero, _op_norms, pair_blocks,
+from .potentials import (Zero, _op_norms, pair_panels,
                          pairwise_interaction_energy)
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
@@ -80,6 +80,8 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.sigma, self.beta))):
+            raise ValueError("gamma, sigma and beta must be finite")
         if self.gamma < 0 or self.sigma < 0:
             raise ValueError("gamma and sigma must be nonnegative")
         if self.beta <= 0:
@@ -135,21 +137,24 @@ class PhaseEnsemble:
 def pairwise_force(spec, X):
     """(1/N) sum_{j != i} K(x_i - x_j) for every i; direct O(N^2) sum.
 
-    Each row of pair_blocks is reduced in fixed index order, so the result is
-    independent of blocking and worker count.  With W = 0 the sum is exactly
-    zero and no pair is formed, so an uncoupled step costs O(N).
+    K = -grad W is odd, so each unordered pair of pair_panels is evaluated
+    once and gives K to row i and -K to row j.  The summation order depends
+    on N and d alone, so the result is independent of the worker count.
+    With W = 0 the sum is exactly zero and no pair is formed, so an
+    uncoupled step costs O(N).
     """
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if N < 2 or isinstance(spec.W, Zero):
         return np.zeros_like(X)
-    out = np.empty_like(X)
-    for rows, diff, self_pairs in pair_blocks(X):
+    out = np.zeros_like(X)
+    for rows, diff, self_pairs in pair_panels(X):
         k = -spec.W.grad(diff)                      # K = -grad W
         k[self_pairs] = 0.0
-        out[rows] = k.sum(axis=1) / N
-    return out
+        out[rows] += k.sum(axis=1)
+        out[rows.stop:] -= k[:, rows.stop - rows.start:].sum(axis=0)
+    return out / N
 
 
 def _ou_coefficients(params, dt):

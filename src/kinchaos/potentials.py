@@ -469,6 +469,9 @@ def _build_field(family, params, d, role):
                         or not isinstance(value, numbers.Real)):
             raise ValueError(f"{family}: parameter {name} must be a number, "
                              f"got {value!r}")
+        if numeric and not math.isfinite(value):
+            raise ValueError(f"{family}: parameter {name} must be finite, "
+                             f"got {value!r}")
     if cls is MollifiedCoulomb and d > 3:
         raise ValueError("mollified_coulomb: supported for d <= 3 only")
     return cls(**params)
@@ -495,42 +498,48 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
     return PotentialSpec(V=V, W=W, d=d, **V.constants(), **W.constants())
 
 
-def pair_blocks(X):
-    """Row blocks of the pair differences x_i - x_j of an (N, d) array.
+def pair_panels(X):
+    """Upper pair panels of the differences x_i - x_j of an (N, d) array.
 
-    Yields (rows, diff, self_pairs): the slice of i covered by the block, the
-    (rows, N, d) differences, and the index of the i == j entries in diff's
-    first two axes.  Blocks of 2**14 // (N*d) rows, about 2**14 pair entries
-    (128 KiB), keep the temporaries in cache and in the allocator's free
-    lists instead of mapping fresh pages on every call.  The N-body sums
-    reduce each row over j on its own, in index order, so their results do
-    not depend on the block size.
+    Yields (rows, diff, self_pairs): the slice a..e-1 of i covered by the
+    panel, the (e - a, N - a, d) differences of those rows against the
+    columns j = a..N-1, and the index of the i == j entries in diff's first
+    two axes.  Every unordered pair i < j lies in exactly one panel; only the
+    (e - a)-square at the panel's left edge holds both orders and the
+    diagonal.  A pair sum adds a panel's row sums to rows a..e-1 and its
+    column sums beyond that square, diff[:, e - a:], to rows e..N-1, with the
+    sign the kernel's parity gives, so W must be even.  The panel height,
+    2**14 // (N*d) rows, depends on (N, d) alone, which fixes the summation
+    order of every result; panels of about 2**14 pair entries (128 KiB)
+    keep the temporaries in cache and in the allocator's free lists.
     """
 
     N, d = X.shape
-    chunk = max(1, 2**14 // (N * d))
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        rows = slice(start, stop)
-        yield (rows, X[rows, None, :] - X[None, :, :],
-               (np.arange(stop - start), np.arange(start, stop)))
+    height = max(1, 2**14 // (N * d))
+    for start in range(0, N, height):
+        stop = min(start + height, N)
+        square = np.arange(stop - start)
+        yield (slice(start, stop), X[start:stop, None, :] - X[None, start:, :],
+               (square, square))
 
 
 def pairwise_interaction_energy(spec, X):
-    """(1/2N) sum_{i != j} W(x_i - x_j) over pair_blocks.
+    """(1/2N) sum_{i != j} W(x_i - x_j) over pair_panels.
 
-    Each row is summed over j on its own and the N row sums are summed last.
+    W(x_j - x_i) = W(x_i - x_j), so each unordered pair is evaluated once;
+    the N row sums are summed last.
     """
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if N < 2:
         return 0.0
-    row_sums = np.empty(N)
-    for rows, diff, self_pairs in pair_blocks(X):
+    row_sums = np.zeros(N)
+    for rows, diff, self_pairs in pair_panels(X):
         w = spec.W.value(diff)
         w[self_pairs] = 0.0
-        row_sums[rows] = w.sum(axis=1)
+        row_sums[rows] += w.sum(axis=1)
+        row_sums[rows.stop:] += w[:, rows.stop - rows.start:].sum(axis=0)
     return float(np.sum(row_sums)) / (2.0 * N)
 
 

@@ -20,7 +20,7 @@ from kinchaos.chaos_metrics import (concentration_check, entropy_knn,
                                     w2_gaussian, w2_gaussian_spectral)
 from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec
 from kinchaos.equilibrium import Axis, solve_rho_infty
-from kinchaos.potentials import RadialField, make_system, pair_blocks
+from kinchaos.potentials import RadialField, make_system, pair_panels
 
 W2_1D_GAUSS = 0.10557280900008414      # |1 - sqrt(0.8)|
 CHAOS_GAP = 0.011145618000168249       # (1 - sqrt(0.8))^2
@@ -369,7 +369,8 @@ def test_error_stats_rejects_2d(mollified_setup):
 
 
 def _error_terms_one_block(spec, rho, tables, x, v):
-    # the whole N x N pair array at once: the unblocked reference
+    # the whole N x N pair array at once: the unpanelled reference; returns
+    # R0, R1, R3 and the two interpolated convolutions
     N = x.size
     diff = x[:, None] - x[None, :]
     k_pair = -spec.W.grad(diff[..., None])[..., 0]
@@ -381,7 +382,33 @@ def _error_terms_one_block(spec, rho, tables, x, v):
     r0 = k_pair.sum(axis=1) / N - conv_k
     r1 = dk_pair.sum(axis=1) / N - conv_dk
     r3 = (dk_pair * v[None, :]).sum(axis=1) / N
-    return r0, r1, r3
+    return (r0, r1, r3), (conv_k, conv_dk, 0.0)
+
+
+def _error_terms(spec, rho, tables, x, v):
+    stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]), spec,
+                             rho, tables=tables)
+    assert np.array_equal(stats.r2, -stats.r0)
+    terms = (stats.r0[:, 0], stats.r1[:, 0, 0], stats.r3[:, 0])
+    assert stats.aggregates == {
+        "R0": float(np.mean(terms[0]**2)), "R1": float(np.mean(terms[1]**2)),
+        "R2": float(np.mean(terms[0]**2)), "R3": float(np.mean(terms[2]**2))}
+    return terms
+
+
+def test_error_stats_exact_on_dyadic_inputs(baseline_params):
+    # L_W = 1/4 and positions and velocities on a 1/8 grid make every kernel
+    # value and partial sum exact, so any summation order gives the same
+    # bits: a wrong sign, a missed pair or a square counted twice shows
+    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25})
+    rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
+    tables = mean_field_tables(spec, rho)
+    gen = np.random.default_rng(300)
+    x, v = gen.integers(-24, 24, (2, 300)) / 8.0
+    got = _error_terms(spec, rho, tables, x, v)
+    ref, _ = _error_terms_one_block(spec, rho, tables, x, v)
+    for term, want in zip(got, ref):
+        assert np.array_equal(term, want)
 
 
 @pytest.mark.parametrize("w_family, w_params", [
@@ -392,23 +419,20 @@ def _error_terms_one_block(spec, rho, tables, x, v):
 @pytest.mark.parametrize("N", [200, 300, 683])
 def test_error_stats_blocks_match_one_block(w_family, w_params, N,
                                             baseline_params):
-    # 2**14 // N rows per block: 3, 6 and 30 blocks, the last one short
+    # 2**14 // N rows per panel: 3, 6 and 30 panels, the last one short; the
+    # panels sum in another order than the reference, so each term agrees to
+    # rounding level of its pair sum, which the convolution nearly cancels
     assert N % (2**14 // N) != 0
     spec = make_system("quadratic", None, w_family, w_params)
     rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
     tables = mean_field_tables(spec, rho)
     gen = np.random.default_rng(N)
     x, v = gen.standard_normal(N), gen.standard_normal(N)
-    stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]), spec,
-                             rho, tables=tables)
-    r0, r1, r3 = _error_terms_one_block(spec, rho, tables, x, v)
-    assert np.array_equal(stats.r0[:, 0], r0)
-    assert np.array_equal(stats.r1[:, 0, 0], r1)
-    assert np.array_equal(stats.r2[:, 0], -r0)
-    assert np.array_equal(stats.r3[:, 0], r3)
-    assert stats.aggregates == {
-        "R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
-        "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
+    got = _error_terms(spec, rho, tables, x, v)
+    ref, convs = _error_terms_one_block(spec, rho, tables, x, v)
+    for term, want, conv in zip(got, ref, convs):
+        assert np.max(np.abs(term - want)) \
+            <= 1e-14 * np.max(np.abs(want + conv))
 
 
 def test_error_stats_memory_stays_blocked(mollified_setup):
@@ -429,13 +453,13 @@ def test_error_stats_memory_stays_blocked(mollified_setup):
 
 def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
                                                      monkeypatch):
-    # K and K' of a block come from one |x|: one _norm call per pair block
+    # K and K' of a panel come from one |x|: one _norm call per pair panel
     spec, params, rho = mollified_setup
     tables = mean_field_tables(spec, rho)
     gen = np.random.default_rng(300)
     x = gen.standard_normal((300, 1))
-    n_blocks = len(list(pair_blocks(x)))
-    assert n_blocks == 6
+    n_panels = len(list(pair_panels(x)))
+    assert n_panels == 6
     calls = []
     norm = RadialField._norm
 
@@ -446,7 +470,7 @@ def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
     monkeypatch.setattr(RadialField, "_norm", counted)
     error_statistics(PhaseEnsemble(x, gen.standard_normal((300, 1))), spec,
                      rho, tables=tables)
-    assert len(calls) == n_blocks
+    assert len(calls) == n_panels
 
 
 # --- concentration ---------------------------------------------------------------
@@ -515,3 +539,19 @@ def test_concentration_threads_do_not_change_rows(mollified_setup, rng):
                               n_mc=10, rng=rng, threads=2)
     assert one.rows == two.rows
     assert one.fits == two.fits
+
+
+def test_concentration_permuted_n_list_permutes_rows(mollified_setup, rng):
+    # each N draws the stream of its rank and the largest N is submitted
+    # first, so a permuted N list returns the same rows, permuted, bit for
+    # bit, with the submission order and the index order apart at 3 threads
+    spec, params, rho = mollified_setup
+    ref = concentration_check(spec, rho, params, n_values=[8, 16, 24, 32],
+                              n_mc=6, rng=rng, threads=1)
+    by_point = {(r.term, r.N): r for r in ref.rows}
+    permuted = [24, 8, 32, 16]
+    for threads in (1, 3):
+        got = concentration_check(spec, rho, params, n_values=permuted,
+                                  n_mc=6, rng=rng, threads=threads)
+        assert got.rows == tuple(by_point[(t, N)] for N in permuted
+                                 for t in got.terms)

@@ -13,7 +13,8 @@ from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov, step_particle_system)
 from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import BlowUpError, StabilityError
-from kinchaos.potentials import make_system
+from kinchaos.potentials import (make_system, pair_panels,
+                                 pairwise_interaction_energy)
 
 
 # --- noise streams -----------------------------------------------------------
@@ -99,9 +100,9 @@ def test_pairwise_force_single_particle(baseline_spec):
 def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_spec,
                                               baseline_params, rng):
     def refuse(X):
-        raise AssertionError("pair_blocks entered")
+        raise AssertionError("pair_panels entered")
 
-    monkeypatch.setattr(dynamics, "pair_blocks", refuse)
+    monkeypatch.setattr(dynamics, "pair_panels", refuse)
     X = np.random.default_rng(8).standard_normal((64, 2))
     uncoupled = make_system("quadratic", None, d=2)
     f = pairwise_force(uncoupled, X)
@@ -110,17 +111,29 @@ def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_spec,
     Z = PhaseEnsemble(X[:, :1], np.zeros((64, 1)))
     step_particle_system(Z, make_system("quadratic"), baseline_params, 0.01,
                          rng=rng)
-    # the patch is live: an interaction does reach the pair blocks
-    with pytest.raises(AssertionError, match="pair_blocks entered"):
+    # the patch is live: an interaction does reach the pair panels
+    with pytest.raises(AssertionError, match="pair_panels entered"):
         pairwise_force(baseline_spec, X[:, :1])
 
 
 def _pairwise_force_one_block(spec, X):
-    # the whole N x N x d pair array at once: the unblocked reference
+    # the whole N x N x d pair array at once: the unpanelled reference
     N = X.shape[0]
     k = -spec.W.grad(X[:, None, :] - X[None, :, :])
     k[np.arange(N), np.arange(N)] = 0.0
     return k.sum(axis=1) / N
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_force_exact_on_dyadic_inputs(d):
+    # L_W = 1/4 and positions on a 1/8 grid make every difference, kernel
+    # value and partial sum exact, so any summation order gives the same
+    # bits: a wrong sign, a missed pair or a square counted twice shows
+    N = 300
+    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
+    assert np.array_equal(pairwise_force(spec, X),
+                          _pairwise_force_one_block(spec, X))
 
 
 @pytest.mark.parametrize("w_family, w_params", [
@@ -129,12 +142,39 @@ def _pairwise_force_one_block(spec, X):
 ])
 @pytest.mark.parametrize("N, d", [(200, 1), (300, 2), (683, 2)])
 def test_pairwise_force_blocks_match_one_block(w_family, w_params, N, d):
-    # 2**14 // (N d) rows per block: 3, 12 and 57 blocks, the last one short
+    # 2**14 // (N d) rows per panel: 3, 12 and 63 panels, the last one short;
+    # the panels sum in another order than the reference, to rounding level
     assert N % (2**14 // (N * d)) != 0
     spec = make_system("quadratic", None, w_family, w_params, d=d)
     X = np.random.default_rng(N + d).standard_normal((N, d))
-    assert np.array_equal(pairwise_force(spec, X),
-                          _pairwise_force_one_block(spec, X))
+    ref = _pairwise_force_one_block(spec, X)
+    err = np.max(np.abs(pairwise_force(spec, X) - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair_sum, method", [
+    (pairwise_force, "grad"), (pairwise_interaction_energy, "value")])
+@pytest.mark.parametrize("N, d", [(300, 1), (300, 2)])
+def test_pair_sums_evaluate_each_unordered_pair_once(monkeypatch, pair_sum,
+                                                     method, N, d):
+    # W is evaluated on the N(N-1)/2 pairs i < j once, plus the h x h square
+    # of each panel of h rows, which holds the pairs i > j and the diagonal
+    spec = make_system("quadratic", None, "mollified_coulomb", None, d=d)
+    X = np.random.default_rng(N).standard_normal((N, d))
+    heights = [rows.stop - rows.start for rows, _, _ in pair_panels(X)]
+    assert sum(heights) == N and len(heights) > 2
+    points = []
+    evaluate = getattr(spec.W, method)
+
+    def counted(x):
+        points.append(math.prod(x.shape[:-1]))
+        return evaluate(x)
+
+    monkeypatch.setattr(spec.W, method, counted)
+    pair_sum(spec, X)
+    assert len(points) == len(heights)
+    assert sum(points) == N * (N - 1) // 2 + sum(h * (h + 1) // 2
+                                                 for h in heights)
 
 
 def test_step_determinism(baseline_spec, baseline_params, rng):

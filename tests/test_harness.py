@@ -483,6 +483,29 @@ def test_cli_non_numeric_potential_parameter_exit_code(tmp_path, capsys):
             "got 'four'") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    # NaN passes every < and <= range check; it used to reach the run and
+    # exit 2 with "error: clouds must be finite"
+    ("[experiment]\nrecipe = ergodicity\n[model]\nbeta = NaN\n"
+     "[numerics]\nN = 8\nT = 1\n",
+     "config error: line 4: gamma, sigma and beta must be finite"),
+    # ... or "error: C_V must be positive and finite, got nan"
+    ("[experiment]\nrecipe = constants_table\n[potential]\n"
+     "v_family = quadratic\nv_curvature = NaN\nw_family = harmonic_W\n",
+     "config error: line 4, 5: quadratic: parameter curvature must be "
+     "finite, got nan"),
+    ("[experiment]\nrecipe = assumptions\n[potential]\n"
+     "w_family = harmonic_W\nw_L_W = Infinity\n",
+     "config error: line 4, 5: harmonic_W: parameter L_W must be finite, "
+     "got inf"),
+], ids=["model_beta_nan", "v_curvature_nan", "w_L_W_inf"])
+def test_cli_non_finite_parameter_exit_code(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_wrong_side_family_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
                     "[potential]\nv_family = mollified_coulomb\n"

@@ -226,11 +226,22 @@ def test_pairwise_energy_hand_value(baseline_spec):
 
 
 def _pairwise_energy_one_block(spec, X):
-    # the whole N x N pair array at once: the unblocked reference
+    # the whole N x N pair array at once: the unpanelled reference
     N = X.shape[0]
     w = spec.W.value(X[:, None, :] - X[None, :, :])
     w[np.arange(N), np.arange(N)] = 0.0
     return float(np.sum(w.sum(axis=1))) / (2.0 * N)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_energy_exact_on_dyadic_inputs(d):
+    # L_W = 1/4 and positions on a 1/8 grid make every W value and partial
+    # sum exact, so any summation order gives the same bits
+    N = 300
+    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
+    assert pairwise_interaction_energy(spec, X) \
+        == _pairwise_energy_one_block(spec, X)
 
 
 @pytest.mark.parametrize("w_family, w_params", [
@@ -239,12 +250,13 @@ def _pairwise_energy_one_block(spec, X):
 ])
 @pytest.mark.parametrize("N, d", [(200, 1), (300, 2), (683, 2)])
 def test_pairwise_energy_blocks_match_one_block(w_family, w_params, N, d):
-    # 2**14 // (N d) rows per block: 3, 12 and 57 blocks, the last one short
+    # 2**14 // (N d) rows per panel: 3, 12 and 63 panels, the last one short;
+    # the panels sum in another order than the reference, to rounding level
     assert N % (2**14 // (N * d)) != 0
     spec = make_system("quadratic", None, w_family, w_params, d=d)
     X = np.random.default_rng(N + d).standard_normal((N, d))
-    assert pairwise_interaction_energy(spec, X) \
-        == _pairwise_energy_one_block(spec, X)
+    assert pairwise_interaction_energy(spec, X) == pytest.approx(
+        _pairwise_energy_one_block(spec, X), rel=1e-14, abs=0.0)
 
 
 def test_dimension_is_an_int_checked_on_the_spec():
