@@ -26,9 +26,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree, distance
 from scipy.special import digamma, gammaln
 
-from .dynamics import PhaseEnsemble, sample_f_infty
+from .dynamics import sample_f_infty
 from .kinetic_pde import _line_fit
-from .potentials import pair_panels
+from .potentials import _panel_height, pair_panels
 
 _MAX_ASSIGNMENT = 4096
 
@@ -218,27 +218,76 @@ def mean_field_tables(spec, rho_inf):
     return conv_k, conv_dk
 
 
-def _interp_table(rho_inf, table, x):
+def _stack_size(N):
+    """Ensembles per stack of _error_terms in a sweep (d = 1): the most
+    whose first pair panels hold at most 2**15 entries together, so numpy
+    calls on small N cover many ensembles; a function of N alone."""
+
+    first_panel = min(_panel_height(N, 1), N) * N
+    return max(1, 2**15 // first_panel)
+
+
+def _error_terms(x, v, spec, rho_inf, tables, first=None):
+    """R0, R1 and R3 of each ensemble of an (R, N) stack of positions x and
+    velocities v (d = 1), as one (3, R, N) array.
+
+    The pair sums run over potentials.pair_panels of the stack, so each
+    unordered pair is evaluated once and every ensemble sums in the order it
+    has alone.  They accumulate grad W and hess W: K = -grad W is odd and
+    K' = -hess W even, so a panel's column sums reach the rows after it
+    with the signs - and +, and the sign of K is applied once, in the
+    division by -N.  K and K' of a panel come from one evaluation of W,
+    which a radial W serves from one |x|, W'/s and W''.  The convolution
+    tables are linearly interpolated at the particle positions.  A particle
+    off their grid is a ValueError, raised before any pair sum, that names
+    it and, when the stack holds repetitions first, first + 1, ... of a
+    sweep point, its repetition.
+    """
+
     axis = rho_inf.x_axis
     eps = 1e-12 * max(1.0, abs(axis.hi))
     bad = (x < axis.lo - eps) | (x > axis.hi + eps)
     if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"particle {i} at x={x[i]!r} escapes the density "
-                         f"grid [{axis.lo}, {axis.hi}]")
-    return np.interp(x, axis.nodes, table)
+        r, i = np.argwhere(bad)[0]
+        where = "" if first is None else f"repetition {first + r}, "
+        raise ValueError(f"{where}particle {i} at x={float(x[r, i])!r} "
+                         f"escapes the density grid [{axis.lo}, {axis.hi}]")
+    R, N = x.shape
+    terms = np.zeros((3, R, N))
+    s0, s1, s3 = terms
+    for rows, diff, self_pairs in pair_panels(x[..., None]):
+        grad, hess = spec.W._grad_hess(diff)
+        g = grad[..., 0]
+        h = hess[..., 0, 0]
+        g[self_pairs] = 0.0
+        h[self_pairs] = 0.0
+        # the columns after the square reach rows e..N-1
+        tail = slice(rows.stop - rows.start, None)
+        after = slice(rows.stop, None)
+        s0[:, rows] += g.sum(axis=-1)
+        s0[:, after] -= g[..., tail].sum(axis=-2)
+        s1[:, rows] += h.sum(axis=-1)
+        s1[:, after] += h[..., tail].sum(axis=-2)
+        s3[:, rows] += (h * v[:, None, rows.start:]).sum(axis=-1)
+        s3[:, after] += (h[..., tail] * v[:, rows, None]).sum(axis=-2)
+    terms /= -N
+    s0 -= np.interp(x, axis.nodes, tables[0])
+    s1 -= np.interp(x, axis.nodes, tables[1])
+    return terms
+
+
+def _mean_squares(terms):
+    """The aggregates (1/N) sum_i |R_i|^2 of R0, R1, R2 = -R0 and R3 from
+    the (3, R, N) terms of _error_terms, one column per ensemble."""
+
+    return np.mean(terms**2, axis=-1)[[0, 1, 0, 2]]
 
 
 def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     """Error terms of an ensemble against the mean-field law rho_inf (d = 1).
 
-    The pair sums run over potentials.pair_panels, so each unordered pair is
-    evaluated once: K is odd and K' even, so a panel's column sums reach the
-    rows after it with the signs - and +.  K and K' of a panel come from one
-    evaluation of W, which a radial W serves from one |x|, W'/s and W''.
-    The convolution tables are computed on rho_inf's grid (or passed in
-    precomputed via `tables`) and linearly interpolated at the particle
-    positions.
+    _error_terms on a stack of this one ensemble.  The convolution tables
+    are computed on rho_inf's grid, or passed in precomputed via `tables`.
     """
 
     del params  # error terms depend on positions/velocities and the kernel
@@ -246,37 +295,14 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
         raise ValueError("error statistics are implemented for d = 1")
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
-    x = ensemble.positions[:, 0]
-    v = ensemble.velocities[:, 0]
-    N = x.size
-
     if tables is None:
         tables = mean_field_tables(spec, rho_inf)
-    conv_k = _interp_table(rho_inf, tables[0], x)
-    conv_dk = _interp_table(rho_inf, tables[1], x)
-
-    r0, r1, r3 = np.zeros(N), np.zeros(N), np.zeros(N)
-    for rows, diff, self_pairs in pair_panels(x[:, None]):
-        grad, hess = spec.W._grad_hess(diff)
-        k = -grad[..., 0]
-        dk = -hess[..., 0, 0]
-        k[self_pairs] = 0.0
-        dk[self_pairs] = 0.0
-        tail = slice(rows.stop - rows.start, None)  # columns after the square
-        r0[rows] += k.sum(axis=1)
-        r0[rows.stop:] -= k[:, tail].sum(axis=0)
-        r1[rows] += dk.sum(axis=1)
-        r1[rows.stop:] += dk[:, tail].sum(axis=0)
-        r3[rows] += (dk * v[rows.start:]).sum(axis=1)
-        r3[rows.stop:] += (dk[:, tail] * v[rows, None]).sum(axis=0)
-    r0 = r0 / N - conv_k
-    r1 = r1 / N - conv_dk
-    r3 /= N
-
-    agg = {"R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
-           "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
-    return ErrorStats(r0[:, None], r1[:, None, None], -r0[:, None],
-                      r3[:, None], agg)
+    terms = _error_terms(ensemble.positions.T, ensemble.velocities.T, spec,
+                         rho_inf, tables)
+    agg = dict(zip(("R0", "R1", "R2", "R3"),
+                   map(float, _mean_squares(terms)[:, 0])))
+    r0, r1, r3 = terms[:, 0, :, None]
+    return ErrorStats(r0, r1[..., None], -r0, r3, agg)
 
 
 def _scalar_kernels(spec):
@@ -430,12 +456,18 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     For the k-th smallest N, n_mc iid ensembles are drawn from rho_inf x
     Maxwellian on rng.derive(20_000 * (k + 1)), substreams 0..n_mc-1, and
     the four aggregates averaged, so a permuted n_values gives the same rows,
-    permuted.  The N points fan out over `threads` worker threads, the
+    permuted.  A point's ensembles are drawn and evaluated _stack_size(N)
+    at a time as one stack, each with the bits of an error_statistics call
+    on it alone.  The N points fan out over `threads` worker threads, the
     largest N (the costliest point) submitted first, with identical results
     for any count.  Per term a log-log slope over N follows.  Zero kernels
-    yield identically zero aggregates and fits of None.
+    yield identically zero aggregates and fits of None.  Every N needs a
+    pair (N >= 2), and each point at least one ensemble.
     """
 
+    if n_mc < 1 or min(n_values) < 2:
+        raise ValueError(f"need n_mc >= 1 ensembles of N >= 2 particles, "
+                         f"got n_mc={n_mc}, N in {list(n_values)}")
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
     terms = ("R0", "R1", "R2", "R3")
@@ -445,13 +477,17 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
 
     def one_point(k):
         point_rng = rng.derive(20_000 * (k + 1))
+        N = n_values[ranked[k]]
+        size = _stack_size(N)
         aggs = np.empty((len(terms), n_mc))  # each term's samples contiguous
-        for s in range(n_mc):
-            x, vel = sample_f_infty(rho_inf, params, n_values[ranked[k]],
-                                    point_rng, substream=s)
-            stats = error_statistics(PhaseEnsemble(x[:, None], vel[:, None]),
-                                     spec, rho_inf, tables=tables)
-            aggs[:, s] = [stats.aggregates[t] for t in terms]
+        for first in range(0, n_mc, size):
+            stack = range(first, min(first + size, n_mc))
+            x, vel = np.empty((2, len(stack), N))
+            for r, s in enumerate(stack):
+                x[r], vel[r] = sample_f_infty(rho_inf, params, N, point_rng,
+                                              substream=s)
+            aggs[:, first:stack.stop] = _mean_squares(
+                _error_terms(x, vel, spec, rho_inf, tables, first))
         return aggs
 
     # a point costs O(n_mc N²): with the largest first, the pool's last busy

@@ -101,6 +101,18 @@ _FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
 
 # recipes that fit a slope against N, which needs two distinct N
 _N_SWEEPS = ("chaos_scaling", "concentration")
+# numerics sizes below which a recipe has nothing to compute:
+# recipe -> key -> (least value, why)
+_LEAST_SIZES = {
+    "ergodicity": {"N": (2, "the W2 floor compares two halves of N "
+                            "reference points")},
+    "chaos_scaling": {
+        "N_list": (1, "each N is a particle count"),
+        "N_mc_list": (1, "each N is a particle count")},
+    "concentration": {
+        "N_list": (2, "each error term sums over the pairs of N particles"),
+        "n_mc": (1, "each N averages its n_mc ensembles")},
+}
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
@@ -282,8 +294,8 @@ def _lines(entries, pick):
 
 def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                          errors):
-    """Fluctuation-dissipation, the N sweep, the closed form and W != 0,
-    asked of the built spec and model, line-numbered."""
+    """Fluctuation-dissipation, the least sizes, the N sweep, the closed
+    form and W != 0, asked of the built spec and model, line-numbered."""
 
     gap = 0.0 if params is None \
         else params.sigma * params.beta - params.gamma
@@ -293,6 +305,14 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
             f"{lines}: recipe '{recipe}' needs sigma * beta = gamma (its "
             f"oracles use the law at beta, the dynamics are stationary at "
             f"exp(-(gamma/sigma) H)), got sigma * beta - gamma = {gap!r}")
+    for key, (least, why) in _LEAST_SIZES.get(recipe, {}).items():
+        got = numerics[key]
+        many = isinstance(got, list)
+        if min(got if many else [got]) < least:
+            line = sections["numerics"][key][1]  # the defaults pass
+            errors.append(f"line {line}: [numerics] {key}{' entries' * many} "
+                          f"must be at least {least} for recipe '{recipe}' "
+                          f"({why}), got {got}")
     if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
         line = sections["numerics"]["N_list"][1]  # the default passes
         errors.append(f"line {line}: [numerics] N_list needs at least two "

@@ -498,29 +498,38 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
     return PotentialSpec(V=V, W=W, d=d, **V.constants(), **W.constants())
 
 
+def _panel_height(N, d):
+    """Rows per pair panel: 2**14 // (N*d), a function of (N, d) alone."""
+
+    return max(1, 2**14 // (N * d))
+
+
 def pair_panels(X):
-    """Upper pair panels of the differences x_i - x_j of an (N, d) array.
+    """Upper pair panels of the differences x_i - x_j of an (..., N, d) array.
 
     Yields (rows, diff, self_pairs): the slice a..e-1 of i covered by the
-    panel, the (e - a, N - a, d) differences of those rows against the
-    columns j = a..N-1, and the index of the i == j entries in diff's first
-    two axes.  Every unordered pair i < j lies in exactly one panel; only the
-    (e - a)-square at the panel's left edge holds both orders and the
-    diagonal.  A pair sum adds a panel's row sums to rows a..e-1 and its
-    column sums beyond that square, diff[:, e - a:], to rows e..N-1, with the
-    sign the kernel's parity gives, so W must be even.  The panel height,
-    2**14 // (N*d) rows, depends on (N, d) alone, which fixes the summation
-    order of every result; panels of about 2**14 pair entries (128 KiB)
+    panel, the (..., e - a, N - a, d) differences of those rows against the
+    columns j = a..N-1, and the index of the i == j entries in the two axes
+    of diff after the leading stack axes.  Every unordered pair i < j lies
+    in exactly one panel; only the (e - a)-square at the panel's left edge
+    holds both orders and the diagonal.  A pair sum adds a panel's row sums
+    to rows a..e-1 and its column sums beyond that square,
+    diff[..., e - a:, :], to rows e..N-1, with the sign the kernel's parity
+    gives, so W must be even.  The panel height, _panel_height(N, d), fixes
+    the summation order of every result, the same for each slice of a stack
+    as for the slice alone; panels of about 2**14 pair entries (128 KiB)
     keep the temporaries in cache and in the allocator's free lists.
     """
 
-    N, d = X.shape
-    height = max(1, 2**14 // (N * d))
+    *stack, N, d = X.shape
+    height = _panel_height(N, d)
+    lead = (slice(None),) * len(stack)
     for start in range(0, N, height):
         stop = min(start + height, N)
         square = np.arange(stop - start)
-        yield (slice(start, stop), X[start:stop, None, :] - X[None, start:, :],
-               (square, square))
+        yield (slice(start, stop),
+               X[..., start:stop, None, :] - X[..., None, start:, :],
+               lead + (square, square))
 
 
 def pairwise_interaction_energy(spec, X):

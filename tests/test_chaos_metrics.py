@@ -18,7 +18,8 @@ from kinchaos.chaos_metrics import (concentration_check, entropy_knn,
                                     mean_field_tables,
                                     mean_field_tables_reference, w2_exact,
                                     w2_gaussian, w2_gaussian_spectral)
-from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec
+from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
+                              sample_f_infty)
 from kinchaos.equilibrium import Axis, solve_rho_infty
 from kinchaos.potentials import RadialField, make_system, pair_panels
 
@@ -473,7 +474,161 @@ def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
     assert len(calls) == n_panels
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _error_terms_negated_panels(spec, rho, tables, x, v):
+    # one ensemble over the unstacked pair panels, accumulating K = -grad W
+    # and K' = -hess W themselves: the bits the folded signs must keep
+    N = x.size
+    r0, r1, r3 = np.zeros(N), np.zeros(N), np.zeros(N)
+    for rows, diff, self_pairs in pair_panels(x[:, None]):
+        grad, hess = spec.W._grad_hess(diff)
+        k = -grad[..., 0]
+        dk = -hess[..., 0, 0]
+        k[self_pairs] = 0.0
+        dk[self_pairs] = 0.0
+        tail = slice(rows.stop - rows.start, None)
+        r0[rows] += k.sum(axis=1)
+        r0[rows.stop:] -= k[:, tail].sum(axis=0)
+        r1[rows] += dk.sum(axis=1)
+        r1[rows.stop:] += dk[:, tail].sum(axis=0)
+        r3[rows] += (dk * v[rows.start:]).sum(axis=1)
+        r3[rows.stop:] += (dk[:, tail] * v[rows, None]).sum(axis=0)
+    return (r0 / N - np.interp(x, rho.x_axis.nodes, tables[0]),
+            r1 / N - np.interp(x, rho.x_axis.nodes, tables[1]), r3 / N)
+
+
+@pytest.mark.parametrize("w_family, w_params", [
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+    ("mollified_coulomb", {"a": 0.2, "r0": 1.0, "form": "arctan"}),
+], ids=["harmonic", "coulomb_power", "coulomb_arctan"])
+@pytest.mark.parametrize("N", [24, 200, 300, 683])
+def test_stacked_error_terms_equal_each_ensemble_alone(w_family, w_params, N,
+                                                       baseline_params):
+    # R ensembles stacked through the pair panels, R from 1 to past twice
+    # the stack size of a sweep, give each ensemble the bits of
+    # error_statistics on it alone, and those are the bits of the panel
+    # sums of K and K' with their signs applied per pair
+    spec = make_system("quadratic", None, w_family, w_params)
+    rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
+    tables = mean_field_tables(spec, rho)
+    size = chaos_metrics._stack_size(N)
+    assert size == (56 if N == 24 else 2)
+    counts = sorted({*range(1, min(size, 8) + 1), size, size + 1,
+                     2 * size + 1})
+    gen = np.random.default_rng(N)
+    x, v = gen.standard_normal((2, counts[-1], N))
+    alone = [error_statistics(PhaseEnsemble(x[r, :, None], v[r, :, None]),
+                              spec, rho, tables=tables)
+             for r in range(counts[-1])]
+    for r in range(min(counts[-1], 5)):
+        want = _error_terms_negated_panels(spec, rho, tables, x[r], v[r])
+        got = (alone[r].r0[:, 0], alone[r].r1[:, 0, 0], alone[r].r3[:, 0])
+        assert list(map(_bits, got)) == list(map(_bits, want))
+    for R in counts:
+        terms = chaos_metrics._error_terms(x[:R], v[:R], spec, rho, tables)
+        aggs = chaos_metrics._mean_squares(terms)
+        assert aggs.shape == (4, R)
+        for r in range(R):
+            stats = alone[r]
+            assert _bits(terms[0][r]) == _bits(stats.r0[:, 0])
+            assert _bits(terms[1][r]) == _bits(stats.r1[:, 0, 0])
+            assert _bits(terms[2][r]) == _bits(stats.r3[:, 0])
+            assert list(aggs[:, r]) == [stats.aggregates[t]
+                                        for t in ("R0", "R1", "R2", "R3")]
+
+
+def test_stacked_escape_names_the_repetition(mollified_setup):
+    # a particle off the table grid in a later ensemble of a stack that
+    # holds repetitions 5, 6, 7 is refused with its repetition and its
+    # index, as one ensemble alone is refused with its index
+    spec, params, rho = mollified_setup
+    tables = mean_field_tables(spec, rho)
+    x = np.zeros((3, 6))
+    x[2, 4] = 40.0
+    with pytest.raises(ValueError, match=r"repetition 7, particle 4 at "
+                                         r"x=40\.0 escapes"):
+        chaos_metrics._error_terms(x, np.zeros((3, 6)), spec, rho, tables,
+                                   first=5)
+    with pytest.raises(ValueError, match=r"^particle 4 at x=40\.0 escapes"):
+        error_statistics(PhaseEnsemble(x[2, :, None], np.zeros((6, 1))), spec,
+                         rho, tables=tables)
+
+
+def test_concentration_escape_names_the_repetition(mollified_setup, rng,
+                                                   monkeypatch):
+    # the sweep evaluates a point's ensembles in stacks, and the escape
+    # names the repetition (the substream) as well as the particle
+    spec, params, rho = mollified_setup
+    draw = chaos_metrics.sample_f_infty
+
+    def off_grid_at_substream_3(rho, params, n, rng, substream=0):
+        x, v = draw(rho, params, n, rng, substream=substream)
+        if substream == 3:
+            x[5] = -40.0
+        return x, v
+
+    monkeypatch.setattr(chaos_metrics, "sample_f_infty",
+                        off_grid_at_substream_3)
+    # at N = 200 the stacks hold repetitions (0, 1), (2, 3) and (4,)
+    assert chaos_metrics._stack_size(200) == 2
+    with pytest.raises(ValueError, match="repetition 3, particle 5 at "
+                                         "x=-40.0 escapes"):
+        concentration_check(spec, rho, params, n_values=[8, 200], n_mc=5,
+                            rng=rng)
+
+
 # --- concentration ---------------------------------------------------------------
+
+def _concentration_rows_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
+    # the k-th smallest N draws substreams 0..n_mc-1 of
+    # rng.derive(20_000 * (k + 1)); each ensemble goes through
+    # error_statistics alone
+    tables = mean_field_tables(spec, rho)
+    ranked = sorted(range(len(n_values)), key=lambda i: n_values[i])
+    rows = []
+    for i, N in enumerate(n_values):
+        point_rng = rng.derive(20_000 * (ranked.index(i) + 1))
+        aggs = np.empty((4, n_mc))
+        for s in range(n_mc):
+            x, v = sample_f_infty(rho, params, N, point_rng, substream=s)
+            stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]),
+                                     spec, rho, tables=tables)
+            aggs[:, s] = [stats.aggregates[t] for t in ("R0", "R1", "R2",
+                                                        "R3")]
+        for t, vals in zip(("R0", "R1", "R2", "R3"), aggs):
+            rows.append(chaos_metrics.ConcentrationRow(
+                t, N, float(vals.mean()),
+                float(vals.std(ddof=1) / math.sqrt(n_mc))))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_concentration_rows_equal_one_ensemble_at_a_time(mollified_setup, rng,
+                                                         threads):
+    # stacked points (N = 8 and 24 in one stack each, N = 200 and 300 in
+    # stacks of two with a short last one) give the rows of a loop over the
+    # ensembles one at a time, bit for bit
+    spec, params, rho = mollified_setup
+    n_values = [24, 300, 8, 200]
+    got = concentration_check(spec, rho, params, n_values=n_values, n_mc=5,
+                              rng=rng, threads=threads)
+    assert got.rows == _concentration_rows_one_at_a_time(
+        spec, rho, params, n_values, 5, rng)
+
+
+@pytest.mark.parametrize("n_values, n_mc", [([1, 8], 4), ([0, 8], 4),
+                                            ([8, 16], 0)])
+def test_concentration_refuses_sizes_without_pairs(mollified_setup, rng,
+                                                   n_values, n_mc):
+    spec, params, rho = mollified_setup
+    with pytest.raises(ValueError, match="need n_mc >= 1 ensembles of N >= 2"):
+        concentration_check(spec, rho, params, n_values=n_values, n_mc=n_mc,
+                            rng=rng)
+
 
 def test_loglog_fit_exact_power():
     n = np.array([8, 16, 32, 64, 128])

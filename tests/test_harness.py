@@ -184,6 +184,47 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    # a ZeroDivisionError traceback at the parent
+    (CONCENTRATION_SMALL.replace("[8, 16, 32, 64]", "[0, 8]"),
+     "line 15: [numerics] N_list entries must be at least 2 for recipe "
+     "'concentration' (each error term sums over the pairs of N particles), "
+     "got [0, 8]"),
+    # a bare 'negative dimensions are not allowed' at the parent
+    (CONCENTRATION_SMALL.replace("[8, 16, 32, 64]", "[-4, 16]"),
+     "line 15: [numerics] N_list entries must be at least 2"),
+    # ran with pairless error terms at the parent
+    (CONCENTRATION_SMALL.replace("[8, 16, 32, 64]", "[1, 8]"),
+     "line 15: [numerics] N_list entries must be at least 2"),
+    # NaN rows, four FAILs and exit 0 at the parent
+    (CONCENTRATION_SMALL.replace("n_mc = 40", "n_mc = 0"),
+     "line 16: [numerics] n_mc must be at least 1 for recipe "
+     "'concentration' (each N averages its n_mc ensembles), got 0"),
+    # a bare 'empty clouds' at the parent
+    (MINIMAL_ERGODICITY.replace("N = 16", "N = 1"),
+     "line 7: [numerics] N must be at least 2 for recipe 'ergodicity' (the "
+     "W2 floor compares two halves of N reference points), got 1"),
+    # a bare 'need lam_V > 0, ..., N >= 1' at the parent
+    (CHAOS_SMALL.replace("[8, 16, 32, 64]", "[0, 8, 16]"),
+     "line 7: [numerics] N_list entries must be at least 1 for recipe "
+     "'chaos_scaling' (each N is a particle count), got [0, 8, 16]"),
+    (CHAOS_SMALL.replace("[8, 32]", "[0, 32]"),
+     "line 8: [numerics] N_mc_list entries must be at least 1"),
+], ids=["concentration_N_0", "concentration_N_negative", "concentration_N_1",
+        "concentration_n_mc_0", "ergodicity_N_1", "chaos_scaling_N_0",
+        "chaos_scaling_N_mc_0"])
+def test_sizes_without_work_are_config_errors(text, message, tmp_path,
+                                              capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith(message)
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("potential, named", [
     ("v_family = quadratic\nw_family = zero\n", "w_family = zero"),
     # W defaults to zero; the error names the first [potential] line

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinchaos.potentials import (check_assumptions, make_system,
-                                 pairwise_interaction_energy)
+                                 pair_panels, pairwise_interaction_energy)
 
 
 def fd_gradient(fld, x, h=1e-6):
@@ -257,6 +257,31 @@ def test_pairwise_energy_blocks_match_one_block(w_family, w_params, N, d):
     X = np.random.default_rng(N + d).standard_normal((N, d))
     assert pairwise_interaction_energy(spec, X) == pytest.approx(
         _pairwise_energy_one_block(spec, X), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("stack", [(1,), (3,), (2, 3)])
+@pytest.mark.parametrize("N, d", [(8, 1), (300, 1), (683, 1), (200, 2)])
+def test_pair_panels_of_a_stack_are_the_panels_of_each_slice(stack, N, d):
+    # a leading stack axis keeps the panel rows of one (N, d) slice, so each
+    # slice of every panel holds the bits of that slice's own panel, and the
+    # self-pair index marks its diagonal
+    X = np.random.default_rng(N + d).standard_normal(stack + (N, d))
+    stacked = list(pair_panels(X))
+    for index in np.ndindex(*stack):
+        alone = list(pair_panels(X[index]))
+        assert len(stacked) == len(alone)
+        for (rows, diff, self_pairs), (rows1, diff1, self1) in zip(stacked,
+                                                                    alone):
+            assert rows == rows1
+            assert diff.shape == stack + diff1.shape
+            assert diff[index].tobytes() == diff1.tobytes()
+            mark = np.zeros(diff.shape[:-1], dtype=bool)
+            mark[self_pairs] = True
+            mark1 = np.zeros(diff1.shape[:-1], dtype=bool)
+            mark1[self1] = True
+            assert np.array_equal(mark[index], mark1)
+            assert np.all(diff1[self1] == 0.0)
+            assert mark1.sum() == rows.stop - rows.start
 
 
 def test_dimension_is_an_int_checked_on_the_spec():
