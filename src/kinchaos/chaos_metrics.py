@@ -60,22 +60,11 @@ def w2_exact(a, b):
         a, b = b, a
     # Translating a cloud adds a per-row and a per-column term to the
     # quadratic cost, so centring keeps the optimal coupling and makes the
-    # solve several times cheaper.  Repeated rows of a leave many couplings
-    # optimal, and the solver's pick among them, hence the bits of the
-    # row-order sum below, follows the cost's rounding: those clouds keep
-    # the raw cost.  Repeated rows of b only swap equal terms of the sum.
-    if np.unique(a, axis=0).shape[0] == n:
-        cost = distance.cdist(a - a.mean(axis=0), b - b.mean(axis=0),
-                              "sqeuclidean")
-    else:
-        cost = distance.cdist(a, b, "sqeuclidean")
+    # solve several times cheaper
+    cost = distance.cdist(a - a.mean(axis=0), b - b.mean(axis=0),
+                          "sqeuclidean")
     cols = linear_sum_assignment(cost)[1]
-    # the matched costs from the original points, in cdist's operation order
-    diff = a - b[cols]
-    pair = np.zeros(n)
-    for k in range(d):
-        pair += diff[:, k] ** 2
-    return math.sqrt(float(pair.sum()) / n)
+    return math.sqrt(float(np.sum((a - b[cols]) ** 2)) / n)
 
 
 def _check_covariance(c, name):

@@ -121,7 +121,7 @@ class GridDensity:
 
         if self.v_axis is None:
             return self
-        rho = np.trapezoid(self.values, dx=self.v_axis.h, axis=1)
+        rho = self.values @ self.v_axis.trapezoid_weights()
         return GridDensity.from_values(self.x_axis, rho)
 
     def sample_positions(self, gen, n):
@@ -153,10 +153,9 @@ class GridDensity:
 
 
 def _raw_mass(x_axis, v_axis, values):
-    if v_axis is None:
-        return float(np.trapezoid(values, dx=x_axis.h))
-    return float(np.trapezoid(np.trapezoid(values, dx=v_axis.h, axis=1),
-                              dx=x_axis.h))
+    if v_axis is not None:
+        values = values @ v_axis.trapezoid_weights()
+    return float(values @ x_axis.trapezoid_weights())
 
 
 def interaction_convolution(spec, x_axis, rho_values, derivative=0):
@@ -258,7 +257,7 @@ def maxwellian_factor(params, v_axis):
         raise ValueError(f"velocity grid holds only {covered:.9f} of the "
                          "Gaussian mass; widen it")
     g = np.exp(-0.5 * params.beta * v_axis.nodes**2)
-    return g / np.trapezoid(g, dx=v_axis.h)
+    return g / float(g @ v_axis.trapezoid_weights())
 
 
 def assemble_f_infty(rho, params, v_axis):

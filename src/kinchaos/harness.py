@@ -39,6 +39,7 @@ regardless of --threads.
 
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -46,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .chaos_metrics import (_map_indexed, concentration_check,
-                            error_statistics, loglog_fit, w2_exact,
-                            w2_gaussian_spectral)
+from .chaos_metrics import (_MAX_ASSIGNMENT, _map_indexed,
+                            concentration_check, error_statistics,
+                            loglog_fit, w2_exact, w2_gaussian_spectral)
 from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
@@ -101,18 +102,33 @@ _FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
 
 # recipes that fit a slope against N, which needs two distinct N
 _N_SWEEPS = ("chaos_scaling", "concentration")
-# numerics sizes below which a recipe has nothing to compute:
-# recipe -> key -> (least value, why)
+# numerics bounds, recipe -> key -> (bound, why): sizes below which a recipe
+# has nothing to compute, time spans that must be positive, and W2 clouds
+# beyond the assignment solver's cap, which would fail only at the first
+# checkpoint
 _LEAST_SIZES = {
     "ergodicity": {"N": (2, "the W2 floor compares two halves of N "
                             "reference points")},
+    "meanfield_decay": {"n_w2": (1, "each W2 checkpoint draws n_w2 points")},
     "chaos_scaling": {
         "N_list": (1, "each N is a particle count"),
-        "N_mc_list": (1, "each N is a particle count")},
+        "N_mc_list": (1, "each N is a particle count"),
+        "n_cloud": (1, "each W2 compares two clouds of n_cloud points")},
     "concentration": {
         "N_list": (2, "each error term sums over the pairs of N particles"),
         "n_mc": (1, "each N averages its n_mc ensembles")},
 }
+_POSITIVE_SPANS = {
+    recipe: {"dt": (0, "the time step"), "T": (0, "the time horizon")}
+    for recipe in ("ergodicity", "meanfield_decay")}
+_MOST_SIZES = {
+    "ergodicity": {"N": (_MAX_ASSIGNMENT, "the W2 assignment solver's cap")},
+    "meanfield_decay": {
+        "n_w2": (_MAX_ASSIGNMENT, "the W2 assignment solver's cap")},
+}
+_BOUNDS = ((_LEAST_SIZES, operator.lt, "at least"),
+           (_POSITIVE_SPANS, operator.le, "above"),
+           (_MOST_SIZES, operator.gt, "at most"))
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
@@ -294,7 +310,7 @@ def _lines(entries, pick):
 
 def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                          errors):
-    """Fluctuation-dissipation, the least sizes, the N sweep, the closed
+    """Fluctuation-dissipation, the numerics bounds, the N sweep, the closed
     form and W != 0, asked of the built spec and model, line-numbered."""
 
     gap = 0.0 if params is None \
@@ -305,14 +321,16 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
             f"{lines}: recipe '{recipe}' needs sigma * beta = gamma (its "
             f"oracles use the law at beta, the dynamics are stationary at "
             f"exp(-(gamma/sigma) H)), got sigma * beta - gamma = {gap!r}")
-    for key, (least, why) in _LEAST_SIZES.get(recipe, {}).items():
-        got = numerics[key]
-        many = isinstance(got, list)
-        if min(got if many else [got]) < least:
-            line = sections["numerics"][key][1]  # the defaults pass
-            errors.append(f"line {line}: [numerics] {key}{' entries' * many} "
-                          f"must be at least {least} for recipe '{recipe}' "
-                          f"({why}), got {got}")
+    for table, breaks, relation in _BOUNDS:
+        for key, (bound, why) in table.get(recipe, {}).items():
+            got = numerics[key]
+            many = isinstance(got, list)
+            if any(breaks(g, bound) for g in (got if many else [got])):
+                line = sections["numerics"][key][1]  # the defaults pass
+                errors.append(
+                    f"line {line}: [numerics] {key}{' entries' * many} must "
+                    f"be {relation} {bound} for recipe '{recipe}' ({why}), "
+                    f"got {got}")
     if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
         line = sections["numerics"]["N_list"][1]  # the default passes
         errors.append(f"line {line}: [numerics] N_list needs at least two "

@@ -115,23 +115,16 @@ class Quadratic(Field):
 class RadialField(Field):
     """Potential depending on s = |x| only.
 
-    Subclasses provide _v(s), _w1(s) = W'(s)/s and _w2(s) = W''(s); the
-    gradient is w1*x and the Hessian splits into the radial eigenvalue W''
-    and the tangential eigenvalue W'/s.  A family whose W'/s and W'' share
-    subexpressions overrides _w12(s), which returns both bit for bit.
+    Subclasses provide _v(s) and _w12(s) = (W'(s)/s, W''(s)), each formula
+    written once; the gradient is (W'/s) x and the Hessian splits into the
+    radial eigenvalue W'' and the tangential eigenvalue W'/s.
     """
 
     def _v(self, s):
         raise NotImplementedError
 
-    def _w1(self, s):
-        raise NotImplementedError
-
-    def _w2(self, s):
-        raise NotImplementedError
-
     def _w12(self, s):
-        return self._w1(s), self._w2(s)
+        raise NotImplementedError
 
     def _norm(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,12 +138,10 @@ class RadialField(Field):
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return self._w1(self._norm(x))[..., None] * x
+        return self._w12(self._norm(x))[0][..., None] * x
 
     def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        s = self._norm(x)
-        return self._radial_hess(x, s, self._w1(s), self._w2(s))
+        return self._grad_hess(x)[1]
 
     def _grad_hess(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,11 +183,10 @@ class PowerLaw(RadialField):
     def _v(self, s):
         return self.amp * s**self.k
 
-    def _w1(self, s):
-        return self.amp * self.k * s ** (self.k - 2.0)
-
-    def _w2(self, s):
-        return self.amp * self.k * (self.k - 1.0) * s ** (self.k - 2.0)
+    def _w12(self, s):
+        amp, k = self.amp, self.k
+        p = s ** (k - 2.0)
+        return amp * k * p, amp * k * (k - 1.0) * p
 
     def params(self):
         return {"k": self.k, "amp": self.amp}
@@ -232,18 +222,14 @@ class ExpPower(RadialField):
     def _v(self, s):
         return np.exp(self.a * s**self.k)
 
-    def _w1(self, s):
+    def _w12(self, s):
         a, k = self.a, self.k
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = a * k * s ** (k - 2.0) * np.exp(a * s**k)
-        return np.where(s > 0, out, 0.0)
-
-    def _w2(self, s):
-        a, k = self.a, self.k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (a * a * k * k * s ** (2 * k - 2.0)
-                   + a * k * (k - 1.0) * s ** (k - 2.0)) * np.exp(a * s**k)
-        return np.where(s > 0, out, 0.0)
+            p, e = s ** (k - 2.0), np.exp(a * s**k)
+            w1 = a * k * p * e
+            w2 = (a * a * k * k * s ** (2 * k - 2.0)
+                  + a * k * (k - 1.0) * p) * e
+        return np.where(s > 0, w1, 0.0), np.where(s > 0, w2, 0.0)
 
     def params(self):
         return {"a": self.a, "k": self.k}
@@ -330,43 +316,9 @@ class MollifiedCoulomb(RadialField):
         exact = a * np.arctan(u) / safe
         return np.where(small, series, exact)
 
-    def _w1(self, s):
-        a = self.a
-        if self.form == "power":
-            k, bk = self.k, self.b**self.k
-            return -a * s ** (k - 2.0) * (s**k + bk) ** (-(k + 1.0) / k)
-        r0 = self.r0
-        u = s / r0
-        small = u < self._SERIES_CUT
-        us = np.where(small, u, 1.0)
-        series = (a / r0**3) * (-2.0 / 3 + 4 * us**2 / 5 - 6 * us**4 / 7)
-        safe = np.where(small, 1.0, s)
-        exact = a * (r0 * safe - (r0**2 + safe**2) * np.arctan(u)) / (
-            safe**3 * (r0**2 + safe**2))
-        return np.where(small, series, exact)
-
-    def _w2(self, s):
-        a = self.a
-        if self.form == "power":
-            k, bk = self.k, self.b**self.k
-            return (-a * s ** (k - 2.0) * (bk * (k - 1.0) - 2 * s**k)
-                    * (s**k + bk) ** (-(2 * k + 1.0) / k))
-        r0 = self.r0
-        u = s / r0
-        small = u < self._SERIES_CUT
-        us = np.where(small, u, 1.0)
-        series = (a / r0**3) * (-2.0 / 3 + 12 * us**2 / 5 - 30 * us**4 / 7)
-        safe = np.where(small, 1.0, s)
-        exact = 2 * a * (-(r0**3) * safe - 2 * r0 * safe**3
-                         + (r0**2 + safe**2) ** 2 * np.arctan(u)) / (
-            safe**3 * (r0**2 + safe**2) ** 2)
-        return np.where(small, series, exact)
-
     def _w12(self, s):
-        # _w1 and _w2 with their shared subexpressions evaluated once: s**k,
-        # s**k + b**k and -a s**(k-2), or arctan(u), r0² + s² and s³.  Each
-        # formula keeps the operation order of its own method, so the bits
-        # are the same.
+        # the shared subexpressions evaluated once: s**k, s**k + b**k and
+        # -a s**(k-2), or arctan(u), r0² + s² and s³
         a = self.a
         if self.form == "power":
             k, bk = self.k, self.b**self.k
@@ -404,8 +356,7 @@ class MollifiedCoulomb(RadialField):
         # the Hessian's radial and tangential eigenvalues are W'' and W'/s
         scale = self.b if self.form == "power" else self.r0
         s = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 4001) * scale])
-        w1 = np.abs(self._w1(s))
-        w2 = np.abs(self._w2(s))
+        w1, w2 = map(np.abs, self._w12(s))
         return {"C_K": float(np.max(np.maximum(w1, w2))),
                 "W_grad_sup": float(np.max(w1 * s))}
 

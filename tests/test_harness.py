@@ -58,6 +58,15 @@ N_list = [8, 16, 32, 64]
 n_mc = 40
 """
 
+MEANFIELD_SMALL = """
+[experiment]
+recipe = meanfield_decay
+
+[numerics]
+nx = 64
+T = 0.04
+"""
+
 
 def run_to_dir(text, out_dir, threads=1):
     report = run_experiment(parse_config(text), threads=threads)
@@ -210,9 +219,42 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
      "'chaos_scaling' (each N is a particle count), got [0, 8, 16]"),
     (CHAOS_SMALL.replace("[8, 32]", "[0, 32]"),
      "line 8: [numerics] N_mc_list entries must be at least 1"),
+    # a bare 'empty clouds' at the parent
+    (CHAOS_SMALL.replace("n_cloud = 2048", "n_cloud = 0"),
+     "line 10: [numerics] n_cloud must be at least 1 for recipe "
+     "'chaos_scaling' (each W2 compares two clouds of n_cloud points), "
+     "got 0"),
+    (MEANFIELD_SMALL + "n_w2 = 0\n",
+     "line 8: [numerics] n_w2 must be at least 1 for recipe "
+     "'meanfield_decay' (each W2 checkpoint draws n_w2 points), got 0"),
+    # 'assignment solver capped' at the first W2 checkpoint at the parent
+    (MEANFIELD_SMALL + "n_w2 = 4097\n",
+     "line 8: [numerics] n_w2 must be at most 4096 for recipe "
+     "'meanfield_decay' (the W2 assignment solver's cap), got 4097"),
+    (MINIMAL_ERGODICITY.replace("N = 16", "N = 4097"),
+     "line 7: [numerics] N must be at most 4096 for recipe 'ergodicity'"),
+    # a ZeroDivisionError traceback at the parent
+    (MINIMAL_ERGODICITY + "dt = 0\n",
+     "line 9: [numerics] dt must be above 0 for recipe 'ergodicity' (the "
+     "time step), got 0.0"),
+    (MEANFIELD_SMALL + "dt = 0.0\n",
+     "line 8: [numerics] dt must be above 0 for recipe 'meanfield_decay' "
+     "(the time step), got 0.0"),
+    # 'need at least 3 positive points in the window' at the parent
+    (MINIMAL_ERGODICITY + "dt = -0.01\n",
+     "line 9: [numerics] dt must be above 0 for recipe 'ergodicity'"),
+    (MINIMAL_ERGODICITY.replace("T = 4.0", "T = 0"),
+     "line 8: [numerics] T must be above 0 for recipe 'ergodicity' (the "
+     "time horizon), got 0.0"),
+    (MEANFIELD_SMALL.replace("T = 0.04", "T = -1.0"),
+     "line 7: [numerics] T must be above 0 for recipe 'meanfield_decay'"),
 ], ids=["concentration_N_0", "concentration_N_negative", "concentration_N_1",
         "concentration_n_mc_0", "ergodicity_N_1", "chaos_scaling_N_0",
-        "chaos_scaling_N_mc_0"])
+        "chaos_scaling_N_mc_0", "chaos_scaling_n_cloud_0",
+        "meanfield_decay_n_w2_0", "meanfield_decay_n_w2_above_cap",
+        "ergodicity_N_above_cap", "ergodicity_dt_0", "meanfield_decay_dt_0",
+        "ergodicity_dt_negative", "ergodicity_T_0",
+        "meanfield_decay_T_negative"])
 def test_sizes_without_work_are_config_errors(text, message, tmp_path,
                                               capsys):
     with pytest.raises(ConfigError) as err:

@@ -12,7 +12,7 @@ from kinchaos.potentials import (check_assumptions, make_system,
                                  pair_panels, pairwise_interaction_energy)
 
 
-def fd_gradient(fld, x, h=1e-6):
+def fd_gradient(fld, x, h):
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -22,11 +22,11 @@ def fd_gradient(fld, x, h=1e-6):
     return g
 
 
-def builtin_field(family, params, side):
+def builtin_field(family, params, side, d=1):
     """The field of one builtin family, installed on `side` ("V" or "W")."""
 
-    spec = (make_system(family, params) if side == "V"
-            else make_system("zero", None, family, params))
+    spec = (make_system(family, params, d=d) if side == "V"
+            else make_system("zero", None, family, params, d=d))
     return getattr(spec, side)
 
 
@@ -87,31 +87,64 @@ def test_mollified_coulomb_declared_curvature():
     assert spec.W_grad_sup > 0.0
 
 
-@pytest.mark.parametrize("family,params", [
-    ("quadratic", {"curvature": 1.3}),
-    ("power_k", {"k": 4.0}),
-    ("exp_power", {"a": 0.7, "k": 0.5}),
-])
-def test_gradient_matches_finite_differences(family, params):
-    fld = builtin_field(family, params, "V")
-    gen = np.random.default_rng(3)
-    for _ in range(100):
-        x = gen.uniform(-2.5, 2.5, size=1)
+# every family's W'/s and W'' are written once, in _w12; these finite
+# differences of value (for the gradient) and of grad (for the Hessian) are
+# the second spelling that catches a wrong one.  Radii lie in [lo, hi]:
+# away from the origin, where exp_power is not differentiable
+FD_CASES = [
+    ("quadratic", {"curvature": 1.3}, "V", 1, 0.1, 2.5),
+    ("power_k", {"k": 4.0}, "V", 1, 0.1, 2.5),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V", 1, 0.1, 2.5),
+    ("power_k", {"k": 3.0, "amp": 0.5}, "V", 1, 0.1, 2.5),
+    ("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.0}, "W", 1, 0.1, 3.0),
+    ("mollified_coulomb", {"a": 0.5, "b": 0.8, "k": 2.5}, "W", 1, 0.1, 3.0),
+    ("mollified_coulomb", {"a": 0.5, "b": 1.3, "k": 3.0}, "W", 1, 0.1, 3.0),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W", 1,
+     0.1, 3.0),
+    # both sides of the series cut at 1e-3 r0
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W", 1,
+     2e-4, 2e-3),
+    # the Hessian's tangential eigenvalue is W'/s
+    ("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.5}, "W", 2, 0.1, 3.0),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V", 2, 0.1, 2.5),
+]
+FD_IDS = [f"{case[0]}-params{i}" for i, case in enumerate(FD_CASES)]
+
+
+def fd_case(family, params, side, d, lo, hi, seed):
+    """The field and 100 points with radii uniform in [lo, hi]."""
+
+    gen = np.random.default_rng(seed)
+    u = gen.standard_normal((100, d))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return (builtin_field(family, params, side, d),
+            u * gen.uniform(lo, hi, size=(100, 1)))
+
+
+@pytest.mark.parametrize("family,params,side,d,lo,hi", FD_CASES,
+                         ids=FD_IDS)
+def test_gradient_matches_finite_differences(family, params, side, d, lo,
+                                             hi):
+    fld, pts = fd_case(family, params, side, d, lo, hi, 3)
+    for x in pts:
         g = fld.grad(x[None])[0]
-        assert np.allclose(g, fd_gradient(fld, x), atol=1e-5)
+        fd = fd_gradient(fld, x, 1e-4 * np.linalg.norm(x))
+        assert np.allclose(g, fd, rtol=1e-5, atol=1e-7 * np.abs(g).max())
 
 
-def test_hessian_matches_finite_differences():
-    fld = builtin_field("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.0},
-                        "W")
-    gen = np.random.default_rng(4)
-    for _ in range(100):
-        x = gen.uniform(-3.0, 3.0, size=1)
-        h = fld.hess(x[None])[0]
-        e = np.array([1e-5])
-        fd = (fld.grad((x + e)[None])[0, 0]
-              - fld.grad((x - e)[None])[0, 0]) / 2e-5
-        assert h[0, 0] == pytest.approx(fd, abs=1e-5)
+@pytest.mark.parametrize("family,params,side,d,lo,hi", FD_CASES,
+                         ids=FD_IDS)
+def test_hessian_matches_finite_differences(family, params, side, d, lo,
+                                            hi):
+    fld, pts = fd_case(family, params, side, d, lo, hi, 4)
+    for x in pts:
+        hess = fld.hess(x[None])[0]
+        h = 1e-4 * np.linalg.norm(x)
+        fd = np.stack([(fld.grad((x + e)[None])[0]
+                        - fld.grad((x - e)[None])[0]) / (2 * h)
+                       for e in h * np.eye(d)], axis=-1)
+        assert np.allclose(hess, fd, rtol=1e-5,
+                           atol=1e-7 * np.abs(hess).max())
 
 
 def general_radial_hess(fld, x):
@@ -120,7 +153,7 @@ def general_radial_hess(fld, x):
 
     d = x.shape[-1]
     s = fld._norm(x)
-    w1, w2 = fld._w1(s), fld._w2(s)
+    w1, w2 = fld._w12(s)
     u = x / np.where(s > 0, s, 1.0)[..., None]
     outer = u[..., :, None] * u[..., None, :]
     aniso = np.where(s > 0, w2 - w1, 0.0)
@@ -178,9 +211,7 @@ def awkward_pair_differences(d, cut):
         "coulomb_k3", "coulomb_arctan"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grad_hess_equals_grad_and_hess_bitwise(family, params, side, d):
-    spec = (make_system(family, params, d=d) if side == "V"
-            else make_system("zero", None, family, params, d=d))
-    fld = getattr(spec, side)
+    fld = builtin_field(family, params, side, d)
     # the arctan form switches to its series below |x| = 1e-3 r0
     diff = awkward_pair_differences(d, 1e-3 * params.get("r0", 1.0))
     grad, hess = fld._grad_hess(diff)
