@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BlowUpError, StabilityError
 from .equilibrium import _closed_form
-from .potentials import (Zero, _op_norms, pair_panels,
+from .potentials import (_centred, _harmonic_L_W, _op_norms, pair_panels,
                          pairwise_interaction_energy)
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
@@ -135,19 +135,23 @@ class PhaseEnsemble:
 
 
 def pairwise_force(spec, X):
-    """(1/N) sum_{j != i} K(x_i - x_j) for every i; direct O(N^2) sum.
+    """(1/N) sum_{j != i} K(x_i - x_j) for every i.
 
-    K = -grad W is odd, so each unordered pair of pair_panels is evaluated
-    once and gives K to row i and -K to row j.  The summation order depends
-    on N and d alone, so the result is independent of the worker count.
-    With W = 0 the sum is exactly zero and no pair is formed, so an
-    uncoupled step costs O(N).
+    A harmonic or zero W sums by moments in O(N): with grad W(x) = L_W x the
+    sum is K(x_i - xbar) = grad W(xbar - x_i), and no pair is formed, so a
+    BAOAB step of the linear case, and an uncoupled one, costs O(N).  Any
+    other W is summed directly in O(N^2): K = -grad W is odd, so each
+    unordered pair of pair_panels is evaluated once and gives K to row i and
+    -K to row j.  The summation order depends on N and d alone, so the
+    result is independent of the worker count.
     """
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
-    if N < 2 or isinstance(spec.W, Zero):
+    if N < 2:
         return np.zeros_like(X)
+    if _harmonic_L_W(spec.W) is not None:
+        return spec.W.grad(-_centred(X))
     out = np.zeros_like(X)
     for rows, diff, self_pairs in pair_panels(X):
         k = -spec.W.grad(diff)                      # K = -grad W

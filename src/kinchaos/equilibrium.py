@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .potentials import HarmonicW, Quadratic, Zero
+from .potentials import Quadratic, _harmonic_L_W
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,7 @@ def _has_closed_form(spec):
     """Whether gaussian_closed_form describes a built spec: quadratic V with
     harmonic or zero W."""
 
-    return (isinstance(spec.V, Quadratic)
-            and isinstance(spec.W, (HarmonicW, Zero)))
+    return isinstance(spec.V, Quadratic) and _harmonic_L_W(spec.W) is not None
 
 
 def _closed_form(spec, beta, N):
@@ -349,5 +348,5 @@ def _closed_form(spec, beta, N):
         raise ValueError(f"the Gaussian closed form needs quadratic V with "
                          f"harmonic or zero W, got "
                          f"{spec.V.family}/{spec.W.family}")
-    L_W = spec.W.L_W if isinstance(spec.W, HarmonicW) else 0.0
-    return gaussian_closed_form(spec.V.curvature, L_W, beta, N)
+    return gaussian_closed_form(spec.V.curvature, _harmonic_L_W(spec.W), beta,
+                                N)

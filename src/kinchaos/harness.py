@@ -129,6 +129,8 @@ _MOST_SIZES = {
 _BOUNDS = ((_LEAST_SIZES, operator.lt, "at least"),
            (_POSITIVE_SPANS, operator.le, "above"),
            (_MOST_SIZES, operator.gt, "at most"))
+# the ergodicity decay fit takes at least this many checkpoints
+_LEAST_CHECKPOINTS = 3
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
@@ -321,16 +323,44 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
             f"{lines}: recipe '{recipe}' needs sigma * beta = gamma (its "
             f"oracles use the law at beta, the dynamics are stationary at "
             f"exp(-(gamma/sigma) H)), got sigma * beta - gamma = {gap!r}")
+    # NaN passes every bound and infinity some; the defaults are finite
+    bad = set()
+    for key, got in numerics.items():
+        if isinstance(got, float) and not math.isfinite(got):
+            bad.add(key)
+            errors.append(f"line {sections['numerics'][key][1]}: [numerics] "
+                          f"{key} must be finite, got {got}")
     for table, breaks, relation in _BOUNDS:
         for key, (bound, why) in table.get(recipe, {}).items():
             got = numerics[key]
             many = isinstance(got, list)
-            if any(breaks(g, bound) for g in (got if many else [got])):
+            if key not in bad and any(breaks(g, bound)
+                                      for g in (got if many else [got])):
+                bad.add(key)
                 line = sections["numerics"][key][1]  # the defaults pass
                 errors.append(
                     f"line {line}: [numerics] {key}{' entries' * many} must "
                     f"be {relation} {bound} for recipe '{recipe}' ({why}), "
                     f"got {got}")
+    spans = ("T", "dt", "checkpoint_every")
+    if recipe in _POSITIVE_SPANS and not bad.intersection(spans):
+        # the defaults pass, so at least one of the spans is set
+        lines = _lines(sections.get("numerics", {}), lambda key: key in spans)
+        got = ", ".join(f"{key} = {numerics[key]}" for key in spans)
+        if not all(math.isfinite(numerics[key] / numerics["dt"])
+                   for key in ("T", "checkpoint_every")):
+            errors.append(f"{lines}: [numerics] T / dt and checkpoint_every "
+                          f"/ dt must be finite step counts for recipe "
+                          f"'{recipe}', got {got}")
+        elif recipe == "ergodicity":
+            # a record at t = 0, every `every` steps and after the last step
+            n_steps, every = _schedule(numerics)
+            count = 1 + -(-n_steps // every)
+            if count < _LEAST_CHECKPOINTS:
+                errors.append(
+                    f"{lines}: [numerics] {got} give {count} checkpoint(s) "
+                    f"for recipe 'ergodicity', whose decay fit needs at "
+                    f"least {_LEAST_CHECKPOINTS}")
     if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
         line = sections["numerics"]["N_list"][1]  # the default passes
         errors.append(f"line {line}: [numerics] N_list needs at least two "
@@ -529,14 +559,20 @@ def _converged_rho_infty(spec, params, axis):
     return rho_inf
 
 
+def _schedule(num):
+    """(steps, steps per checkpoint) of a run of span T at step dt."""
+
+    return (round(num["T"] / num["dt"]),
+            max(1, round(num["checkpoint_every"] / num["dt"])))
+
+
 def _run_ergodicity(cfg, report, threads):
     del threads  # single trajectory; nothing to fan out
     spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
-    N, dt, T = num["N"], num["dt"], num["T"]
-    every = max(1, round(num["checkpoint_every"] / dt))
-    n_steps = round(T / dt)
+    N, dt = num["N"], num["dt"]
+    n_steps, every = _schedule(num)
 
     consts = thm13_constants(params.gamma, params.sigma,
                              max(spec.C_K, 1e-12), spec.C_V,
@@ -616,8 +652,7 @@ def _run_meanfield_decay(cfg, report, threads):
     state = KineticState(GridDensity.from_values(x_axis, raw, v_axis))
 
     dt, T = num["dt"], num["T"]
-    n_steps = round(T / dt)
-    every = max(1, round(num["checkpoint_every"] / dt))
+    n_steps, every = _schedule(num)
     w2_times = {round(frac * T / dt): None for frac in
                 (0.08, 0.16, 0.24, 0.32, 0.40)}
 

@@ -483,17 +483,40 @@ def pair_panels(X):
                lead + (square, square))
 
 
-def pairwise_interaction_energy(spec, X):
-    """(1/2N) sum_{i != j} W(x_i - x_j) over pair_panels.
+def _harmonic_L_W(W):
+    """L_W when W(x) = (L_W/2) |x|^2, a harmonic W or W = 0 (L_W = 0),
+    else None: the one test for a W whose N-body sums reduce to moments and
+    whose Gibbs law has a Gaussian closed form."""
 
-    W(x_j - x_i) = W(x_i - x_j), so each unordered pair is evaluated once;
-    the N row sums are summed last.
+    if isinstance(W, HarmonicW):
+        return W.L_W
+    return 0.0 if isinstance(W, Zero) else None
+
+
+def _centred(X):
+    """The rows of an (N, d) array minus their mean, in two passes: the
+    second removes the rounding of the first mean, so far from the origin
+    the result keeps the accuracy of the differences x_i - x_j."""
+
+    c = X - X.mean(axis=0)
+    return c - c.mean(axis=0)
+
+
+def pairwise_interaction_energy(spec, X):
+    """(1/2N) sum_{i != j} W(x_i - x_j).
+
+    A harmonic or zero W sums by moments in O(N): for W(x) = (L_W/2)|x|^2
+    the sum is sum_i W(x_i - xbar), and no pair is formed.  Any other W is
+    summed over pair_panels: W(x_j - x_i) = W(x_i - x_j), so each unordered
+    pair is evaluated once; the N row sums are summed last.
     """
 
     X = np.asarray(X, dtype=float)
     N = X.shape[0]
     if N < 2:
         return 0.0
+    if _harmonic_L_W(spec.W) is not None:
+        return float(np.sum(spec.W.value(_centred(X))))
     row_sums = np.zeros(N)
     for rows, diff, self_pairs in pair_panels(X):
         w = spec.W.value(diff)

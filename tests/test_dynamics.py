@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinchaos import dynamics
+from kinchaos import dynamics, potentials
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                pairwise_force, sample_f_infty, sample_gibbs,
                                step_mckean_vlasov, step_particle_system)
@@ -15,6 +15,7 @@ from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import BlowUpError, StabilityError
 from kinchaos.potentials import (make_system, pair_panels,
                                  pairwise_interaction_energy)
+from tests.conftest import quarter_linear_spec
 
 
 # --- noise streams -----------------------------------------------------------
@@ -97,8 +98,8 @@ def test_pairwise_force_single_particle(baseline_spec):
     assert np.all(pairwise_force(baseline_spec, np.ones((1, 1))) == 0.0)
 
 
-def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_spec,
-                                              baseline_params, rng):
+def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_params,
+                                              rng):
     def refuse(X):
         raise AssertionError("pair_panels entered")
 
@@ -111,9 +112,32 @@ def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_spec,
     Z = PhaseEnsemble(X[:, :1], np.zeros((64, 1)))
     step_particle_system(Z, make_system("quadratic"), baseline_params, 0.01,
                          rng=rng)
-    # the patch is live: an interaction does reach the pair panels
+    # the patch is live: an interaction outside the harmonic family does
+    # reach the pair panels
     with pytest.raises(AssertionError, match="pair_panels entered"):
-        pairwise_force(baseline_spec, X[:, :1])
+        pairwise_force(make_system("quadratic", None, "mollified_coulomb"),
+                       X[:, :1])
+
+
+@pytest.mark.parametrize("pair_sum", [pairwise_force,
+                                      pairwise_interaction_energy])
+def test_pair_sums_reach_the_panels_only_beyond_the_harmonic_family(
+        monkeypatch, pair_sum):
+    # harmonic and zero W sum by moments; Coulomb and a custom field, even
+    # one with harmonic values, take the pair panels
+    def refuse(X):
+        raise AssertionError("pair_panels entered")
+
+    monkeypatch.setattr(dynamics, "pair_panels", refuse)
+    monkeypatch.setattr(potentials, "pair_panels", refuse)
+    X = np.random.default_rng(9).standard_normal((64, 2))
+    for spec in (make_system("quadratic", None, "harmonic_W", d=2),
+                 make_system("quadratic", None, "zero", d=2)):
+        pair_sum(spec, X)
+    for spec in (make_system("quadratic", None, "mollified_coulomb", d=2),
+                 quarter_linear_spec(2)):
+        with pytest.raises(AssertionError, match="pair_panels entered"):
+            pair_sum(spec, X)
 
 
 def _pairwise_force_one_block(spec, X):
@@ -126,14 +150,39 @@ def _pairwise_force_one_block(spec, X):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_pairwise_force_exact_on_dyadic_inputs(d):
-    # L_W = 1/4 and positions on a 1/8 grid make every difference, kernel
+    # grad W = x/4 and positions on a 1/8 grid make every difference, kernel
     # value and partial sum exact, so any summation order gives the same
-    # bits: a wrong sign, a missed pair or a square counted twice shows
+    # bits: a wrong sign, a missed pair or a square counted twice shows.
+    # The custom W keeps the sum on the pair panels.
     N = 300
-    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    spec = quarter_linear_spec(d)
     X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
     assert np.array_equal(pairwise_force(spec, X),
                           _pairwise_force_one_block(spec, X))
+
+
+@pytest.mark.parametrize("w_family", ["harmonic_W", "zero"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_force_moments_exact_on_dyadic_inputs(w_family, d):
+    # N = 256 positions on a 1/8 grid: the mean is exact, so the moment sum
+    # K(x_i - xbar) has the bits of the pair sum
+    N = 256
+    spec = make_system("quadratic", None, w_family, None, d=d)
+    X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
+    assert np.array_equal(pairwise_force(spec, X),
+                          _pairwise_force_one_block(spec, X))
+
+
+@pytest.mark.parametrize("N, d", [(300, 1), (683, 1), (300, 2), (683, 2)])
+def test_pairwise_force_moments_far_from_the_origin(N, d):
+    # positions about 1e3 from the origin: one centring pass would carry the
+    # rounding of the mean, about 1e-13, into every entry; the second pass
+    # removes it
+    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    X = np.random.default_rng(N + d).standard_normal((N, d)) + 1e3
+    ref = _pairwise_force_one_block(spec, X)
+    err = np.max(np.abs(pairwise_force(spec, X) - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("w_family, w_params", [

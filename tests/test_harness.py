@@ -248,13 +248,50 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
      "time horizon), got 0.0"),
     (MEANFIELD_SMALL.replace("T = 0.04", "T = -1.0"),
      "line 7: [numerics] T must be above 0 for recipe 'meanfield_decay'"),
+    # an unnumbered 'cannot convert float NaN to integer' at the parent
+    (MINIMAL_ERGODICITY + "dt = NaN\n",
+     "line 9: [numerics] dt must be finite, got nan"),
+    # an OverflowError traceback at the parent
+    (MEANFIELD_SMALL.replace("T = 0.04", "T = Infinity"),
+     "line 7: [numerics] T must be finite, got inf"),
+    # finite, but not above 0: one error, not two
+    (MINIMAL_ERGODICITY + "dt = -Infinity\n",
+     "line 9: [numerics] dt must be finite, got -inf"),
+    # an unnumbered 'axis bounds must be finite' at the parent
+    (MEANFIELD_SMALL + "x_max = Infinity\n",
+     "line 8: [numerics] x_max must be finite, got inf"),
+    # every verdict of a run with a NaN threshold, exit 0, at the parent
+    (MINIMAL_ERGODICITY + "floor_factor = NaN\n",
+     "line 9: [numerics] floor_factor must be finite, got nan"),
+    # 'need at least 3 positive points in the window, got 1' at the parent
+    (MINIMAL_ERGODICITY.replace("T = 4.0", "T = 0.001"),
+     "line 8: [numerics] T = 0.001, dt = 0.01, checkpoint_every = 0.25 give "
+     "1 checkpoint(s) for recipe 'ergodicity', whose decay fit needs at "
+     "least 3"),
+    # the same with 2 checkpoints, on the lines of both spans set
+    (MINIMAL_ERGODICITY.replace("T = 4.0", "T = 0.02")
+     + "checkpoint_every = 0.02\n",
+     "line 8, 9: [numerics] T = 0.02, dt = 0.01, checkpoint_every = 0.02 "
+     "give 2 checkpoint(s)"),
+    # an OverflowError traceback at the parent: round(T / dt) of infinity
+    (MINIMAL_ERGODICITY.replace("T = 4.0", "T = 1e300") + "dt = 1e-10\n",
+     "line 8, 9: [numerics] T / dt and checkpoint_every / dt must be finite "
+     "step counts for recipe 'ergodicity', got T = 1e+300, dt = 1e-10, "
+     "checkpoint_every = 0.25"),
+    (MEANFIELD_SMALL + "checkpoint_every = 1e300\ndt = 1e-10\n",
+     "line 7, 8, 9: [numerics] T / dt and checkpoint_every / dt must be "
+     "finite step counts for recipe 'meanfield_decay'"),
 ], ids=["concentration_N_0", "concentration_N_negative", "concentration_N_1",
         "concentration_n_mc_0", "ergodicity_N_1", "chaos_scaling_N_0",
         "chaos_scaling_N_mc_0", "chaos_scaling_n_cloud_0",
         "meanfield_decay_n_w2_0", "meanfield_decay_n_w2_above_cap",
         "ergodicity_N_above_cap", "ergodicity_dt_0", "meanfield_decay_dt_0",
         "ergodicity_dt_negative", "ergodicity_T_0",
-        "meanfield_decay_T_negative"])
+        "meanfield_decay_T_negative", "ergodicity_dt_nan",
+        "meanfield_decay_T_inf", "ergodicity_dt_minus_inf",
+        "meanfield_decay_x_max_inf", "ergodicity_floor_factor_nan",
+        "ergodicity_one_checkpoint", "ergodicity_two_checkpoints",
+        "ergodicity_steps_overflow", "meanfield_decay_steps_overflow"])
 def test_sizes_without_work_are_config_errors(text, message, tmp_path,
                                               capsys):
     with pytest.raises(ConfigError) as err:
@@ -265,6 +302,15 @@ def test_sizes_without_work_are_config_errors(text, message, tmp_path,
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_ergodicity_runs_with_three_checkpoints(tmp_path):
+    # the least schedule the checkpoint rule admits fits its decay
+    text = MINIMAL_ERGODICITY.replace("T = 4.0", "T = 0.02") \
+        + "checkpoint_every = 0.01\n"
+    report, _ = run_to_dir(text, tmp_path)
+    assert [row[0] for row in report.tables["w2_series"][1]] \
+        == pytest.approx([0.0, 0.01, 0.02])
 
 
 @pytest.mark.parametrize("potential, named", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kinchaos.potentials import (check_assumptions, make_system,
                                  pair_panels, pairwise_interaction_energy)
+from tests.conftest import quarter_linear_spec
 
 
 def fd_gradient(fld, x, h):
@@ -266,13 +267,35 @@ def _pairwise_energy_one_block(spec, X):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_pairwise_energy_exact_on_dyadic_inputs(d):
-    # L_W = 1/4 and positions on a 1/8 grid make every W value and partial
-    # sum exact, so any summation order gives the same bits
+    # W = |x|^2/8 and positions on a 1/8 grid make every W value and partial
+    # sum exact, so any summation order gives the same bits.  The custom W
+    # keeps the sum on the pair panels.
     N = 300
-    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    spec = quarter_linear_spec(d)
     X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
     assert pairwise_interaction_energy(spec, X) \
         == _pairwise_energy_one_block(spec, X)
+
+
+@pytest.mark.parametrize("w_family", ["harmonic_W", "zero"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_energy_moments_exact_on_dyadic_inputs(w_family, d):
+    # N = 256 positions on a 1/8 grid: the mean is exact, so the moment sum
+    # sum_i W(x_i - xbar) has the bits of the pair sum
+    N = 256
+    spec = make_system("quadratic", None, w_family, None, d=d)
+    X = np.random.default_rng(d).integers(-64, 64, (N, d)) / 8.0
+    assert pairwise_interaction_energy(spec, X) \
+        == _pairwise_energy_one_block(spec, X)
+
+
+@pytest.mark.parametrize("N, d", [(300, 1), (683, 1), (300, 2), (683, 2)])
+def test_pairwise_energy_moments_far_from_the_origin(N, d):
+    # positions about 1e3 from the origin, centred in two passes
+    spec = make_system("quadratic", None, "harmonic_W", {"L_W": 0.25}, d=d)
+    X = np.random.default_rng(N + d).standard_normal((N, d)) + 1e3
+    assert pairwise_interaction_energy(spec, X) == pytest.approx(
+        _pairwise_energy_one_block(spec, X), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("w_family, w_params", [
