@@ -1,7 +1,8 @@
 """Distances, entropy estimation and mean-field error-term statistics.
 
 Empirical W2 between equal-size clouds is computed exactly: by sorting in
-one dimension, by the assignment on centred clouds otherwise.  Gaussian W2
+one dimension, otherwise by the assignment on centred clouds mapped onto each
+other by the Gaussian OT map between their covariances.  Gaussian W2
 uses the Bures formula through symmetric eigendecompositions; a spectral
 variant for commuting covariances avoids the accuracy loss of the trace form.
 
@@ -31,6 +32,10 @@ from .kinetic_pde import _line_fit
 from .potentials import _panel_height, pair_panels
 
 _MAX_ASSIGNMENT = 4096
+# a covariance or OT map whose least eigenvalue is at most this fraction of
+# its largest is near-singular, and the solve takes the centred cost
+# (identical rows, collinear clouds, n <= d)
+_SINGULAR = 1e-12
 
 
 def w2_exact(a, b):
@@ -58,13 +63,48 @@ def w2_exact(a, b):
     # result, bitwise symmetric in (a, b)
     if a.tobytes() > b.tobytes():
         a, b = b, a
-    # Translating a cloud adds a per-row and a per-column term to the
-    # quadratic cost, so centring keeps the optimal coupling and makes the
-    # solve several times cheaper
-    cost = distance.cdist(a - a.mean(axis=0), b - b.mean(axis=0),
-                          "sqeuclidean")
+    ac, bc = a - a.mean(axis=0), b - b.mean(axis=0)
+    matched = _matched_clouds(ac, bc)
+    if matched is None:
+        # the centred cost as it is: a degenerate cloud has many optimal
+        # couplings, and a reduced cost would change which one the solver
+        # returns, so the order, and the last bits, of the sum below
+        cost = distance.cdist(ac, bc, "sqeuclidean")
+    else:
+        cost = distance.cdist(*matched, "sqeuclidean")
+        # row then column reduction: a dual start at which the solver's
+        # shortest augmenting paths are short
+        cost -= cost.min(axis=1, keepdims=True)
+        cost -= cost.min(axis=0)
     cols = linear_sum_assignment(cost)[1]
     return math.sqrt(float(np.sum((a - b[cols]) ** 2)) / n)
+
+
+def _matched_clouds(ac, bc):
+    """(ac A^1/2, bc A^-1/2) for the Gaussian OT map A between the centred
+    clouds' covariances, or None when either covariance, or A, is
+    near-singular.
+
+    Translation adds a per-row and a per-column term to the quadratic cost
+    and the map keeps the cross term ac . bc, so every cost on these pairs
+    has the optimal couplings of the raw cost; A carries ac close to its
+    partners in bc, so the optimal pairs sit near zero cost.
+    """
+
+    ea, ua = np.linalg.eigh(ac.T @ ac)
+    cb = bc.T @ bc
+    eb = np.linalg.eigvalsh(cb)
+    if ea[0] <= _SINGULAR * ea[-1] or eb[0] <= _SINGULAR * eb[-1]:
+        return None
+    # A = Ca^-1/2 (Ca^1/2 Cb Ca^1/2)^1/2 Ca^-1/2 (Olkin-Pukelsheim)
+    root = (ua * np.sqrt(ea)) @ ua.T
+    em, um = np.linalg.eigh(root @ cb @ root)
+    inv_root = (ua / np.sqrt(ea)) @ ua.T
+    A = inv_root @ ((um * np.sqrt(np.clip(em, 0.0, None))) @ um.T) @ inv_root
+    eA, uA = np.linalg.eigh(0.5 * (A + A.T))
+    if eA[0] <= _SINGULAR * eA[-1]:
+        return None
+    return ac @ ((uA * np.sqrt(eA)) @ uA.T), bc @ ((uA / np.sqrt(eA)) @ uA.T)
 
 
 def _check_covariance(c, name):

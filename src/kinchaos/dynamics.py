@@ -17,6 +17,7 @@ trajectory is bit-reproducible regardless of how work is scheduled.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,11 @@ from .potentials import (_centred, _harmonic_L_W, _op_norms, pair_panels,
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
 
+# per-thread Philox generator of step_normals; buffer_pos 4 marks the
+# buffer as empty, as in a freshly built generator
+_STEP_GENERATOR = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -37,23 +43,35 @@ class RngSpec:
     seed: int
     stream: int = 0
 
-    def _generator(self, kind, counter):
+    def _words(self, kind, counter):
         # Philox advances counter word 0 as it generates, so the identifying
         # words (step/substream, stream, kind) must sit in words 1..3 where a
         # carry can never reach them.  Otherwise consecutive steps would draw
         # from overlapping counter ranges and the noise would be correlated.
-        key = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
-        bg = np.random.Philox(key=key,
-                              counter=[np.uint64(0),
-                                       np.uint64(counter & 0xFFFFFFFFFFFFFFFF),
-                                       np.uint64(self.stream & 0xFFFFFFFFFFFFFFFF),
-                                       np.uint64(kind)])
-        return np.random.Generator(bg)
+        mask = 0xFFFFFFFFFFFFFFFF
+        return {"counter": np.array([0, counter & mask, self.stream & mask,
+                                     kind], dtype=np.uint64),
+                "key": np.array([self.seed & mask, 0], dtype=np.uint64)}
+
+    def _generator(self, kind, counter):
+        return np.random.Generator(np.random.Philox(**self._words(kind,
+                                                                  counter)))
 
     def step_normals(self, step, n, d):
         """Standard normals for integrator step `step`, shape (n, d)."""
 
-        return self._generator(KB_STREAM_STEP, step).standard_normal((n, d))
+        # one generator per thread, reset to this step's words: the same
+        # stream as a freshly built one, without building a generator
+        gen = getattr(_STEP_GENERATOR, "gen", None)
+        if gen is None:
+            gen = _STEP_GENERATOR.gen = self._generator(KB_STREAM_STEP, step)
+        else:
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": self._words(KB_STREAM_STEP, step),
+                "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0,
+                "uinteger": 0}
+        return gen.standard_normal((n, d))
 
     def sampler(self, substream=0):
         """Sequential generator for samplers, disjoint from step noise."""

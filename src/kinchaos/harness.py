@@ -37,6 +37,7 @@ report; all randomness derives from the seed, so reruns are byte-identical
 regardless of --threads.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -129,7 +130,8 @@ _MOST_SIZES = {
 _BOUNDS = ((_LEAST_SIZES, operator.lt, "at least"),
            (_POSITIVE_SPANS, operator.le, "above"),
            (_MOST_SIZES, operator.gt, "at most"))
-# the ergodicity decay fit takes at least this many checkpoints
+# the ergodicity and meanfield_decay decay fits take at least this many
+# checkpoints (meanfield_decay: inside its fit window)
 _LEAST_CHECKPOINTS = 3
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
@@ -353,13 +355,25 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                           f"/ dt must be finite step counts for recipe "
                           f"'{recipe}', got {got}")
         elif recipe == "ergodicity":
-            # a record at t = 0, every `every` steps and after the last step
-            n_steps, every = _schedule(numerics)
-            count = 1 + -(-n_steps // every)
+            count = _checkpoints_within(numerics, 0.0, math.inf)
             if count < _LEAST_CHECKPOINTS:
                 errors.append(
                     f"{lines}: [numerics] {got} give {count} checkpoint(s) "
                     f"for recipe 'ergodicity', whose decay fit needs at "
+                    f"least {_LEAST_CHECKPOINTS}")
+        elif not bad.intersection(("fit_lo", "fit_hi")):
+            window = [numerics[key] * numerics["T"]
+                      for key in ("fit_lo", "fit_hi")]
+            count = _checkpoints_within(numerics, *window)
+            if count < _LEAST_CHECKPOINTS:
+                # the defaults pass, so a span or a window end is set
+                keys = spans + ("fit_lo", "fit_hi")
+                lines = _lines(sections["numerics"], lambda key: key in keys)
+                got = ", ".join(f"{key} = {numerics[key]}" for key in keys)
+                errors.append(
+                    f"{lines}: [numerics] {got} give {count} checkpoint(s) "
+                    f"in the fit window [fit_lo T, fit_hi T] = {window} for "
+                    f"recipe 'meanfield_decay', whose decay fits need at "
                     f"least {_LEAST_CHECKPOINTS}")
     if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
         line = sections["numerics"]["N_list"][1]  # the default passes
@@ -500,6 +514,8 @@ class RunReport:
 def _fmt_cell(cell):
     # repr of a Python float is the shortest round-trip form; numpy scalars
     # are unwrapped first so their verbose numpy-2 repr never leaks into CSV
+    if type(cell) is float:
+        return repr(cell)
     if isinstance(cell, (float, np.floating)):
         return repr(float(cell))
     if isinstance(cell, (int, np.integer)):
@@ -529,7 +545,7 @@ def write_report(report, out_dir):
                      f"rng=philox version={report.version}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+                fh.write(",".join(map(_fmt_cell, row)) + "\n")
         paths.append(path)
     for name, text in sorted(report.texts.items()):
         path = os.path.join(out_dir, name)
@@ -566,6 +582,24 @@ def _schedule(num):
             max(1, round(num["checkpoint_every"] / num["dt"])))
 
 
+def _checkpoints_within(num, t0, t1):
+    """How many checkpoint records of a run fall in [t0, t1]: one at t = 0,
+    one every `every` steps and one after the last step.  Step k is taken at
+    t = k dt; the runners add dt up step by step, so the window ends get a
+    slack of 1e-6 steps, which counts a record on the edge as inside."""
+
+    n_steps, every = _schedule(num)
+    # the window ends in steps, clipped to [-1, n_steps + 1] so that no
+    # infinite quotient reaches ceil or floor
+    lo, hi = (min(max(t / num["dt"] + slack, -1.0), n_steps + 1.0)
+              for t, slack in ((t0, -1e-6), (t1, 1e-6)))
+    first, last = max(0, math.ceil(lo)), min(n_steps, math.floor(hi))
+    if first > last:
+        return 0
+    count = last // every - (first - 1) // every
+    return count + (n_steps % every != 0 and first <= n_steps <= last)
+
+
 def _run_ergodicity(cfg, report, threads):
     del threads  # single trajectory; nothing to fan out
     spec, params = cfg.spec, cfg.params
@@ -596,9 +630,9 @@ def _run_ergodicity(cfg, report, threads):
         cloud = np.column_stack([Z.positions[:, 0], Z.velocities[:, 0]])
         w2 = w2_exact(cloud, ref)
         w2_rows.append((Z.time, w2, w2 * w2))
-        for i in range(N):
-            traj_rows.append((Z.time, i, Z.positions[i, 0],
-                              Z.velocities[i, 0]))
+        traj_rows.extend(zip(itertools.repeat(Z.time), range(N),
+                             Z.positions[:, 0].tolist(),
+                             Z.velocities[:, 0].tolist()))
 
     record(Z)
     for k in range(n_steps):

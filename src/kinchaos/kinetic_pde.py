@@ -307,11 +307,14 @@ def weighted_fisher(f, g, weights):
         raise ValueError("weighted_fisher needs phase-space densities")
     x = f.x_axis.nodes
     v = f.v_axis.nodes
-    X, V = np.meshgrid(x, v, indexing="ij")
-    e_b, f_b, g_b = weights.blocks(X, V)
-    det = e_b * g_b - f_b**2
-    if np.any(e_b <= 0) or np.any(det <= 0):
-        bad = np.argwhere((e_b <= 0) | (det <= 0))[0]
+    if getattr(weights, "kind", None) == "M1_constant":
+        # the same block on every node: scalar entries, no node grids
+        e_b, f_b, g_b = weights.blocks(x[0], v[0])
+    else:
+        e_b, f_b, g_b = weights.blocks(*np.meshgrid(x, v, indexing="ij"))
+    not_pd = (e_b <= 0) | (e_b * g_b - f_b**2 <= 0)
+    if np.any(not_pd):
+        bad = np.argwhere(np.broadcast_to(not_pd, f.values.shape))[0]
         raise ValueError(f"weight matrix not positive definite at node "
                          f"x={x[bad[0]]!r}, v={v[bad[1]]!r}")
 

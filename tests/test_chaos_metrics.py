@@ -167,6 +167,88 @@ def test_w2_solves_the_centred_cost(monkeypatch):
     assert len(seen) == 1 and seen[0] < 100.0
 
 
+def _shaped_cloud(gen, n, d, condition):
+    # a rotated Gaussian cloud whose covariance has the given condition
+    # number, up to sampling
+    rotation = np.linalg.qr(gen.standard_normal((d, d)))[0]
+    scales = np.sqrt(np.geomspace(1.0, condition, d))
+    return (gen.standard_normal((n, d)) * scales) @ rotation
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("condition", [1.0, 1e2, 1e4, 1e8])
+def test_w2_matched_solve_matches_raw_assignment(d, condition):
+    gen = np.random.default_rng(int(d * condition) % 2**32)
+    for n in (64, 256):
+        a = _shaped_cloud(gen, n, d, condition)
+        # correlated with a, and anisotropic on its own
+        b = 0.5 * a @ np.triu(np.ones((d, d))) \
+            + _shaped_cloud(gen, n, d, condition) + 0.3
+        ac, bc = a - a.mean(axis=0), b - b.mean(axis=0)
+        p, q = chaos_metrics._matched_clouds(ac, bc)
+        # the map keeps the cross term, so the optimal couplings
+        assert p @ q.T == pytest.approx(ac @ bc.T, rel=1e-6, abs=1e-9 * (
+            np.abs(ac).max() * np.abs(bc).max()))
+        _assert_matches_raw_assignment(a, b)
+        _assert_matches_raw_assignment(b, 2.0 * a)
+
+
+@pytest.mark.parametrize("case", ["identical_rows", "collinear",
+                                  "constant_coordinate", "n_equals_d",
+                                  "n_below_d", "opposed_anisotropy"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_w2_near_singular_covariance_takes_the_centred_cost(case, d):
+    gen = np.random.default_rng(d)
+    n = {"n_equals_d": d, "n_below_d": d - 1}.get(case, 128)
+    a = gen.standard_normal((n, d))
+    b = gen.standard_normal((n, d)) + 0.5
+    if case == "identical_rows":
+        a = np.tile(a[0], (n, 1))
+    elif case == "collinear":
+        b = np.outer(gen.standard_normal(n), gen.standard_normal(d)) + 0.5
+    elif case == "constant_coordinate":
+        a[:, -1] = 2.0
+    elif case == "opposed_anisotropy":
+        # each covariance passes, at condition 1e11, but their long axes
+        # cross, and the A computed in the order (a, b) has an eigenvalue
+        # <= 0 (the order (b, a) gives a positive definite one)
+        gen = np.random.default_rng(3)
+        a = _shaped_cloud(gen, n, d, 1e11)
+        b = _shaped_cloud(gen, n, d, 1e11)
+        for x in (a, b):
+            spectrum = np.linalg.eigvalsh(np.cov(x.T))
+            assert spectrum[0] > chaos_metrics._SINGULAR * spectrum[-1]
+    ac, bc = a - a.mean(axis=0), b - b.mean(axis=0)
+    for x, y in ((ac, bc), (bc, ac))[:1 if case == "opposed_anisotropy"
+                                     else 2]:
+        assert chaos_metrics._matched_clouds(x, y) is None
+    _assert_matches_raw_assignment(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_w2_solver_sees_reduced_matched_costs(monkeypatch, d):
+    # every row and every column of the matched cost holds a zero, its
+    # least entry; the centred fallback cost goes to the solver as it is
+    seen = []
+
+    def spy(cost):
+        seen.append(cost.copy())
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(chaos_metrics, "linear_sum_assignment", spy)
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal((96, d)) + 1e3
+    b = _shaped_cloud(gen, 96, d, 10.0)
+    same = np.tile(a[0], (96, 1))
+    w2_exact(a, b)
+    w2_exact(same, b)
+    assert len(seen) == 2
+    assert np.all(seen[0].min(axis=1) == 0.0)
+    assert np.all(seen[0].min(axis=0) == 0.0)
+    assert np.array_equal(seen[1], distance.cdist(
+        same - same.mean(axis=0), b - b.mean(axis=0), "sqeuclidean"))
+
+
 def test_w2_peak_memory_is_one_cost_matrix():
     gen = np.random.default_rng(1024)
     a = gen.standard_normal((1024, 2))

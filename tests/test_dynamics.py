@@ -1,6 +1,9 @@
 """Integrators, noise streams, and the stationary samplers."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +57,55 @@ def test_consecutive_steps_uncorrelated():
     for shift in range(0, 64, 8):
         c = abs(float(np.dot(a[shift:], b[:n - shift])) / (n - shift))
         assert c < 0.1
+
+
+def _fresh_step_normals(seed, stream, step, n, d):
+    # a Philox generator built for this one draw, with the documented words:
+    # key = seed, counter = (0, step, stream, KB_STREAM_STEP)
+    mask = 2**64 - 1
+    bits = np.random.Philox(
+        key=np.uint64(seed & mask),
+        counter=np.array([0, step & mask, stream & mask,
+                          dynamics.KB_STREAM_STEP], dtype=np.uint64))
+    return np.random.Generator(bits).standard_normal((n, d))
+
+
+_DRAWS = [(seed, stream, step, n, d)
+          for seed in (0, 3, 2**63 + 5, -7) for stream in (0, 2, 2**64 + 1)
+          for step in (0, 1, 1999, 2**64 - 1) for n, d in ((256, 1), (3, 2))]
+
+
+def test_step_normals_equal_a_fresh_philox_draw():
+    # one generator per thread is reset on each call; a draw of 6 normals
+    # leaves a part-used Philox block that the next reset must discard
+    for seed, stream, step, n, d in _DRAWS:
+        got = RngSpec(seed=seed, stream=stream).step_normals(step, n, d)
+        assert np.array_equal(got, _fresh_step_normals(seed, stream, step,
+                                                       n, d))
+
+
+def test_step_normals_equal_a_fresh_philox_draw_across_threads():
+    # each thread resets its own generator; more threads than cores, and a
+    # short switch interval, so that draws interleave
+    orders = [_DRAWS[k::2] + _DRAWS[1 - k::2] for k in (0, 1)] * 2
+    barrier = threading.Barrier(len(orders))
+
+    def draws(order):
+        barrier.wait(timeout=60)
+        return [RngSpec(seed=s, stream=m).step_normals(k, n, d)
+                for s, m, k, n, d in order * 20]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            runs = [pool.submit(draws, order) for order in orders]
+            results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, results):
+        for draw, a in zip(order * 20, got):
+            assert np.array_equal(a, _fresh_step_normals(*draw))
 
 
 def test_sampler_sequential_vs_step_block():

@@ -58,11 +58,13 @@ N_list = [8, 16, 32, 64]
 n_mc = 40
 """
 
+# three checkpoints (t = 0.01, 0.02, 0.03) inside the default fit window
+# [0.15 T, 0.9 T]; the keys sit on lines 5-7, so an appended key is line 8
 MEANFIELD_SMALL = """
 [experiment]
 recipe = meanfield_decay
-
 [numerics]
+checkpoint_every = 0.01
 nx = 64
 T = 0.04
 """
@@ -278,9 +280,26 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
      "line 8, 9: [numerics] T / dt and checkpoint_every / dt must be finite "
      "step counts for recipe 'ergodicity', got T = 1e+300, dt = 1e-10, "
      "checkpoint_every = 0.25"),
-    (MEANFIELD_SMALL + "checkpoint_every = 1e300\ndt = 1e-10\n",
-     "line 7, 8, 9: [numerics] T / dt and checkpoint_every / dt must be "
+    (MEANFIELD_SMALL.replace("checkpoint_every = 0.01",
+                             "checkpoint_every = 1e300") + "dt = 1e-10\n",
+     "line 5, 7, 8: [numerics] T / dt and checkpoint_every / dt must be "
      "finite step counts for recipe 'meanfield_decay'"),
+    # 'need at least 3 positive points in the window, got 0' after the whole
+    # PDE run at the parent: only t = 0 and t = 0.04 are checkpoints
+    (MEANFIELD_SMALL.replace("checkpoint_every = 0.01\n", ""),
+     "line 6: [numerics] T = 0.04, dt = 0.002, checkpoint_every = 0.05, "
+     "fit_lo = 0.15, fit_hi = 0.9 give 0 checkpoint(s) in the fit window "
+     "[fit_lo T, fit_hi T] = [0.006, 0.036000000000000004] for recipe "
+     "'meanfield_decay', whose decay fits need at least 3"),
+    # two of t = 0.01 .. 0.04 in [0.02, 0.03]; on the lines of every key set
+    (MEANFIELD_SMALL + "fit_lo = 0.5\nfit_hi = 0.75\n",
+     "line 5, 7, 8, 9: [numerics] T = 0.04, dt = 0.002, checkpoint_every = "
+     "0.01, fit_lo = 0.5, fit_hi = 0.75 give 2 checkpoint(s) in the fit "
+     "window"),
+    # an empty window
+    (MEANFIELD_SMALL + "fit_lo = 0.9\nfit_hi = 0.15\n",
+     "line 5, 7, 8, 9: [numerics] T = 0.04, dt = 0.002, checkpoint_every = "
+     "0.01, fit_lo = 0.9, fit_hi = 0.15 give 0 checkpoint(s)"),
 ], ids=["concentration_N_0", "concentration_N_negative", "concentration_N_1",
         "concentration_n_mc_0", "ergodicity_N_1", "chaos_scaling_N_0",
         "chaos_scaling_N_mc_0", "chaos_scaling_n_cloud_0",
@@ -291,7 +310,10 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
         "meanfield_decay_T_inf", "ergodicity_dt_minus_inf",
         "meanfield_decay_x_max_inf", "ergodicity_floor_factor_nan",
         "ergodicity_one_checkpoint", "ergodicity_two_checkpoints",
-        "ergodicity_steps_overflow", "meanfield_decay_steps_overflow"])
+        "ergodicity_steps_overflow", "meanfield_decay_steps_overflow",
+        "meanfield_decay_no_window_checkpoint",
+        "meanfield_decay_two_window_checkpoints",
+        "meanfield_decay_empty_window"])
 def test_sizes_without_work_are_config_errors(text, message, tmp_path,
                                               capsys):
     with pytest.raises(ConfigError) as err:
@@ -311,6 +333,13 @@ def test_ergodicity_runs_with_three_checkpoints(tmp_path):
     report, _ = run_to_dir(text, tmp_path)
     assert [row[0] for row in report.tables["w2_series"][1]] \
         == pytest.approx([0.0, 0.01, 0.02])
+
+
+def test_meanfield_decay_runs_with_three_window_checkpoints(tmp_path):
+    # the least window the checkpoint rule admits fits both decays
+    report, _ = run_to_dir(MEANFIELD_SMALL, tmp_path)
+    assert report.scalars["fit_H"]["n_used"] == 3
+    assert report.scalars["fit_E_M"]["n_used"] == 3
 
 
 @pytest.mark.parametrize("potential, named", [
@@ -565,7 +594,7 @@ recipe = meanfield_decay
 
 [numerics]
 dt = 0.2
-T = 0.4
+T = 0.8
 """)
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
     assert "numerical failure" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """VFP stepper conservation laws, Lyapunov functionals, and decay fits."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kinchaos import kinetic_pde
+from kinchaos.constants import WeightMatrix, build_weight_matrix
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov)
 from kinchaos.equilibrium import (Axis, GridDensity, assemble_f_infty,
@@ -506,9 +508,38 @@ def test_weighted_fisher_rejects_indefinite(f_inf):
         weighted_fisher(f_inf, f_inf, SimpleNamespace(blocks=blocks))
 
 
+@pytest.mark.parametrize("kind", ["M1_constant", "M2_hamiltonian_weighted"])
+def test_weighted_fisher_builds_node_grids_only_for_varying_weights(
+        kind, f_inf, baseline_spec, monkeypatch):
+    # M1 is one block on every node: its entries are scalars, and the
+    # value equals the node-grid evaluation bit for bit
+    weights = build_weight_matrix(kind, 1.0, 1.5, theta=0.5, H0=1.0,
+                                  spec=baseline_spec)
+    f = gaussian_phase(f_inf.x_axis, f_inf.v_axis, 0.4, -0.2, 1.1, 0.9)
+    on_grid = weighted_fisher(f, f_inf, SimpleNamespace(
+        blocks=weights.blocks))
+    shapes = []
+    blocks = WeightMatrix.blocks
+
+    def spy(self, x, v):
+        shapes.append((np.shape(x), np.shape(v)))
+        return blocks(self, x, v)
+
+    monkeypatch.setattr(WeightMatrix, "blocks", spy)
+    assert weighted_fisher(f, f_inf, weights) == on_grid
+    grid = f.values.shape
+    assert shapes == [((), ()) if kind == "M1_constant" else (grid, grid)]
+
+
+def test_weighted_fisher_rejects_indefinite_constant_weight(f_inf):
+    weights = WeightMatrix(kind="M1_constant", delta=-1.0, a=1.5)
+    node = f"x={f_inf.x_axis.nodes[0]!r}, v={f_inf.v_axis.nodes[0]!r}"
+    with pytest.raises(ValueError, match=re.escape(node)):
+        weighted_fisher(f_inf, f_inf, weights)
+
+
 def test_modulated_energy_vanishes_at_equilibrium(baseline_spec,
                                                   baseline_params, f_inf):
-    from kinchaos.constants import build_weight_matrix
     weights = build_weight_matrix("M1_constant", 1.0, 1.5)
     em = modulated_energy(f_inf, baseline_spec, baseline_params, weights,
                           f_inf)
@@ -518,7 +549,6 @@ def test_modulated_energy_vanishes_at_equilibrium(baseline_spec,
 
 def test_modulated_energy_positive_off_equilibrium(baseline_spec,
                                                    baseline_params, f_inf):
-    from kinchaos.constants import build_weight_matrix
     weights = build_weight_matrix("M1_constant", 1.0, 1.5)
     f = gaussian_phase(f_inf.x_axis, f_inf.v_axis, 1.0, -0.5, 0.8, 1.0)
     em = modulated_energy(f, baseline_spec, baseline_params, weights, f_inf)
@@ -528,7 +558,6 @@ def test_modulated_energy_positive_off_equilibrium(baseline_spec,
 
 def test_modulated_energy_takes_a_given_free_energy(baseline_spec,
                                                     baseline_params, f_inf):
-    from kinchaos.constants import build_weight_matrix
     weights = build_weight_matrix("M1_constant", 1.0, 1.5)
     f = gaussian_phase(f_inf.x_axis, f_inf.v_axis, 1.0, -0.5, 0.8, 1.0)
     F_f = free_energy(f, baseline_spec, baseline_params).total
