@@ -17,12 +17,20 @@ from . import __version__
 from .dynamics import ModelParams
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      SchemeError, StabilityError, StrictAssumptionError)
-from .harness import (_DEFAULT_POTENTIAL, ExperimentConfig, _parse_value,
-                      build_potential_spec, constants_records, load_config,
-                      run_experiment, write_report)
+from .harness import (_CONSTANTS_SCHEMA, _DEFAULT_FAMILIES,
+                      _DEFAULT_POTENTIAL, _EXPERIMENT_SCHEMA, _MODEL_SCHEMA,
+                      ExperimentConfig, _parse_value, build_potential_spec,
+                      constants_records, load_config, run_experiment,
+                      write_report)
 from .potentials import check_assumptions
 
 _NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError)
+
+
+def _constant(key):
+    """The config default of a [constants] key."""
+
+    return _CONSTANTS_SCHEMA[key][1]
 
 
 def _build_parser():
@@ -43,38 +51,43 @@ def _build_parser():
                      help="worker threads for sweep points (results are "
                      "independent of this)")
 
+    # the defaults of the flags are the config defaults
     con = sub.add_parser("constants", help="print the rate-constant recipes")
     con.add_argument("--config", default=None,
                      help="config file supplying potential/model/constants")
-    con.add_argument("--gamma", type=float, default=1.0)
-    con.add_argument("--sigma", type=float, default=1.0)
+    for key in ("gamma", "sigma"):
+        con.add_argument(f"--{key}", type=float, default=_MODEL_SCHEMA[key][1])
     con.add_argument("--c-k", type=float, default=None, dest="c_k")
     con.add_argument("--c-v", type=float, default=None, dest="c_v")
     con.add_argument("--c-v-theta", type=float, default=None,
                      dest="c_v_theta")
     con.add_argument("--w-grad-sup", type=float, default=None,
                      dest="w_grad_sup")
-    con.add_argument("--theta", type=float, default=0.25)
-    con.add_argument("--rho-ls-big", type=float, default=1.0,
+    con.add_argument("--theta", type=float, default=_constant("theta"))
+    con.add_argument("--rho-ls-big", type=float, default=_constant("rho_LS"),
                      dest="rho_LS", help="log-Sobolev constant rho_LS")
-    con.add_argument("--rho-ls", type=float, default=1.0, dest="rho_ls")
-    con.add_argument("--rho-wls", type=float, default=1.0, dest="rho_wls")
-    con.add_argument("--d", type=int, default=1)
-    con.add_argument("--a-rule", default="min",
-                     choices=("remark", "proof", "min"), dest="a_rule")
+    con.add_argument("--rho-ls", type=float, default=_constant("rho_ls"),
+                     dest="rho_ls")
+    con.add_argument("--rho-wls", type=float, default=_constant("rho_wls"),
+                     dest="rho_wls")
+    con.add_argument("--d", type=int, default=_constant("d"))
+    _, a_rule, (_, a_rules, _) = _CONSTANTS_SCHEMA["a_rule"]
+    con.add_argument("--a-rule", default=a_rule, choices=a_rules,
+                     dest="a_rule")
     con.add_argument("--json-only", action="store_true",
                      help="suppress the aligned text table")
 
     chk = sub.add_parser("check-assumptions",
                          help="screen a potential pair numerically")
     chk.add_argument("--config", default=None)
-    chk.add_argument("--v-family", default="quadratic", dest="v_family")
-    chk.add_argument("--w-family", default="zero", dest="w_family")
+    for key in ("v_family", "w_family"):
+        chk.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                         default=_DEFAULT_FAMILIES[key])
     chk.add_argument("--param", action="append", default=[],
                      help="potential parameter as prefix_name=value, e.g. "
                      "v_k=4 or w_L_W=0.25 (repeatable)")
-    chk.add_argument("--theta", type=float, default=0.25)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--theta", type=float, default=_constant("theta"))
+    chk.add_argument("--seed", type=int, default=_EXPERIMENT_SCHEMA["seed"][1])
     chk.add_argument("--strict", action="store_true")
 
     sub.add_parser("version", help="print the package version")
@@ -84,7 +97,8 @@ def _build_parser():
 def _config_from_flags_constants(args):
     consts = {"theta": args.theta, "rho_LS": args.rho_LS,
               "rho_ls": args.rho_ls, "rho_wls": args.rho_wls,
-              "d": args.d, "a_rule": args.a_rule, "meanfield_variant": False}
+              "d": args.d, "a_rule": args.a_rule,
+              "meanfield_variant": _constant("meanfield_variant")}
     for key, val in (("C_K", args.c_k), ("C_V", args.c_v),
                      ("C_V_theta", args.c_v_theta),
                      ("W_grad_sup", args.w_grad_sup)):

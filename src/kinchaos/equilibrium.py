@@ -19,6 +19,9 @@ from scipy.special import erf
 
 from .potentials import Quadratic, _harmonic_L_W
 
+# the least node count of an Axis
+_MIN_NODES = 16
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -37,8 +40,8 @@ class Axis:
             raise ValueError("axis bounds must be finite")
         if self.hi <= self.lo:
             raise ValueError("axis requires hi > lo")
-        if self.n < 16:
-            raise ValueError("axis requires at least 16 nodes")
+        if self.n < _MIN_NODES:
+            raise ValueError(f"axis requires at least {_MIN_NODES} nodes")
         nodes = np.linspace(self.lo, self.hi, self.n)
         weights = np.full(self.n, self.h)
         weights[0] *= 0.5

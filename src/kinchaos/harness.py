@@ -25,8 +25,8 @@ Config documents are sectioned key = value text:
 
 Values are JSON: numbers, true/false, quoted strings, [lists]; bare words
 read as strings.  Full-line comments start with # or ;.  Parsing collects
-every error (unknown section or key, duplicate key, type mismatch) with line
-numbers instead of stopping at the first.
+every error (unknown section or key, duplicate key, type mismatch, a value
+outside its key's rules) with line numbers instead of stopping at the first.
 
 Six recipes: ergodicity (N-particle relaxation to the Gibbs law),
 meanfield_decay (VFP free energy / entropy / modulated energy decay),
@@ -43,7 +43,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,9 +55,9 @@ from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
-from .equilibrium import (Axis, GridDensity, _closed_form, _has_closed_form,
-                          assemble_f_infty, formal_equilibrium,
-                          solve_rho_infty)
+from .equilibrium import (_MIN_NODES, Axis, GridDensity, _closed_form,
+                          _has_closed_form, assemble_f_infty,
+                          formal_equilibrium, solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
@@ -65,34 +65,64 @@ from .potentials import PotentialSpec, check_assumptions, make_system
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
 
-_RECIPES = ("ergodicity", "meanfield_decay", "chaos_scaling",
-            "concentration", "constants_table", "assumptions")
+# what a rule's relation asks of a value; "one of" takes a tuple of choices
+_RELATIONS = {"at least": operator.ge, "above": operator.gt,
+              "at most": operator.le,
+              "one of": lambda got, choices: got in choices}
 
-# numerics keys per recipe: name -> (type, default); "int_list" is a list of ints
+# the rules that two recipes share
+_STEP = ("above", 0, "the time step")
+_HORIZON = ("above", 0, "the time horizon")
+_W2_CAP = ("at most", _MAX_ASSIGNMENT, "the W2 assignment solver's cap")
+_NODES = ("at least", _MIN_NODES, "the least node count of a grid axis")
+_X_MAX = ("above", 0, "the x grid spans [-x_max, x_max]")
+
+# numerics keys per recipe: name -> (type, default, *rules); "int_list" is a
+# list of ints, whose every entry must keep its rules.  A rule is (relation,
+# bound, why), checked with the key's finiteness on the key's own line
 _NUMERICS_SCHEMA = {
     "ergodicity": {
-        "N": ("int", 64), "dt": ("float", 0.01), "T": ("float", 20.0),
+        "N": ("int", 64, ("at least", 2, "the W2 floor compares two halves "
+                          "of N reference points"), _W2_CAP),
+        "dt": ("float", 0.01, _STEP), "T": ("float", 20.0, _HORIZON),
         "checkpoint_every": ("float", 0.25), "floor_factor": ("float", 2.0),
-        "scheme": ("str", "baoab"),
+        "scheme": ("str", "baoab", ("one of", ("baoab", "euler_maruyama"),
+                                    "the particle integrators")),
     },
     "meanfield_decay": {
-        "nx": ("int", 128), "nv": ("int", 128), "x_max": ("float", 9.0),
-        "v_max": ("float", 9.0), "dt": ("float", 0.002), "T": ("float", 10.0),
-        "checkpoint_every": ("float", 0.05), "n_w2": ("int", 1024),
+        "nx": ("int", 128, _NODES), "nv": ("int", 128, _NODES),
+        "x_max": ("float", 9.0, _X_MAX),
+        "v_max": ("float", 9.0, ("above", 0, "the v grid spans [-v_max, "
+                                 "v_max] / sqrt(beta)")),
+        "dt": ("float", 0.002, _STEP), "T": ("float", 10.0, _HORIZON),
+        "checkpoint_every": ("float", 0.05),
+        "n_w2": ("int", 1024, ("at least", 1, "each W2 checkpoint draws n_w2 "
+                               "points"), _W2_CAP),
         "fit_lo": ("float", 0.15), "fit_hi": ("float", 0.9),
     },
     "chaos_scaling": {
-        "N_list": ("int_list", [8, 16, 32, 64, 128, 256, 512]),
-        "N_mc_list": ("int_list", [8, 32, 128]),
-        "n_mc": ("int", 8), "n_cloud": ("int", 8192),
+        "N_list": ("int_list", [8, 16, 32, 64, 128, 256, 512],
+                   ("at least", 1, "each N is a particle count")),
+        "N_mc_list": ("int_list", [8, 32, 128],
+                      ("at least", 1, "each N is a particle count")),
+        "n_mc": ("int", 8, ("at least", 0, "the sampled repetitions per N; "
+                            "0 skips the sampled check")),
+        "n_cloud": ("int", 8192, ("at least", 1, "each W2 compares two "
+                                  "clouds of n_cloud points")),
     },
     "concentration": {
-        "N_list": ("int_list", [8, 16, 32, 64, 128, 256, 512]),
-        "n_mc": ("int", 200), "nx": ("int", 513), "x_max": ("float", 8.0),
+        "N_list": ("int_list", [8, 16, 32, 64, 128, 256, 512],
+                   ("at least", 2, "each error term sums over the pairs of N "
+                    "particles")),
+        "n_mc": ("int", 200, ("at least", 1, "each N averages its n_mc "
+                              "ensembles")),
+        "nx": ("int", 513, _NODES), "x_max": ("float", 8.0, _X_MAX),
     },
     "constants_table": {},
     "assumptions": {},
 }
+
+_RECIPES = tuple(_NUMERICS_SCHEMA)
 
 _MODEL_SCHEMA = {"gamma": ("float", 1.0), "sigma": ("float", 1.0),
                  "beta": ("float", 1.0)}
@@ -101,52 +131,32 @@ _MODEL_SCHEMA = {"gamma": ("float", 1.0), "sigma": ("float", 1.0),
 # the dynamics, exp(-(gamma/sigma) H), only when sigma * beta = gamma
 _FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
 
-# recipes that fit a slope against N, which needs two distinct N
-_N_SWEEPS = ("chaos_scaling", "concentration")
-# numerics bounds, recipe -> key -> (bound, why): sizes below which a recipe
-# has nothing to compute, time spans that must be positive, and W2 clouds
-# beyond the assignment solver's cap, which would fail only at the first
-# checkpoint
-_LEAST_SIZES = {
-    "ergodicity": {"N": (2, "the W2 floor compares two halves of N "
-                            "reference points")},
-    "meanfield_decay": {"n_w2": (1, "each W2 checkpoint draws n_w2 points")},
-    "chaos_scaling": {
-        "N_list": (1, "each N is a particle count"),
-        "N_mc_list": (1, "each N is a particle count"),
-        "n_cloud": (1, "each W2 compares two clouds of n_cloud points")},
-    "concentration": {
-        "N_list": (2, "each error term sums over the pairs of N particles"),
-        "n_mc": (1, "each N averages its n_mc ensembles")},
-}
-_POSITIVE_SPANS = {
-    recipe: {"dt": (0, "the time step"), "T": (0, "the time horizon")}
-    for recipe in ("ergodicity", "meanfield_decay")}
-_MOST_SIZES = {
-    "ergodicity": {"N": (_MAX_ASSIGNMENT, "the W2 assignment solver's cap")},
-    "meanfield_decay": {
-        "n_w2": (_MAX_ASSIGNMENT, "the W2 assignment solver's cap")},
-}
-_BOUNDS = ((_LEAST_SIZES, operator.lt, "at least"),
-           (_POSITIVE_SPANS, operator.le, "above"),
-           (_MOST_SIZES, operator.gt, "at most"))
 # the ergodicity and meanfield_decay decay fits take at least this many
 # checkpoints (meanfield_decay: inside its fit window)
 _LEAST_CHECKPOINTS = 3
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
+_LOG_SOBOLEV = ("above", 0, "a log-Sobolev constant")
+_GIVEN = ("above", 0, "it replaces the built potential's constant")
+_FISHER = ("above", 0, "the Fisher weight matrix is positive definite")
+
 _CONSTANTS_SCHEMA = {
-    "rho_LS": ("float", 1.0), "rho_ls": ("float", 1.0),
-    "rho_wls": ("float", 1.0), "theta": ("float", 0.25),
-    "d": ("int", 1), "a_rule": ("str", "min"),
+    "rho_LS": ("float", 1.0, _LOG_SOBOLEV),
+    "rho_ls": ("float", 1.0, _LOG_SOBOLEV),
+    "rho_wls": ("float", 1.0, _LOG_SOBOLEV), "theta": ("float", 0.25),
+    "d": ("int", 1, ("at least", 1, "the dimension")),
+    "a_rule": ("str", "min", ("one of", ("remark", "proof", "min"),
+                              "the Theorem 1.4 choices of a")),
     "meanfield_variant": ("bool", False),
-    "C_K": ("float", None), "C_V": ("float", None),
-    "C_V_theta": ("float", None), "W_grad_sup": ("float", None),
+    "C_K": ("float", None, _GIVEN), "C_V": ("float", None, _GIVEN),
+    "C_V_theta": ("float", None, _GIVEN),
+    "W_grad_sup": ("float", None, _GIVEN),
     # weight matrix used by the meanfield_decay Fisher term; the decay
     # theorems hold for "some choice" of weights, this one keeps the
     # modulated energy above W2^2 at desk scale
-    "fisher_delta": ("float", 1.0), "fisher_a": ("float", 1.5),
+    "fisher_delta": ("float", 1.0, _FISHER),
+    "fisher_a": ("float", 1.5, _FISHER),
 }
 
 _EXPERIMENT_SCHEMA = {"recipe": ("str", None), "seed": ("int", 0),
@@ -261,26 +271,51 @@ def _coerce(value, want):
     raise AssertionError(want)
 
 
-def _apply_schema(section_name, entries, schema, errors):
+def _apply_schema(section_name, entries, schema, errors, recipe=None,
+                  finite=True):
+    """The section's values with the defaults filled in.  A key whose value
+    fails its type, its finiteness (unless `finite` is false) or one of its
+    rules is an error on its line and is left out, so the rules that span
+    several keys can tell it failed; a `recipe` is named in rule errors."""
+
     out = {}
     for key, (value, lineno) in entries.items():
         if key not in schema:
             errors.append(f"line {lineno}: unknown key '{key}' in "
                           f"[{section_name}]")
             continue
-        want = schema[key][0]
+        want, _, *rules = schema[key]
         got = _coerce(value, want)
+        where = f"line {lineno}: [{section_name}] {key}"
         if got is None:
-            errors.append(f"line {lineno}: [{section_name}] {key} must be "
-                          f"{want}, got {value!r}")
+            errors.append(f"{where} must be {want}, got {value!r}")
             continue
-        out[key] = got
-    for key, (want, default) in schema.items():
-        if key not in out and default is not None:
+        if finite and isinstance(got, float) and not math.isfinite(got):
+            # NaN passes every bound and infinity some
+            errors.append(f"{where} must be finite, got {got}")
+            continue
+        many = isinstance(got, list)
+        for relation, bound, why in rules:
+            if not all(_RELATIONS[relation](item, bound)
+                       for item in (got if many else [got])):
+                if relation == "one of":
+                    bound = ", ".join(bound)
+                for_recipe = f" for recipe '{recipe}'" if recipe else ""
+                errors.append(f"{where}{' entries' * many} must be "
+                              f"{relation} {bound}{for_recipe} ({why}), got "
+                              f"{got!r}")
+                break
+        else:
+            out[key] = got
+    for key, (_, default, *_) in schema.items():
+        if key not in entries and default is not None:
             out[key] = default
     return out
 
 
+# the families of a [potential] section that leaves one out; a document
+# without the section takes the baseline pair
+_DEFAULT_FAMILIES = {"v_family": "quadratic", "w_family": "zero"}
 _DEFAULT_POTENTIAL = {"v_family": "quadratic", "v_curvature": 1.0,
                       "w_family": "harmonic_W", "w_L_W": 0.25}
 
@@ -296,11 +331,7 @@ def _validate_potential(entries, errors):
         else:
             errors.append(f"line {lineno}: unknown key '{key}' in [potential]"
                           "; parameters take v_/w_ prefixes")
-    if not entries:
-        out.update(_DEFAULT_POTENTIAL)
-    out.setdefault("v_family", "quadratic")
-    out.setdefault("w_family", "zero")
-    return out
+    return {**_DEFAULT_FAMILIES, **(out or _DEFAULT_POTENTIAL)}
 
 
 def _lines(entries, pick):
@@ -312,10 +343,11 @@ def _lines(entries, pick):
     return f"line {', '.join(map(str, lines))}"
 
 
-def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
-                         errors):
-    """Fluctuation-dissipation, the numerics bounds, the N sweep, the closed
-    form and W != 0, asked of the built spec and model, line-numbered."""
+def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
+    """The rules that span several keys: fluctuation-dissipation, the step
+    counts and checkpoints, distinct N, the closed form and W != 0, asked of
+    the built spec and model, line-numbered.  A key that failed its own rules
+    is missing from `numerics`, and the rules that read it are skipped."""
 
     gap = 0.0 if params is None \
         else params.sigma * params.beta - params.gamma
@@ -325,27 +357,9 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
             f"{lines}: recipe '{recipe}' needs sigma * beta = gamma (its "
             f"oracles use the law at beta, the dynamics are stationary at "
             f"exp(-(gamma/sigma) H)), got sigma * beta - gamma = {gap!r}")
-    # NaN passes every bound and infinity some; the defaults are finite
-    bad = set()
-    for key, got in numerics.items():
-        if isinstance(got, float) and not math.isfinite(got):
-            bad.add(key)
-            errors.append(f"line {sections['numerics'][key][1]}: [numerics] "
-                          f"{key} must be finite, got {got}")
-    for table, breaks, relation in _BOUNDS:
-        for key, (bound, why) in table.get(recipe, {}).items():
-            got = numerics[key]
-            many = isinstance(got, list)
-            if key not in bad and any(breaks(g, bound)
-                                      for g in (got if many else [got])):
-                bad.add(key)
-                line = sections["numerics"][key][1]  # the defaults pass
-                errors.append(
-                    f"line {line}: [numerics] {key}{' entries' * many} must "
-                    f"be {relation} {bound} for recipe '{recipe}' ({why}), "
-                    f"got {got}")
+    # the recipes with a time span: ergodicity and meanfield_decay
     spans = ("T", "dt", "checkpoint_every")
-    if recipe in _POSITIVE_SPANS and not bad.intersection(spans):
+    if all(key in numerics for key in spans):
         # the defaults pass, so at least one of the spans is set
         lines = _lines(sections.get("numerics", {}), lambda key: key in spans)
         got = ", ".join(f"{key} = {numerics[key]}" for key in spans)
@@ -361,7 +375,7 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                     f"{lines}: [numerics] {got} give {count} checkpoint(s) "
                     f"for recipe 'ergodicity', whose decay fit needs at "
                     f"least {_LEAST_CHECKPOINTS}")
-        elif not bad.intersection(("fit_lo", "fit_hi")):
+        elif "fit_lo" in numerics and "fit_hi" in numerics:
             window = [numerics[key] * numerics["T"]
                       for key in ("fit_lo", "fit_hi")]
             count = _checkpoints_within(numerics, *window)
@@ -375,7 +389,8 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                     f"in the fit window [fit_lo T, fit_hi T] = {window} for "
                     f"recipe 'meanfield_decay', whose decay fits need at "
                     f"least {_LEAST_CHECKPOINTS}")
-    if recipe in _N_SWEEPS and len(set(numerics["N_list"])) < 2:
+    # every recipe with an N_list fits a slope against N
+    if "N_list" in numerics and len(set(numerics["N_list"])) < 2:
         line = sections["numerics"]["N_list"][1]  # the default passes
         errors.append(f"line {line}: [numerics] N_list needs at least two "
                       f"distinct values for recipe '{recipe}', got "
@@ -398,7 +413,8 @@ def _check_recipe_inputs(recipe, sections, spec, params, consts, numerics,
                           f"interaction W: with W = 0 every error term is "
                           f"exactly 0, so there is no slope against N to "
                           f"fit")
-        elif recipe == "constants_table" and consts.get("C_K") is None:
+        elif (recipe == "constants_table"
+              and "C_K" not in sections.get("constants", {})):
             errors.append(f"{lines}: recipe 'constants_table' with W = 0 "
                           f"has C_K = 0, and the rate constants need "
                           f"C_K > 0: set [constants] C_K")
@@ -433,8 +449,9 @@ def parse_config(text):
         side = exc.side.lower() + "_"
         lines = _lines(entries, lambda key: key.startswith(side))
         errors.append(f"{lines}: {exc}")
+    # ModelParams checks finiteness, on the lines of the [model] section
     model = _apply_schema("model", sections.get("model", {}), _MODEL_SCHEMA,
-                          errors)
+                          errors, finite=False)
     try:
         params = ModelParams(**model)
     except ValueError as exc:
@@ -445,11 +462,10 @@ def parse_config(text):
 
     numerics = {}
     if recipe is not None:
-        schema = _NUMERICS_SCHEMA[recipe]
         numerics = _apply_schema("numerics", sections.get("numerics", {}),
-                                 schema, errors)
-        _check_recipe_inputs(recipe, sections, spec, params, consts,
-                             numerics, errors)
+                                 _NUMERICS_SCHEMA[recipe], errors, recipe)
+        _check_recipe_inputs(recipe, sections, spec, params, numerics,
+                             errors)
 
     if errors:
         raise ConfigError(errors)
@@ -582,18 +598,26 @@ def _schedule(num):
             max(1, round(num["checkpoint_every"] / num["dt"])))
 
 
-def _checkpoints_within(num, t0, t1):
-    """How many checkpoint records of a run fall in [t0, t1]: one at t = 0,
-    one every `every` steps and one after the last step.  Step k is taken at
-    t = k dt; the runners add dt up step by step, so the window ends get a
-    slack of 1e-6 steps, which counts a record on the edge as inside."""
+def _window_steps(num, t0, t1):
+    """(first, last) step of a run inside the time window [t0, t1].  Step k
+    is taken at t = k dt; the runners add dt up step by step, so the window
+    ends get a slack of 1e-6 steps, which counts a record on the edge as
+    inside."""
 
-    n_steps, every = _schedule(num)
+    n_steps, _ = _schedule(num)
     # the window ends in steps, clipped to [-1, n_steps + 1] so that no
     # infinite quotient reaches ceil or floor
     lo, hi = (min(max(t / num["dt"] + slack, -1.0), n_steps + 1.0)
               for t, slack in ((t0, -1e-6), (t1, 1e-6)))
-    first, last = max(0, math.ceil(lo)), min(n_steps, math.floor(hi))
+    return max(0, math.ceil(lo)), min(n_steps, math.floor(hi))
+
+
+def _checkpoints_within(num, t0, t1):
+    """How many checkpoint records of a run fall in [t0, t1]: one at t = 0,
+    one every `every` steps and one after the last step."""
+
+    n_steps, every = _schedule(num)
+    first, last = _window_steps(num, t0, t1)
     if first > last:
         return 0
     count = last // every - (first - 1) // every
@@ -702,6 +726,7 @@ def _run_meanfield_decay(cfg, report, threads):
         return E_M.free_energy_gap, H_formal, E_M.fisher, E_M.total
 
     rows = []
+    steps = [0]  # the step of each row
     w2_rows = []
     F0 = free_energy(state, spec, params).total
     H_W0, H_f0, I_M0, E_M0 = functionals(state, F0)
@@ -723,6 +748,7 @@ def _run_meanfield_decay(cfg, report, threads):
         if at_checkpoint:
             rows.append((state.time, F_now, H_W, H_formal, I_M, E_M,
                          1.0 + state.mass_drift))
+            steps.append(k)
         if k in w2_times:
             a = state.density.sample_phase(rng.sampler(100 + w2_idx),
                                            num["n_w2"])
@@ -731,10 +757,14 @@ def _run_meanfield_decay(cfg, report, threads):
             w2_rows.append((state.time, w2sq, E_M))
             w2_idx += 1
 
-    ts = np.array([r[0] for r in rows])
+    # the fits take the records that the config's window rule counted,
+    # picked by step, not by the summed time stamps
     window = (num["fit_lo"] * T, num["fit_hi"] * T)
-    fit_H = fit_decay(ts, np.array([r[3] for r in rows]), window)
-    fit_EM = fit_decay(ts, np.array([r[5] for r in rows]), window)
+    first, last = _window_steps(num, *window)
+    fit_rows = np.array([row for k, row in zip(steps, rows)
+                         if first <= k <= last])
+    fit_H, fit_EM = (replace(fit_decay(fit_rows[:, 0], fit_rows[:, column]),
+                             window=window) for column in (3, 5))
 
     report.add_table("decay", ("t", "F", "H_W", "H_formal", "I_M", "E_M",
                                "mass"), rows)

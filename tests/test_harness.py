@@ -300,6 +300,46 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
     (MEANFIELD_SMALL + "fit_lo = 0.9\nfit_hi = 0.15\n",
      "line 5, 7, 8, 9: [numerics] T = 0.04, dt = 0.002, checkpoint_every = "
      "0.01, fit_lo = 0.9, fit_hi = 0.15 give 0 checkpoint(s)"),
+    # an unnumbered 'unknown scheme' after set-up and the reference W2 at
+    # the parent
+    (MINIMAL_ERGODICITY + "scheme = rk4\n",
+     "line 9: [numerics] scheme must be one of baoab, euler_maruyama for "
+     "recipe 'ergodicity' (the particle integrators), got 'rk4'"),
+    # an unnumbered 'axis requires ...' at the parent
+    (MEANFIELD_SMALL.replace("nx = 64", "nx = 15"),
+     "line 6: [numerics] nx must be at least 16 for recipe 'meanfield_decay' "
+     "(the least node count of a grid axis), got 15"),
+    (MEANFIELD_SMALL + "nv = 8\n",
+     "line 8: [numerics] nv must be at least 16 for recipe 'meanfield_decay'"),
+    (MEANFIELD_SMALL + "x_max = 0\n",
+     "line 8: [numerics] x_max must be above 0 for recipe 'meanfield_decay' "
+     "(the x grid spans [-x_max, x_max]), got 0.0"),
+    (MEANFIELD_SMALL + "v_max = -9\n",
+     "line 8: [numerics] v_max must be above 0 for recipe 'meanfield_decay'"),
+    (CONCENTRATION_SMALL + "nx = 8\n",
+     "line 17: [numerics] nx must be at least 16 for recipe 'concentration'"),
+    (CONCENTRATION_SMALL + "x_max = -8\n",
+     "line 17: [numerics] x_max must be above 0 for recipe 'concentration'"),
+    # ran like n_mc = 0, exit 0, at the parent
+    (CHAOS_SMALL.replace("n_mc = 4", "n_mc = -3"),
+     "line 9: [numerics] n_mc must be at least 0 for recipe 'chaos_scaling' "
+     "(the sampled repetitions per N; 0 skips the sampled check), got -3"),
+    # thm15_C_front = 0.0 and exit 0 at the parent
+    (MEANFIELD_SMALL + "[constants]\nrho_LS = -1\n",
+     "line 9: [constants] rho_LS must be above 0 (a log-Sobolev constant), "
+     "got -1.0"),
+    # an unnumbered 'rho_LS must be positive and finite' at the parent
+    (MINIMAL_ERGODICITY + "[constants]\nrho_LS = -1\n",
+     "line 10: [constants] rho_LS must be above 0"),
+    # an unnumbered "a_rule must be 'remark', 'proof' or 'min'" at the parent
+    ("[experiment]\nrecipe = constants_table\n[constants]\na_rule = foo\n",
+     "line 4: [constants] a_rule must be one of remark, proof, min (the "
+     "Theorem 1.4 choices of a), got 'foo'"),
+    ("[experiment]\nrecipe = constants_table\n[constants]\nC_K = 0\n",
+     "line 4: [constants] C_K must be above 0 (it replaces the built "
+     "potential's constant), got 0.0"),
+    ("[experiment]\nrecipe = assumptions\n[constants]\ntheta = NaN\n",
+     "line 4: [constants] theta must be finite, got nan"),
 ], ids=["concentration_N_0", "concentration_N_negative", "concentration_N_1",
         "concentration_n_mc_0", "ergodicity_N_1", "chaos_scaling_N_0",
         "chaos_scaling_N_mc_0", "chaos_scaling_n_cloud_0",
@@ -313,7 +353,13 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
         "ergodicity_steps_overflow", "meanfield_decay_steps_overflow",
         "meanfield_decay_no_window_checkpoint",
         "meanfield_decay_two_window_checkpoints",
-        "meanfield_decay_empty_window"])
+        "meanfield_decay_empty_window", "ergodicity_scheme_rk4",
+        "meanfield_decay_nx_15", "meanfield_decay_nv_8",
+        "meanfield_decay_x_max_0", "meanfield_decay_v_max_negative",
+        "concentration_nx_8", "concentration_x_max_negative",
+        "chaos_scaling_n_mc_negative", "meanfield_decay_rho_LS_negative",
+        "ergodicity_rho_LS_negative", "constants_table_a_rule_foo",
+        "constants_table_C_K_0", "assumptions_theta_nan"])
 def test_sizes_without_work_are_config_errors(text, message, tmp_path,
                                               capsys):
     with pytest.raises(ConfigError) as err:
@@ -324,6 +370,53 @@ def test_sizes_without_work_are_config_errors(text, message, tmp_path,
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def _past(want, relation, bound):
+    """A value of type `want` just past a rule's bound, as config text."""
+
+    if relation == "one of":
+        return json.dumps("not " + " or ".join(bound))
+    sign = {"at least": -1, "above": 0, "at most": 1}[relation]
+    if want == "float":
+        return repr(float(np.nextafter(bound, sign * math.inf)) if sign
+                    else float(bound))
+    return json.dumps([bound + sign] if want == "int_list" else bound + sign)
+
+
+SCHEMA_RULES = [
+    (recipe, "numerics", key, entry[0], rule)
+    for recipe, schema in harness._NUMERICS_SCHEMA.items()
+    for key, entry in schema.items() for rule in entry[2:]] + [
+    ("constants_table", "constants", key, entry[0], rule)
+    for key, entry in harness._CONSTANTS_SCHEMA.items()
+    for rule in entry[2:]]
+
+
+@pytest.mark.parametrize(
+    "recipe, section, key, want, rule", SCHEMA_RULES,
+    ids=[f"{recipe}-{key}-{rule[0].replace(' ', '_')}"
+         for recipe, _, key, _, rule in SCHEMA_RULES])
+def test_each_schema_rule_refuses_a_value_just_past_its_bound(
+        recipe, section, key, want, rule):
+    # each rule, read from the schema, is its own negative control: a key set
+    # just past its bound is one error, on that key's line
+    relation, bound, why = rule
+    value = _past(want, relation, bound)
+    text = f"[experiment]\nrecipe = {recipe}\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith(f"line 4: [{section}] {key}")
+    assert f" must be {relation} " in err.value.errors[0]
+    assert f"({why})" in err.value.errors[0]
+
+
+@pytest.mark.parametrize("recipe", harness._RECIPES)
+def test_bare_config_of_each_recipe_parses(recipe):
+    cfg = parse_config(f"[experiment]\nrecipe = {recipe}\n")
+    assert cfg.numerics == {key: entry[1] for key, entry in
+                            harness._NUMERICS_SCHEMA[recipe].items()}
 
 
 def test_ergodicity_runs_with_three_checkpoints(tmp_path):
@@ -340,6 +433,20 @@ def test_meanfield_decay_runs_with_three_window_checkpoints(tmp_path):
     report, _ = run_to_dir(MEANFIELD_SMALL, tmp_path)
     assert report.scalars["fit_H"]["n_used"] == 3
     assert report.scalars["fit_E_M"]["n_used"] == 3
+
+
+def test_meanfield_decay_fits_the_records_the_window_rule_counts(tmp_path,
+                                                                 capsys):
+    # the last record, t = 0.04000000000000002 summed step by step, sits on
+    # the window end fit_hi T = 0.04; the rule counts it, so the fits take it
+    # (exit 2 with 'need at least 3 positive points' at the parent)
+    cfg = write_cfg(tmp_path, MEANFIELD_SMALL + "fit_lo = 0.5\nfit_hi = 1.0\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for fit in ("fit_H", "fit_E_M"):
+        assert report["scalars"][fit]["n_used"] == 3
+        assert report["scalars"][fit]["window"] == [0.02, 0.04]
 
 
 @pytest.mark.parametrize("potential, named", [
@@ -598,6 +705,19 @@ T = 0.8
 """)
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_negative_cell_exit_code(tmp_path, capsys):
+    # 16 velocity nodes on [-9, 9] are too coarse for the first step's
+    # stencil: a cell goes negative, and the run stops there
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = meanfield_decay\n"
+                    "[numerics]\nnv = 16\nnx = 64\nT = 0.01\n"
+                    "checkpoint_every = 0.002\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: cell (37,13) went negative (-6.501e-06) after "
+        "step 1")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -441,6 +441,16 @@ def test_relative_entropy_nonnegative_random_pairs():
         assert relative_entropy_grid(f, g) >= -1e-10
 
 
+def test_relative_entropy_infinite_where_g_vanishes_on_supp_f():
+    # g = 0 on x > 0, where f has mass: f is not absolutely continuous
+    ax = Axis(-10.0, 10.0, 256)
+    f = GridDensity.from_values(ax, np.exp(-ax.nodes**2 / 2))
+    g = GridDensity.from_values(ax, np.where(ax.nodes < 0,
+                                             np.exp(-ax.nodes**2 / 2), 0.0))
+    assert relative_entropy_grid(f, g) == math.inf
+    assert relative_entropy_grid(g, f) < math.inf
+
+
 def test_relative_entropy_grid_mismatch(f_inf):
     other = gaussian_phase(Axis(-12.0, 12.0, 128), f_inf.v_axis,
                            0.0, 0.0, 1.0, 1.0)

@@ -1,6 +1,7 @@
 """Potential families, the pair energy, and the structural assumption
 checker."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -436,6 +437,43 @@ def test_quadratic_tail_fails_at_quartic_theta(baseline_spec):
     # V with bounded Hessian cannot satisfy the theta=1/4 tail inequality
     report = check_assumptions(baseline_spec, theta=0.25)
     assert report.status("A3") == "fail"
+
+
+# the A3 weighted-Hessian bound holds for any declared C_V_theta this large,
+# so only the tail conditions decide the verdict
+_NO_WEIGHT_BOUND = 1e300
+
+
+def test_a3_refuses_a_tail_laplacian_not_below_the_gradient():
+    # V = 1e-9 x^2 / 2: laplacian / |grad V|^2 = 1e9 / x^2 >= 1 out to
+    # |x| = 3e4, so kappa_1 < 1 fails on the tail net
+    spec = make_system("quadratic", {"curvature": 1e-9})
+    spec = dataclasses.replace(spec, C_V_theta=_NO_WEIGHT_BOUND)
+    verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
+    assert verdict.status == "fail"
+    assert "not < 1 on tail" in verdict.note
+    assert verdict.margin == pytest.approx(1.0 - 1e5)
+
+
+def test_a3_refuses_a_decaying_tail_ratio():
+    # V = x^2 / 2 at theta = 1/4: |grad V|^2 / V^(3/2) = 2^(3/2) / |x| decays
+    # with log-log slope -1
+    spec = dataclasses.replace(make_system("quadratic"),
+                               C_V_theta=_NO_WEIGHT_BOUND)
+    verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
+    assert verdict.status == "fail"
+    assert "decays on the tail" in verdict.note
+    assert verdict.margin == pytest.approx(2 ** 1.5 / 1e3)
+
+
+def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
+    # harmonic W with L_W = 0.25 declares C_K = 0.25; a spec that declares
+    # 0.1 understates sup |hess W|
+    spec = dataclasses.replace(baseline_spec, C_K=0.1)
+    verdict = check_assumptions(spec).verdicts["A4"]
+    assert verdict.status == "fail"
+    assert "measured sup|hess W| = 0.25 above C_K" in verdict.note
+    assert verdict.margin == pytest.approx(-0.15)
 
 
 def test_assumption_determinism(baseline_spec):
