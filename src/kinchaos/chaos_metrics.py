@@ -19,6 +19,7 @@ positions are iid under rho (independent velocities make R3 mean zero).
 """
 
 import math
+import time
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -29,7 +30,8 @@ from scipy.special import digamma, gammaln
 
 from .dynamics import sample_f_infty
 from .kinetic_pde import _line_fit
-from .potentials import _panel_height, pair_panels
+from .potentials import (_pair_entries, _panel_entries, _panel_height, _view,
+                         pair_panels)
 
 _MAX_ASSIGNMENT = 4096
 # a covariance or OT map whose least eigenvalue is at most this fraction of
@@ -266,7 +268,9 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
     K' = -hess W even, so a panel's column sums reach the rows after it
     with the signs - and +, and the sign of K is applied once, in the
     division by -N.  K and K' of a panel come from one evaluation of W,
-    which a radial W serves from one |x|, W'/s and W''.  The convolution
+    which a radial W serves from one |x|, W'/s and W''.  The panels, W's
+    derivatives and the products with v are evaluated into six buffers of
+    the first panel's size, allocated once per call.  The convolution
     tables are linearly interpolated at the particle positions.  A particle
     off their grid is a ValueError, raised before any pair sum, that names
     it and, when the stack holds repetitions first, first + 1, ... of a
@@ -284,8 +288,11 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
     R, N = x.shape
     terms = np.zeros((3, R, N))
     s0, s1, s3 = terms
-    for rows, diff, self_pairs in pair_panels(x[..., None]):
-        grad, hess = spec.W._grad_hess(diff)
+    # rows: the panel, then W's scratch (RadialField._grad_hess); the
+    # products with v go over the panel, which grad and hess no longer need
+    work = np.empty((6, _panel_entries((R, N, 1))))
+    for rows, diff, self_pairs in pair_panels(x[..., None], out=work[0]):
+        grad, hess = spec.W._grad_hess(diff, out=work[1:6])
         g = grad[..., 0]
         h = hess[..., 0, 0]
         g[self_pairs] = 0.0
@@ -297,8 +304,12 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
         s0[:, after] -= g[..., tail].sum(axis=-2)
         s1[:, rows] += h.sum(axis=-1)
         s1[:, after] += h[..., tail].sum(axis=-2)
-        s3[:, rows] += (h * v[:, None, rows.start:]).sum(axis=-1)
-        s3[:, after] += (h[..., tail] * v[:, rows, None]).sum(axis=-2)
+        hv = np.multiply(h, v[:, None, rows.start:],
+                         out=_view(work, h.shape, 0))
+        s3[:, rows] += hv.sum(axis=-1)
+        hv = np.multiply(h[..., tail], v[:, rows, None],
+                         out=_view(work, h[..., tail].shape, 0))
+        s3[:, after] += hv.sum(axis=-2)
     terms /= -N
     s0 -= np.interp(x, axis.nodes, tables[0])
     s1 -= np.interp(x, axis.nodes, tables[1])
@@ -459,6 +470,9 @@ class ConcentrationResult:
     terms: tuple
     rows: tuple          # ConcentrationRow per (N, term), in n_values order
     fits: dict           # term -> (slope, slope_se, r2) or None when flat
+    # per N, in n_values order: N, the point's wall and thread CPU seconds
+    # and the pair entries it evaluated; for the report, never the CSVs
+    timings: tuple = ()
 
     def table(self, term):
         return [(r.N, r.mean_aggregate, r.se) for r in self.rows
@@ -491,7 +505,10 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     largest N (the costliest point) submitted first, with identical results
     for any count.  Per term a log-log slope over N follows.  Zero kernels
     yield identically zero aggregates and fits of None.  Every N needs a
-    pair (N >= 2), and each point at least one ensemble.
+    pair (N >= 2), and each point at least one ensemble.  Each point's wall
+    time and the CPU time of the thread that ran it (time.thread_time, which
+    GIL waits do not inflate) go in `timings` with its pair entries,
+    n_mc * potentials._pair_entries(N, 1).
     """
 
     if n_mc < 1 or min(n_values) < 2:
@@ -505,6 +522,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     ranked = sorted(range(n_points), key=lambda i: n_values[i])
 
     def one_point(k):
+        wall, cpu = time.perf_counter(), time.thread_time()
         point_rng = rng.derive(20_000 * (k + 1))
         N = n_values[ranked[k]]
         size = _stack_size(N)
@@ -517,16 +535,19 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
                                               substream=s)
             aggs[:, first:stack.stop] = _mean_squares(
                 _error_terms(x, vel, spec, rho_inf, tables, first))
-        return aggs
+        return aggs, {"N": int(N),
+                      "wall_seconds": time.perf_counter() - wall,
+                      "thread_seconds": time.thread_time() - cpu,
+                      "pair_entries": n_mc * _pair_entries(N, 1)}
 
     # a point costs O(n_mc N²): with the largest first, the pool's last busy
     # thread finishes on a small point
     largest_first = _map_indexed(lambda j: one_point(n_points - 1 - j),
                                  n_points, threads)
-    aggs_at = dict(zip(reversed(ranked), largest_first))
+    done_at = dict(zip(reversed(ranked), largest_first))
     rows = []
     for i, N in enumerate(n_values):
-        for t, vals in zip(terms, aggs_at[i]):
+        for t, vals in zip(terms, done_at[i][0]):
             se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
             rows.append(ConcentrationRow(t, int(N), float(vals.mean()), se))
     fits = {}
@@ -535,4 +556,6 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
         # a slope needs at least two N values and strictly positive means
         fits[t] = (None if len(n_values) < 2 or np.any(means <= 0)
                    else loglog_fit(n_values, means))
-    return ConcentrationResult(terms=terms, rows=tuple(rows), fits=fits)
+    return ConcentrationResult(
+        terms=terms, rows=tuple(rows), fits=fits,
+        timings=tuple(done_at[i][1] for i in range(n_points)))

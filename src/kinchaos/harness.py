@@ -144,7 +144,9 @@ _FISHER = ("above", 0, "the Fisher weight matrix is positive definite")
 _CONSTANTS_SCHEMA = {
     "rho_LS": ("float", 1.0, _LOG_SOBOLEV),
     "rho_ls": ("float", 1.0, _LOG_SOBOLEV),
-    "rho_wls": ("float", 1.0, _LOG_SOBOLEV), "theta": ("float", 0.25),
+    "rho_wls": ("float", 1.0, _LOG_SOBOLEV),
+    "theta": ("float", 0.25, ("above", 0, "the weight exponent of the "
+                              "Hessian growth condition")),
     "d": ("int", 1, ("at least", 1, "the dimension")),
     "a_rule": ("str", "min", ("one of", ("remark", "proof", "min"),
                               "the Theorem 1.4 choices of a")),
@@ -888,6 +890,7 @@ def _run_concentration(cfg, report, threads):
 
     result = concentration_check(spec, rho_inf, params, num["N_list"],
                                  num["n_mc"], rng, threads)
+    report.timings["sweep_points"] = list(result.timings)
     rows = []
     for k, t in enumerate(result.terms):
         slope, slope_se, r2 = result.fits[t] or (math.nan,) * 3

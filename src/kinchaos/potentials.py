@@ -46,9 +46,16 @@ class Field:
     def hess(self, x):
         raise NotImplementedError
 
-    def _grad_hess(self, x):
+    def _grad(self, x, out=None):
+        """grad(x) for a pair sum; a radial field evaluates it into the
+        scratch rows `out` (RadialField._grad)."""
+
+        return self.grad(x)
+
+    def _grad_hess(self, x, out=None):
         """(grad(x), hess(x)) in one call; radial fields share the norm and
-        the radial derivatives between the two."""
+        the radial derivatives between the two and evaluate into the scratch
+        rows `out` (RadialField._grad_hess)."""
 
         return self.grad(x), self.hess(x)
 
@@ -115,48 +122,80 @@ class Quadratic(Field):
 class RadialField(Field):
     """Potential depending on s = |x| only.
 
-    Subclasses provide _v(s) and _w12(s) = (W'(s)/s, W''(s)), each formula
-    written once; the gradient is (W'/s) x and the Hessian splits into the
-    radial eigenvalue W'' and the tangential eigenvalue W'/s.
+    Subclasses provide _v(s) and _w12(t, out) = (W'(s)/s, W''(s)) as
+    functions of t = s² = |x|², each formula written once; the gradient is
+    (W'/s) x and the Hessian splits into the radial eigenvalue W'' and the
+    tangential eigenvalue W'/s.  _w12 takes the squared radius because the
+    Coulomb power form at k = 2 needs no more; the other families take
+    s = sqrt(t), the bits of |x|.
+
+    A pair sum passes `out`, a (5, n) float array with n at least the
+    entries of x, to _grad and _grad_hess: its rows take |x|², W'/s, W'',
+    the scratch of _w12 and the gradient, so a panel forms no new array of
+    its size.  A _w12 may leave out alone and return fresh arrays, as all
+    but the Coulomb power form at k = 2 do.  The arithmetic is the same
+    with and without `out`, and so are the bits.
     """
 
     def _v(self, s):
         raise NotImplementedError
 
-    def _w12(self, s):
+    def _w12(self, t, out=None):
         raise NotImplementedError
 
-    def _norm(self, x):
+    @staticmethod
+    def _sq_norm(x, out=None):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] == 1:
             # a sum over one entry returns that entry: the same bits
-            return np.sqrt(x[..., 0] ** 2)
-        return np.sqrt(np.sum(x**2, axis=-1))
+            return np.square(x[..., 0], out=out)
+        return np.sum(x**2, axis=-1, out=out)
+
+    def _norm(self, x):
+        return np.sqrt(self._sq_norm(x))
+
+    def _radial(self, x, out):
+        """|x|², W'/s and W'' of x, into rows 0 to 3 of `out` when given."""
+
+        rows = [None] * 4 if out is None else [
+            _view(row, x.shape[:-1]) for row in out[:4]]
+        t = self._sq_norm(x, out=rows[0])
+        return (t, *self._w12(t, out=None if out is None else rows[1:]))
 
     def value(self, x):
         return self._v(self._norm(x))
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._w12(self._norm(x))[0][..., None] * x
+        return self._grad(x)
 
     def hess(self, x):
         return self._grad_hess(x)[1]
 
-    def _grad_hess(self, x):
+    def _grad(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        s = self._norm(x)
-        w1, w2 = self._w12(s)
-        return w1[..., None] * x, self._radial_hess(x, s, w1, w2)
+        w1 = self._radial(x, out)[1]
+        return np.multiply(w1[..., None], x, out=_view(out, x.shape, 4))
+
+    def _grad_hess(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        t, w1, w2 = self._radial(x, out)
+        return (np.multiply(w1[..., None], x, out=_view(out, x.shape, 4)),
+                self._radial_hess(x, t, w1, w2))
 
     @staticmethod
-    def _radial_hess(x, s, w1, w2):
+    def _radial_hess(x, t, w1, w2):
+        """The Hessian from |x|², W'/s and W''; in d = 1 it is written over
+        w2, which the caller gives up."""
+
         d = x.shape[-1]
         if d == 1:
-            # u u^T = 1 exactly for s > 0 whenever x² is a normal float, so
-            # this is the general formula below bit for bit, without its
-            # unit vectors and outer products
-            return (np.where(s > 0, w2 - w1, 0.0) + w1)[..., None, None]
+            # u u^T = 1 exactly for s > 0 whenever x² is a normal float,
+            # and every family's _w12 gives w2 == w1 at s = 0, so w2 - w1
+            # is the 0 that the general formula below puts there: the same
+            # bits, without its unit vectors, outer products and mask
+            aniso = np.subtract(w2, w1, out=w2)
+            return np.add(aniso, w1, out=aniso)[..., None, None]
+        s = np.sqrt(t)
         safe = np.where(s > 0, s, 1.0)
         u = x / safe[..., None]
         outer = u[..., :, None] * u[..., None, :]
@@ -183,9 +222,9 @@ class PowerLaw(RadialField):
     def _v(self, s):
         return self.amp * s**self.k
 
-    def _w12(self, s):
+    def _w12(self, t, out=None):
         amp, k = self.amp, self.k
-        p = s ** (k - 2.0)
+        p = np.sqrt(t) ** (k - 2.0)
         return amp * k * p, amp * k * (k - 1.0) * p
 
     def params(self):
@@ -222,8 +261,9 @@ class ExpPower(RadialField):
     def _v(self, s):
         return np.exp(self.a * s**self.k)
 
-    def _w12(self, s):
+    def _w12(self, t, out=None):
         a, k = self.a, self.k
+        s = np.sqrt(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             p, e = s ** (k - 2.0), np.exp(a * s**k)
             w1 = a * k * p * e
@@ -316,10 +356,29 @@ class MollifiedCoulomb(RadialField):
         exact = a * np.arctan(u) / safe
         return np.where(small, series, exact)
 
-    def _w12(self, s):
+    def _w12(self, t, out=None):
         # the shared subexpressions evaluated once: s**k, s**k + b**k and
         # -a s**(k-2), or arctan(u), r0² + s² and s³
         a = self.a
+        if self.form == "power" and self.k == 2.0:
+            # one root instead of two powers: with inv = 1/(s² + b²),
+            # W'/s = -a inv^(3/2) and W'' = W'/s (b² - 2s²) inv
+            # = W'/s (1 - 3 s² inv), whose factor is exactly 1 at s = 0;
+            # evaluated in place into out (w1, w2, scratch) or fresh rows
+            if out is None:
+                out = np.empty((3,) + np.shape(t))
+            w1, w2, inv = (row[...] for row in out)
+            np.add(t, self.b**2, out=inv)
+            np.divide(1.0, inv, out=inv)
+            np.sqrt(inv, out=w1)
+            w1 *= inv
+            w1 *= -a
+            np.multiply(t, inv, out=w2)
+            w2 *= -3.0
+            w2 += 1.0
+            w2 *= w1
+            return w1, w2
+        s = np.sqrt(t)
         if self.form == "power":
             k, bk = self.k, self.b**self.k
             sk = s**k
@@ -356,7 +415,7 @@ class MollifiedCoulomb(RadialField):
         # the Hessian's radial and tangential eigenvalues are W'' and W'/s
         scale = self.b if self.form == "power" else self.r0
         s = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 4001) * scale])
-        w1, w2 = map(np.abs, self._w12(s))
+        w1, w2 = map(np.abs, self._w12(s * s))
         return {"C_K": float(np.max(np.maximum(w1, w2))),
                 "W_grad_sup": float(np.max(w1 * s))}
 
@@ -455,7 +514,37 @@ def _panel_height(N, d):
     return max(1, 2**14 // (N * d))
 
 
-def pair_panels(X):
+def _panel_entries(shape):
+    """Entries of the first, and largest, pair panel of an (..., N, d)
+    array: the size of a buffer that holds any of its panels."""
+
+    *stack, N, d = shape
+    return math.prod(stack) * min(_panel_height(N, d), N) * N * d
+
+
+def _pair_entries(N, d):
+    """Pair entries that pair_panels evaluates for one (N, d) array: the
+    N(N-1)/2 pairs i < j plus h(h+1)/2 per panel of h rows, its square's
+    pairs i > j and diagonal."""
+
+    height = _panel_height(N, d)
+    return N * (N - 1) // 2 + sum(
+        h * (h + 1) // 2 for h in (min(height, N - start)
+                                   for start in range(0, N, height)))
+
+
+def _view(buf, shape, row=None):
+    """The leading entries of a flat buffer, or of row `row` of a 2-D one,
+    as a C-contiguous array of `shape`; None without a buffer."""
+
+    if buf is None:
+        return None
+    if row is not None:
+        buf = buf[row]
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def pair_panels(X, out=None):
     """Upper pair panels of the differences x_i - x_j of an (..., N, d) array.
 
     Yields (rows, diff, self_pairs): the slice a..e-1 of i covered by the
@@ -469,7 +558,12 @@ def pair_panels(X):
     gives, so W must be even.  The panel height, _panel_height(N, d), fixes
     the summation order of every result, the same for each slice of a stack
     as for the slice alone; panels of about 2**14 pair entries (128 KiB)
-    keep the temporaries in cache and in the allocator's free lists.
+    keep the temporaries in cache.
+
+    Each panel's differences are a fresh array, or, given `out`, a flat
+    float buffer of at least _panel_entries(X.shape) entries, its leading
+    entries: then a panel holds until the next is drawn, and the pair sums
+    reuse one buffer for all of them instead of faulting in new pages.
     """
 
     *stack, N, d = X.shape
@@ -478,8 +572,10 @@ def pair_panels(X):
     for start in range(0, N, height):
         stop = min(start + height, N)
         square = np.arange(stop - start)
+        shape = (*stack, stop - start, N - start, d)
         yield (slice(start, stop),
-               X[..., start:stop, None, :] - X[..., None, start:, :],
+               np.subtract(X[..., start:stop, None, :],
+                           X[..., None, start:, :], out=_view(out, shape)),
                lead + (square, square))
 
 
@@ -518,7 +614,8 @@ def pairwise_interaction_energy(spec, X):
     if _harmonic_L_W(spec.W) is not None:
         return float(np.sum(spec.W.value(_centred(X))))
     row_sums = np.zeros(N)
-    for rows, diff, self_pairs in pair_panels(X):
+    for rows, diff, self_pairs in pair_panels(
+            X, out=np.empty(_panel_entries(X.shape))):
         w = spec.W.value(diff)
         w[self_pairs] = 0.0
         row_sums[rows] += w.sum(axis=1)

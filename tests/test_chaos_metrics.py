@@ -1,7 +1,11 @@
 """Wasserstein distances, entropy estimation, and mean-field error terms."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,9 +533,56 @@ def test_error_stats_memory_stays_blocked(mollified_setup):
     assert peak < 4 * 2**20
 
 
+# the measurement runs in a fresh interpreter: glibc serves a large
+# temporary from new pages or from its free lists depending on what the
+# process freed before, so only a fresh process (as a `kinchaos run` is)
+# makes the count repeatable
+FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from kinchaos import chaos_metrics
+from kinchaos.dynamics import ModelParams, RngSpec, sample_f_infty
+from kinchaos.equilibrium import Axis, solve_rho_infty
+from kinchaos.potentials import make_system
+
+spec = make_system("quadratic", {"curvature": 1.0}, "mollified_coulomb",
+                   {"a": 0.2, "b": 1.0, "k": 2.0})
+params = ModelParams(1.0, 1.0, 1.0)
+rho = solve_rho_infty(spec, params, Axis(-8.0, 8.0, 513))
+tables = chaos_metrics.mean_field_tables(spec, rho)
+x, v = np.empty((2, 2, 512))
+for r in range(2):
+    x[r], v[r] = sample_f_infty(rho, params, 512, RngSpec(seed=41),
+                                substream=r)
+chaos_metrics._error_terms(x, v, spec, rho, tables)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    chaos_metrics._error_terms(x, v, spec, rho, tables)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_error_terms_fault_in_no_pages_per_panel():
+    # the panels, W's derivatives and the products with v go into buffers
+    # allocated once per call and reused by every panel: after a warm-up,
+    # 20 calls at N = 512, R = 2 on the coulomb_concentration table grid
+    # fault in 14-19 pages per call (x86-64 Linux, glibc, numpy 2.4), where
+    # a fresh temporary per panel step faulted in 560-900
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(chaos_metrics.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 100
+
+
 def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
                                                      monkeypatch):
-    # K and K' of a panel come from one |x|: one _norm call per pair panel
+    # K and K' of a panel come from one |x|²: one _radial call (the squared
+    # norm, W'/s and W'') per pair panel
     spec, params, rho = mollified_setup
     tables = mean_field_tables(spec, rho)
     gen = np.random.default_rng(300)
@@ -539,13 +590,13 @@ def test_error_stats_one_radial_evaluation_per_block(mollified_setup,
     n_panels = len(list(pair_panels(x)))
     assert n_panels == 6
     calls = []
-    norm = RadialField._norm
+    radial = RadialField._radial
 
-    def counted(self, diff):
+    def counted(self, diff, out):
         calls.append(diff.shape)
-        return norm(self, diff)
+        return radial(self, diff, out)
 
-    monkeypatch.setattr(RadialField, "_norm", counted)
+    monkeypatch.setattr(RadialField, "_radial", counted)
     error_statistics(PhaseEnsemble(x, gen.standard_normal((300, 1))), spec,
                      rho, tables=tables)
     assert len(calls) == n_panels

@@ -17,6 +17,7 @@ from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                               sample_f_infty)
 from kinchaos.errors import ConfigError
 from kinchaos.harness import parse_config, run_experiment, write_report
+from kinchaos.potentials import pair_panels
 
 MINIMAL_ERGODICITY = """
 [experiment]
@@ -592,6 +593,40 @@ def test_thread_count_does_not_change_output(tmp_path):
         assert blobs_a.keys() == blobs_b.keys()
         for name in blobs_a:
             assert blobs_a[name] == blobs_b[name], (threads, name)
+
+
+def test_concentration_report_times_each_sweep_point(tmp_path):
+    # report.json, and never a CSV, carries per sweep point its N, wall and
+    # thread CPU seconds and the pair entries it evaluated: n_mc times
+    # N(N-1)/2 plus h(h+1)/2 per panel of h rows (N = 300: six panels)
+    text = CONCENTRATION_SMALL.replace("N_list = [8, 16, 32, 64]",
+                                       "N_list = [8, 300]").replace(
+        "n_mc = 40", "n_mc = 3")
+    blobs = {}
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        report, paths = run_to_dir(text, out, threads=threads)
+        points = report.timings["sweep_points"]
+        assert [p["N"] for p in points] == [8, 300]
+        for p in points:
+            assert set(p) == {"N", "wall_seconds", "thread_seconds",
+                              "pair_entries"}
+            assert p["wall_seconds"] > 0 and p["thread_seconds"] >= 0
+            N = p["N"]
+            panels = list(pair_panels(np.zeros((N, 1))))
+            heights = [rows.stop - rows.start for rows, _, _ in panels]
+            assert p["pair_entries"] == 3 * (
+                N * (N - 1) // 2 + sum(h * (h + 1) // 2 for h in heights))
+            assert p["pair_entries"] == 3 * sum(diff.size
+                                                for _, diff, _ in panels)
+        assert len(heights) == 6
+        with open(out / "report.json", encoding="utf-8") as fh:
+            assert json.load(fh)["timings"]["sweep_points"] == points
+        blobs[threads] = read_outputs(paths)
+        assert blobs[threads]
+        for blob in blobs[threads].values():
+            assert b"seconds" not in blob and b"pair_entries" not in blob
+    assert blobs[1] == blobs[3]
 
 
 def test_constants_table_recipe(tmp_path):

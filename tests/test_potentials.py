@@ -155,7 +155,7 @@ def general_radial_hess(fld, x):
 
     d = x.shape[-1]
     s = fld._norm(x)
-    w1, w2 = fld._w12(s)
+    w1, w2 = fld._w12(np.sum(x**2, axis=-1))
     u = x / np.where(s > 0, s, 1.0)[..., None]
     outer = u[..., :, None] * u[..., None, :]
     aniso = np.where(s > 0, w2 - w1, 0.0)
@@ -220,6 +220,81 @@ def test_grad_hess_equals_grad_and_hess_bitwise(family, params, side, d):
     for fused, alone in ((grad, fld.grad(diff)), (hess, fld.hess(diff))):
         assert fused.shape == alone.shape
         assert np.array_equal(fused.view(np.uint64), alone.view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+RADIAL_FAMILIES = [
+    ("power_k", {"k": 2.0}, "V"),
+    ("power_k", {"k": 4.0}, "V"),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V"),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "b": 0.8, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "b": 1.3, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 0.8, "k": 2.5}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.3, "k": 3.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W"),
+]
+
+
+@pytest.mark.parametrize("family,params,side", RADIAL_FAMILIES,
+                         ids=[f"{f}-params{i}" for i, (f, _, _)
+                              in enumerate(RADIAL_FAMILIES)])
+def test_radial_w2_equals_w1_at_the_origin(family, params, side):
+    # the one-dimensional Hessian (w2 - w1) + w1 drops the general
+    # formula's mask at s = 0, which holds only while every family gives
+    # w2 == w1 there (W''(0) = lim W'(s)/s); b != 1 would show a factor
+    # b² (1/b²) != 1 in the Coulomb power form
+    fld = builtin_field(family, params, side)
+    w1, w2 = fld._w12(np.zeros(3))
+    assert _bits(np.subtract(w2, w1) + w1) == _bits(0.0 + w1)
+    diff = awkward_pair_differences(1, 1e-3 * params.get("r0", 1.0))
+    assert _bits(fld.hess(diff)) == _bits(general_radial_hess(fld, diff))
+
+
+def coulomb_k2_by_powers(a, b, s):
+    """W'/s and W'' of the power form at k = 2 by the generic powers:
+    -a (s² + b²)^(-3/2) and -a (b² - 2s²) (s² + b²)^(-5/2)."""
+
+    base = s**2 + b**2
+    return -a * base**-1.5, -a * (b**2 - 2 * s**2) * base**-2.5
+
+
+@pytest.mark.parametrize("a, b", [(0.2, 1.0), (0.5, 0.37), (1.3, 2.5)])
+def test_coulomb_k2_one_root_agrees_with_the_powers(a, b):
+    # the one-root kernel against the powers it replaces, from s = 0 over
+    # eleven decades of s/b and at the zero of W'' (s = b / sqrt 2): W'/s
+    # within 1e-15 relative (measured 5e-16), W'' within 2e-15 of its
+    # largest magnitude (measured 7e-16), where it crosses zero
+    fld = builtin_field("mollified_coulomb", {"a": a, "b": b, "k": 2.0},
+                        "W")
+    s = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 4001) * b,
+                        [b / math.sqrt(2.0)]])
+    w1, w2 = fld._w12(s * s)
+    ref1, ref2 = coulomb_k2_by_powers(a, b, s)
+    assert np.max(np.abs(w1 - ref1) / np.abs(ref1)) <= 1e-15
+    assert np.max(np.abs(w2 - ref2)) <= 2e-15 * np.max(np.abs(ref2))
+    # evaluated into scratch rows, the same arithmetic and the same bits
+    rows = np.full((3, s.size), np.nan)
+    got1, got2 = fld._w12(s * s, out=rows)
+    assert _bits(got1) == _bits(w1) and _bits(got2) == _bits(w2)
+    assert np.shares_memory(got1, rows) and np.shares_memory(got2, rows)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0])
+def test_coulomb_other_k_keep_the_powers_bitwise(k):
+    # only k = 2 takes the one-root kernel; every other k keeps the
+    # generic powers of s = sqrt(s²), bit for bit
+    a, b = 0.5, 0.8
+    fld = builtin_field("mollified_coulomb", {"a": a, "b": b, "k": k}, "W")
+    s = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 513) * b])
+    bk, sk = b**k, s**k
+    lead, base = -a * s ** (k - 2.0), sk + bk
+    want = (lead * base ** (-(k + 1.0) / k),
+            lead * (bk * (k - 1.0) - 2 * sk) * base ** (-(2 * k + 1.0) / k))
+    assert list(map(_bits, fld._w12(s * s))) == list(map(_bits, want))
 
 
 # --- interaction kernel K = -grad W -------------------------------------------
