@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BlowUpError, StabilityError
 from .equilibrium import _closed_form
-from .potentials import (_centred, _harmonic_L_W, _op_norms, _panel_entries,
-                         pair_panels, pairwise_interaction_energy)
+from .potentials import (_centred, _harmonic_L_W, _op_norms, pair_panels,
+                         pairwise_interaction_energy)
 
 KB_STREAM_STEP = 0          # noise consumed by integrator steps
 KB_STREAM_SAMPLER = 1       # noise consumed by samplers (Gibbs, f_infty)
@@ -160,9 +160,8 @@ def pairwise_force(spec, X):
     BAOAB step of the linear case, and an uncoupled one, costs O(N).  Any
     other W is summed directly in O(N^2): K = -grad W is odd, so each
     unordered pair of pair_panels is evaluated once and gives K to row i and
-    -K to row j.  The panels and a radial W's derivatives are evaluated into
-    buffers allocated once per call.  The summation order depends on N and d
-    alone, so the result is independent of the worker count.
+    -K to row j.  The summation order depends on N and d alone, so the
+    result is independent of the worker count.
     """
 
     X = np.asarray(X, dtype=float)
@@ -172,10 +171,8 @@ def pairwise_force(spec, X):
     if _harmonic_L_W(spec.W) is not None:
         return spec.W.grad(-_centred(X))
     out = np.zeros_like(X)
-    work = np.empty((6, _panel_entries(X.shape)))
-    for rows, diff, self_pairs in pair_panels(X, out=work[0]):
-        k = spec.W._grad(diff, out=work[1:])
-        np.negative(k, out=k)                       # K = -grad W
+    for rows, diff, self_pairs in pair_panels(X):
+        k = -spec.W.grad(diff)                      # K = -grad W
         k[self_pairs] = 0.0
         out[rows] += k.sum(axis=1)
         out[rows.stop:] -= k[:, rows.stop - rows.start:].sum(axis=0)

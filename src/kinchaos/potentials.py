@@ -46,12 +46,6 @@ class Field:
     def hess(self, x):
         raise NotImplementedError
 
-    def _grad(self, x, out=None):
-        """grad(x) for a pair sum; a radial field evaluates it into the
-        scratch rows `out` (RadialField._grad)."""
-
-        return self.grad(x)
-
     def _grad_hess(self, x, out=None):
         """(grad(x), hess(x)) in one call; radial fields share the norm and
         the radial derivatives between the two and evaluate into the scratch
@@ -129,12 +123,15 @@ class RadialField(Field):
     Coulomb power form at k = 2 needs no more; the other families take
     s = sqrt(t), the bits of |x|.
 
-    A pair sum passes `out`, a (5, n) float array with n at least the
-    entries of x, to _grad and _grad_hess: its rows take |x|², W'/s, W'',
-    the scratch of _w12 and the gradient, so a panel forms no new array of
-    its size.  A _w12 may leave out alone and return fresh arrays, as all
-    but the Coulomb power form at k = 2 do.  The arithmetic is the same
-    with and without `out`, and so are the bits.
+    Every _w12 must give w2 == w1 at s = 0 (W''(0) = lim W'(s)/s, bit for
+    bit): the one-dimensional Hessian relies on it in place of a mask.
+
+    The error terms pass `out`, a (5, n) float array with n at least the
+    entries of x, to _grad_hess: its rows take |x|², W'/s, W'' (and then,
+    in d = 1, the Hessian), the scratch of _w12 and the gradient, so a
+    panel forms no new array of its size.  A _w12 may leave out alone and
+    return fresh arrays, as all but the Coulomb power form at k = 2 do.
+    The arithmetic is the same with and without `out`, and so are the bits.
     """
 
     def _v(self, s):
@@ -166,26 +163,23 @@ class RadialField(Field):
         return self._v(self._norm(x))
 
     def grad(self, x):
-        return self._grad(x)
+        x = np.asarray(x, dtype=float)
+        return self._radial(x, None)[1][..., None] * x
 
     def hess(self, x):
         return self._grad_hess(x)[1]
-
-    def _grad(self, x, out=None):
-        x = np.asarray(x, dtype=float)
-        w1 = self._radial(x, out)[1]
-        return np.multiply(w1[..., None], x, out=_view(out, x.shape, 4))
 
     def _grad_hess(self, x, out=None):
         x = np.asarray(x, dtype=float)
         t, w1, w2 = self._radial(x, out)
         return (np.multiply(w1[..., None], x, out=_view(out, x.shape, 4)),
-                self._radial_hess(x, t, w1, w2))
+                self._radial_hess(x, t, w1, w2,
+                                  out=_view(out, x.shape[:-1], 2)))
 
     @staticmethod
-    def _radial_hess(x, t, w1, w2):
-        """The Hessian from |x|², W'/s and W''; in d = 1 it is written over
-        w2, which the caller gives up."""
+    def _radial_hess(x, t, w1, w2, out=None):
+        """The Hessian from |x|², W'/s and W''; in d = 1 it is evaluated
+        into `out` when given, an array of x.shape[:-1] (w2 may be it)."""
 
         d = x.shape[-1]
         if d == 1:
@@ -193,8 +187,8 @@ class RadialField(Field):
             # and every family's _w12 gives w2 == w1 at s = 0, so w2 - w1
             # is the 0 that the general formula below puts there: the same
             # bits, without its unit vectors, outer products and mask
-            aniso = np.subtract(w2, w1, out=w2)
-            return np.add(aniso, w1, out=aniso)[..., None, None]
+            aniso = np.subtract(w2, w1, out=out)
+            return np.add(aniso, w1, out=out)[..., None, None]
         s = np.sqrt(t)
         safe = np.where(s > 0, s, 1.0)
         u = x / safe[..., None]
@@ -562,8 +556,8 @@ def pair_panels(X, out=None):
 
     Each panel's differences are a fresh array, or, given `out`, a flat
     float buffer of at least _panel_entries(X.shape) entries, its leading
-    entries: then a panel holds until the next is drawn, and the pair sums
-    reuse one buffer for all of them instead of faulting in new pages.
+    entries: then a panel holds until the next is drawn, and the error
+    terms reuse one buffer for all of them instead of faulting in new pages.
     """
 
     *stack, N, d = X.shape
@@ -614,8 +608,7 @@ def pairwise_interaction_energy(spec, X):
     if _harmonic_L_W(spec.W) is not None:
         return float(np.sum(spec.W.value(_centred(X))))
     row_sums = np.zeros(N)
-    for rows, diff, self_pairs in pair_panels(
-            X, out=np.empty(_panel_entries(X.shape))):
+    for rows, diff, self_pairs in pair_panels(X):
         w = spec.W.value(diff)
         w[self_pairs] = 0.0
         row_sums[rows] += w.sum(axis=1)

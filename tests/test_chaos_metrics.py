@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -562,12 +563,51 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-def test_error_terms_fault_in_no_pages_per_panel():
+def test_error_terms_hold_no_new_panel_per_panel(mollified_setup,
+                                                 monkeypatch):
     # the panels, W's derivatives and the products with v go into buffers
-    # allocated once per call and reused by every panel: after a warm-up,
-    # 20 calls at N = 512, R = 2 on the coulomb_concentration table grid
-    # fault in 14-19 pages per call (x86-64 Linux, glibc, numpy 2.4), where
-    # a fresh temporary per panel step faulted in 560-900
+    # allocated once per call and reused by every panel, so no panel step
+    # holds a new array of a panel's size (R h N entries): measured at
+    # N = 512, R = 2 (h = 32, 256 KiB), a step peaks 131-134 KiB above its
+    # start, numpy's iterator buffers for the broadcast operands, where
+    # fresh panel-sized temporaries peaked at 1.1-2.0 MiB
+    spec, params, rho = mollified_setup
+    tables = mean_field_tables(spec, rho)
+    gen = np.random.default_rng(512)
+    x, v = gen.standard_normal((2, 2, 512))
+    panel_bytes = x.size * (2**14 // 512) * 8
+    panels, growth = chaos_metrics.pair_panels, []
+
+    def traced(X, *args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for panel in panels(X, *args, **kwargs):
+            yield panel
+            now, peak = tracemalloc.get_traced_memory()
+            growth.append(peak - start)
+            tracemalloc.reset_peak()
+            start = now
+
+    monkeypatch.setattr(chaos_metrics, "pair_panels", traced)
+    tracemalloc.start()
+    try:
+        chaos_metrics._error_terms(x, v, spec, rho, tables)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 16
+    assert max(growth) < panel_bytes
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="fault counts calibrated on Linux with glibc")
+def test_error_terms_fault_in_no_pages_per_panel():
+    # the measurement behind the test above, in page faults: after a
+    # warm-up, 20 calls at N = 512, R = 2 on the coulomb_concentration
+    # table grid fault in 14-19 pages per call (x86-64 Linux, glibc 2.36,
+    # numpy 2.4), where a fresh temporary per panel step faulted in
+    # 560-900.  The count depends on the allocator as well as on this
+    # code: glibc serves blocks of 128 KiB and more from fresh pages
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(chaos_metrics.__file__).resolve().parents[1])]

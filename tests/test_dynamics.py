@@ -152,7 +152,7 @@ def test_pairwise_force_single_particle(baseline_spec):
 
 def test_pairwise_force_zero_w_forms_no_pairs(monkeypatch, baseline_params,
                                               rng):
-    def refuse(X, out=None):
+    def refuse(X):
         raise AssertionError("pair_panels entered")
 
     monkeypatch.setattr(dynamics, "pair_panels", refuse)
@@ -177,7 +177,7 @@ def test_pair_sums_reach_the_panels_only_beyond_the_harmonic_family(
         monkeypatch, pair_sum):
     # harmonic and zero W sum by moments; Coulomb and a custom field, even
     # one with harmonic values, take the pair panels
-    def refuse(X, out=None):
+    def refuse(X):
         raise AssertionError("pair_panels entered")
 
     monkeypatch.setattr(dynamics, "pair_panels", refuse)
@@ -254,14 +254,12 @@ def test_pairwise_force_blocks_match_one_block(w_family, w_params, N, d):
 
 
 @pytest.mark.parametrize("pair_sum, method", [
-    (pairwise_force, "_grad"), (pairwise_interaction_energy, "value")],
-    ids=["pairwise_force-grad", "pairwise_interaction_energy-value"])
+    (pairwise_force, "grad"), (pairwise_interaction_energy, "value")])
 @pytest.mark.parametrize("N, d", [(300, 1), (300, 2)])
 def test_pair_sums_evaluate_each_unordered_pair_once(monkeypatch, pair_sum,
                                                      method, N, d):
     # W is evaluated on the N(N-1)/2 pairs i < j once, plus the h x h square
-    # of each panel of h rows, which holds the pairs i > j and the diagonal;
-    # the force evaluates grad W into its panel buffers through _grad
+    # of each panel of h rows, which holds the pairs i > j and the diagonal
     spec = make_system("quadratic", None, "mollified_coulomb", None, d=d)
     X = np.random.default_rng(N).standard_normal((N, d))
     heights = [rows.stop - rows.start for rows, _, _ in pair_panels(X)]
@@ -269,9 +267,9 @@ def test_pair_sums_evaluate_each_unordered_pair_once(monkeypatch, pair_sum,
     points = []
     evaluate = getattr(spec.W, method)
 
-    def counted(x, **scratch):
+    def counted(x):
         points.append(math.prod(x.shape[:-1]))
-        return evaluate(x, **scratch)
+        return evaluate(x)
 
     monkeypatch.setattr(spec.W, method, counted)
     pair_sum(spec, X)

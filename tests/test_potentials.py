@@ -252,6 +252,13 @@ def test_radial_w2_equals_w1_at_the_origin(family, params, side):
     assert _bits(np.subtract(w2, w1) + w1) == _bits(0.0 + w1)
     diff = awkward_pair_differences(1, 1e-3 * params.get("r0", 1.0))
     assert _bits(fld.hess(diff)) == _bits(general_radial_hess(fld, diff))
+    # a single point of shape (1,): its W'/s and W'' are 0-d, and the
+    # Hessian is the (1, 1) array of the general formula
+    for x in (0.0, 0.3):
+        one = fld.hess(np.array([x]))
+        assert one.shape == (1, 1)
+        assert _bits(one) == _bits(general_radial_hess(fld, np.array([[x]]))[0])
+        assert fld.grad(np.array([x])).shape == (1,)
 
 
 def coulomb_k2_by_powers(a, b, s):
