@@ -456,27 +456,16 @@ def loglog_fit(n_values, means):
 
 
 @dataclass(frozen=True)
-class ConcentrationRow:
-    term: str
-    N: int
-    mean_aggregate: float
-    se: float
-
-
-@dataclass(frozen=True)
 class ConcentrationResult:
     """Monte Carlo concentration study of the aggregates over N."""
 
     terms: tuple
-    rows: tuple          # ConcentrationRow per (N, term), in n_values order
+    mean: np.ndarray     # (terms x N), over the ensembles, n_values order
+    se: np.ndarray       # the standard errors of `mean`
     fits: dict           # term -> (slope, slope_se, r2) or None when flat
     # per N, in n_values order: N, the point's wall and thread CPU seconds
     # and the pair entries it evaluated; for the report, never the CSVs
     timings: tuple = ()
-
-    def table(self, term):
-        return [(r.N, r.mean_aggregate, r.se) for r in self.rows
-                if r.term == term]
 
 
 def _map_indexed(fn, n_items, threads):
@@ -498,8 +487,8 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
 
     For the k-th smallest N, n_mc iid ensembles are drawn from rho_inf x
     Maxwellian on rng.derive(20_000 * (k + 1)), substreams 0..n_mc-1, and
-    the four aggregates averaged, so a permuted n_values gives the same rows,
-    permuted.  A point's ensembles are drawn and evaluated _stack_size(N)
+    the four aggregates averaged, so a permuted n_values permutes the
+    columns.  A point's ensembles are drawn and evaluated _stack_size(N)
     at a time as one stack, each with the bits of an error_statistics call
     on it alone.  The N points fan out over `threads` worker threads, the
     largest N (the costliest point) submitted first, with identical results
@@ -545,17 +534,15 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     largest_first = _map_indexed(lambda j: one_point(n_points - 1 - j),
                                  n_points, threads)
     done_at = dict(zip(reversed(ranked), largest_first))
-    rows = []
-    for i, N in enumerate(n_values):
-        for t, vals in zip(terms, done_at[i][0]):
-            se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-            rows.append(ConcentrationRow(t, int(N), float(vals.mean()), se))
-    fits = {}
-    for t in terms:
-        means = np.array([r.mean_aggregate for r in rows if r.term == t])
-        # a slope needs at least two N values and strictly positive means
-        fits[t] = (None if len(n_values) < 2 or np.any(means <= 0)
-                   else loglog_fit(n_values, means))
+    # (terms, N, ensembles), each term's samples contiguous
+    aggs = np.stack([done_at[i][0] for i in range(n_points)], axis=1)
+    mean = aggs.mean(axis=-1)
+    se = (aggs.std(axis=-1, ddof=1) / math.sqrt(n_mc) if n_mc > 1
+          else np.zeros_like(mean))
+    # a slope needs at least two N values and strictly positive means
+    fits = {t: (None if n_points < 2 or np.any(means <= 0)
+                else loglog_fit(n_values, means))
+            for t, means in zip(terms, mean)}
     return ConcentrationResult(
-        terms=terms, rows=tuple(rows), fits=fits,
+        terms=terms, mean=mean, se=se, fits=fits,
         timings=tuple(done_at[i][1] for i in range(n_points)))

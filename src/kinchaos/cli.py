@@ -14,14 +14,15 @@ Exit codes: 0 success, 2 configuration error, 3 assumption violation under
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      SchemeError, StabilityError, StrictAssumptionError)
-from .harness import (_DEFAULT_FAMILIES, _build_config, _parse_value,
-                      _read_sections, constants_records, run_experiment,
-                      write_report)
+from .harness import (_DEFAULT_FAMILIES, _build_config, _check_recipe_inputs,
+                      _parse_value, _read_sections, constants_records,
+                      run_experiment, write_report)
 from .potentials import check_assumptions
 
 _NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError)
@@ -89,6 +90,9 @@ def _build_parser():
             sub.choices[command].add_argument(
                 flag, dest=key, type=_parse_value, default=argparse.SUPPRESS,
                 help=f"sets [{section}] {key}")
+        # argparse takes -1e-3 or -Infinity for an option: make them values
+        sub.choices[command]._negative_number_matcher = re.compile(
+            r"-(\d|Infinity$)")
     return p
 
 
@@ -121,7 +125,14 @@ def _config(args):
             given.append((("potential", name), _parse_value(raw), flag))
     for (section, key), value, flag in given:
         sections.setdefault(section, {})[key] = (value, flag)
-    return _build_config(sections, errors)
+    config = _build_config(sections, errors)
+    if args.command == "constants":
+        # its records are constants_table's: ask that recipe's rules too
+        _check_recipe_inputs("constants_table", sections, config.spec,
+                             config.params, {}, errors)
+        if errors:
+            raise ConfigError(errors)
+    return config
 
 
 def _cmd_run(args):

@@ -307,13 +307,6 @@ class GaussianClosedForm:
         return tuple((1.0 / value, mult) for value, mult
                      in self.precision_eigenvalues)
 
-    def covariance_matrix(self):
-        """Dense N x N position covariance (per spatial coordinate)."""
-
-        (mean_var, _), (rest_var, _) = self.covariance_spectrum()
-        J = np.full((self.N, self.N), 1.0 / self.N)
-        return mean_var * J + rest_var * (np.eye(self.N) - J)
-
 
 def gaussian_closed_form(lam_V, L_W, beta, N):
     """Closed forms for quadratic V (curvature lam_V) + harmonic W (L_W).

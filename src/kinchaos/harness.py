@@ -813,23 +813,23 @@ def _run_chaos_scaling(cfg, report, threads):
     spec, params = cfg.spec, cfg.params
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
-    single = _closed_form(spec, params.beta, 1)
-    var_mf = single.var_x
-    mean_var = single.covariance_spectrum()[0][0]   # 1/(beta lam_V), any N
-    gap_sq = (math.sqrt(mean_var) - math.sqrt(var_mf)) ** 2
+    closed = {N: _closed_form(spec, params.beta, N)
+              for N in {1, *num["N_list"], *num["N_mc_list"]}}
+    var_mf = closed[1].var_x    # rho_inf's, the same in every record
+    # the mean direction alone (N = 1) carries the joint gap at every N
+    gap_sq = w2_gaussian_spectral(closed[1].covariance_spectrum(),
+                                  ((var_mf, 1),))
 
     def marginal_gap(N):
         """W2^2 between the x_1 marginal of the N-particle law and rho_inf."""
 
-        return (math.sqrt(_closed_form(spec, params.beta, N).marginal_var_x1)
-                - math.sqrt(var_mf)) ** 2
+        return w2_gaussian_spectral(((closed[N].marginal_var_x1, 1),),
+                                    ((var_mf, 1),))
 
-    scaling_rows = []
-    for N in num["N_list"]:
-        closed = _closed_form(spec, params.beta, N)
-        joint_pp = w2_gaussian_spectral(
-            closed.covariance_spectrum(), ((var_mf, N),)) / N
-        scaling_rows.append((N, marginal_gap(N), joint_pp))
+    scaling_rows = [
+        (N, marginal_gap(N), w2_gaussian_spectral(
+            closed[N].covariance_spectrum(), ((var_mf, N),)) / N)
+        for N in num["N_list"]]
     _, marginal_vals, joint_vals = zip(*scaling_rows)
     report.add_table("scaling", ("N", "marginal_w2_sq",
                                  "joint_w2_sq_per_particle"), scaling_rows)
@@ -906,8 +906,8 @@ def _run_concentration(cfg, report, threads):
     rows = []
     for k, t in enumerate(result.terms):
         slope, slope_se, r2 = result.fits[t] or (math.nan,) * 3
-        rows.extend((k, N, m, se, slope, slope_se, r2)
-                    for N, m, se in result.table(t))
+        rows.extend((k, N, m, se, slope, slope_se, r2) for N, m, se
+                    in zip(num["N_list"], result.mean[k], result.se[k]))
         passed = math.isfinite(slope) and -1.3 <= slope <= -0.7 and r2 >= 0.8
         report.add_verdict(f"slope_R{k}", passed,
                            {"slope": slope, "slope_se": slope_se, "r2": r2},

@@ -80,29 +80,35 @@ class Zero(Field):
         return {}
 
 
-class Quadratic(Field):
+class _QuadraticForm(Field):
+    """(c/2) |x|^2, c the attribute that `_coefficient` names; it is read at
+    each call, so a coefficient changed in place is seen by the next one."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * getattr(self, self._coefficient) * np.sum(x * x, axis=-1)
+
+    def grad(self, x):
+        return getattr(self, self._coefficient) * np.asarray(x, dtype=float)
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        d = x.shape[-1]
+        eye = getattr(self, self._coefficient) * np.eye(d)
+        return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
+
+
+class Quadratic(_QuadraticForm):
     """V(x) = (curvature/2) |x|^2."""
 
     family = "quadratic"
     roles = ("V",)
+    _coefficient = "curvature"
 
     def __init__(self, curvature=1.0):
         if curvature <= 0:
             raise ValueError("quadratic: curvature must be positive")
         self.curvature = float(curvature)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.curvature * np.sum(x * x, axis=-1)
-
-    def grad(self, x):
-        return self.curvature * np.asarray(x, dtype=float)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        eye = self.curvature * np.eye(d)
-        return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
     def params(self):
         return {"curvature": self.curvature}
@@ -281,29 +287,17 @@ class ExpPower(RadialField):
                 "C_V_theta": float(np.max(w))}
 
 
-class HarmonicW(Field):
+class HarmonicW(_QuadraticForm):
     """W(x) = (L_W/2) |x|^2; Hessian identically L_W * I and W(0) = 0."""
 
     family = "harmonic_W"
     roles = ("W",)
+    _coefficient = "L_W"
 
     def __init__(self, L_W=0.25):
         if L_W < 0:
             raise ValueError("harmonic_W: L_W must be nonnegative")
         self.L_W = float(L_W)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.L_W * np.sum(x * x, axis=-1)
-
-    def grad(self, x):
-        return self.L_W * np.asarray(x, dtype=float)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x.shape[-1]
-        eye = self.L_W * np.eye(d)
-        return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
     def params(self):
         return {"L_W": self.L_W}

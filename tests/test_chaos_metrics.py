@@ -751,13 +751,14 @@ def test_concentration_escape_names_the_repetition(mollified_setup, rng,
 
 # --- concentration ---------------------------------------------------------------
 
-def _concentration_rows_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
+def _concentration_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
     # the k-th smallest N draws substreams 0..n_mc-1 of
     # rng.derive(20_000 * (k + 1)); each ensemble goes through
-    # error_statistics alone
+    # error_statistics alone, and each (term, N) sample is reduced alone:
+    # the (terms x N) mean and se arrays
     tables = mean_field_tables(spec, rho)
     ranked = sorted(range(len(n_values)), key=lambda i: n_values[i])
-    rows = []
+    mean, se = np.empty((2, 4, len(n_values)))
     for i, N in enumerate(n_values):
         point_rng = rng.derive(20_000 * (ranked.index(i) + 1))
         aggs = np.empty((4, n_mc))
@@ -767,25 +768,25 @@ def _concentration_rows_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
                                      spec, rho, tables=tables)
             aggs[:, s] = [stats.aggregates[t] for t in ("R0", "R1", "R2",
                                                         "R3")]
-        for t, vals in zip(("R0", "R1", "R2", "R3"), aggs):
-            rows.append(chaos_metrics.ConcentrationRow(
-                t, N, float(vals.mean()),
-                float(vals.std(ddof=1) / math.sqrt(n_mc))))
-    return tuple(rows)
+        for k, vals in enumerate(aggs):
+            mean[k, i] = vals.mean()
+            se[k, i] = vals.std(ddof=1) / math.sqrt(n_mc)
+    return mean, se
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_concentration_rows_equal_one_ensemble_at_a_time(mollified_setup, rng,
                                                          threads):
     # stacked points (N = 8 and 24 in one stack each, N = 200 and 300 in
-    # stacks of two with a short last one) give the rows of a loop over the
-    # ensembles one at a time, bit for bit
+    # stacks of two with a short last one) give the means and SEs of a loop
+    # over the ensembles one at a time, bit for bit
     spec, params, rho = mollified_setup
     n_values = [24, 300, 8, 200]
     got = concentration_check(spec, rho, params, n_values=n_values, n_mc=5,
                               rng=rng, threads=threads)
-    assert got.rows == _concentration_rows_one_at_a_time(
-        spec, rho, params, n_values, 5, rng)
+    mean, se = _concentration_one_at_a_time(spec, rho, params, n_values, 5,
+                                            rng)
+    assert np.array_equal(got.mean, mean) and np.array_equal(got.se, se)
 
 
 @pytest.mark.parametrize("n_values, n_mc", [([1, 8], 4), ([0, 8], 4),
@@ -822,8 +823,8 @@ def test_concentration_se_halves_with_budget(mollified_setup, rng):
                                 rng=rng)
     big = concentration_check(spec, rho, params, n_values=[32], n_mc=400,
                               rng=rng)
-    se_small = small.table("R0")[0][2]
-    se_big = big.table("R0")[0][2]
+    se_small = small.se[0, 0]
+    se_big = big.se[0, 0]
     # quadrupling the MC budget should halve the SE, within 30%
     assert se_small / se_big == pytest.approx(2.0, rel=0.3)
 
@@ -840,8 +841,8 @@ def test_concentration_zero_kernel_skips_fit(baseline_params, rng):
     rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
     result = concentration_check(spec, rho, baseline_params,
                                  n_values=[8, 16, 32], n_mc=10, rng=rng)
-    for row in result.rows:
-        assert row.mean_aggregate == 0.0
+    assert result.mean.shape == (4, 3)
+    assert np.all(result.mean == 0.0)
     assert result.fits["R0"] is None
 
 
@@ -851,7 +852,7 @@ def test_concentration_deterministic(mollified_setup, rng):
                             rng=rng)
     b = concentration_check(spec, rho, params, n_values=[16, 32], n_mc=15,
                             rng=rng)
-    assert a.rows == b.rows
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
 
 
 def test_concentration_threads_do_not_change_rows(mollified_setup, rng):
@@ -860,21 +861,23 @@ def test_concentration_threads_do_not_change_rows(mollified_setup, rng):
                               n_mc=10, rng=rng, threads=1)
     two = concentration_check(spec, rho, params, n_values=[8, 16, 32],
                               n_mc=10, rng=rng, threads=2)
-    assert one.rows == two.rows
+    assert np.array_equal(one.mean, two.mean)
+    assert np.array_equal(one.se, two.se)
     assert one.fits == two.fits
 
 
 def test_concentration_permuted_n_list_permutes_rows(mollified_setup, rng):
     # each N draws the stream of its rank and the largest N is submitted
-    # first, so a permuted N list returns the same rows, permuted, bit for
-    # bit, with the submission order and the index order apart at 3 threads
+    # first, so a permuted N list returns the same columns, permuted, bit
+    # for bit, with the submission order and the index order apart at 3
+    # threads
     spec, params, rho = mollified_setup
     ref = concentration_check(spec, rho, params, n_values=[8, 16, 24, 32],
                               n_mc=6, rng=rng, threads=1)
-    by_point = {(r.term, r.N): r for r in ref.rows}
     permuted = [24, 8, 32, 16]
+    columns = [[8, 16, 24, 32].index(N) for N in permuted]
     for threads in (1, 3):
         got = concentration_check(spec, rho, params, n_values=permuted,
                                   n_mc=6, rng=rng, threads=threads)
-        assert got.rows == tuple(by_point[(t, N)] for N in permuted
-                                 for t in got.terms)
+        assert np.array_equal(got.mean, ref.mean[:, columns])
+        assert np.array_equal(got.se, ref.se[:, columns])

@@ -237,13 +237,18 @@ def test_closed_form_baseline_n4():
 
 
 def test_closed_form_matrix_matches_spectrum():
+    # the position precision per coordinate is beta (lam_V I + L_W (I - J/N));
+    # its inverse has the record's covariance spectrum, and Var(x_1), the
+    # common diagonal, is the N-weighted mean of that spectrum
     rec = gaussian_closed_form(1.0, 0.25, 1.0, 4)
-    cov = rec.covariance_matrix()
-    evals = np.sort(np.linalg.eigvalsh(cov))
+    eye, J = np.eye(4), np.full((4, 4), 1.0 / 4)
+    cov = np.linalg.inv(1.0 * (1.0 * eye + 0.25 * (eye - J)))
     spectrum = sorted([val for val, mult in rec.covariance_spectrum()
                        for _ in range(mult)])
-    assert np.allclose(evals, spectrum, rtol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(cov), spectrum, rtol=1e-12)
     assert cov[0, 0] == pytest.approx(rec.marginal_var_x1, rel=1e-12)
+    assert sum(spectrum) / rec.N == pytest.approx(rec.marginal_var_x1,
+                                                  rel=1e-12)
 
 
 def test_closed_form_limits():

@@ -16,6 +16,7 @@ from kinchaos.cli import _CONFIG_FLAGS
 from kinchaos.cli import main as cli_main
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                               sample_f_infty)
+from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import ConfigError
 from kinchaos.harness import parse_config, run_experiment, write_report
 from kinchaos.potentials import pair_panels
@@ -437,6 +438,17 @@ def test_each_constants_flag_refuses_a_value_just_past_its_bound(
     assert f"({why})" in line
 
 
+@pytest.mark.parametrize("flag, key", [("--theta", "theta"), ("--c-k", "C_K")])
+def test_cli_flag_takes_a_negative_value_in_exponent_form(flag, key, capsys):
+    # argparse reads "-1e-3" as an option unless told it is a number: the
+    # spaced form reaches the key's rule, as the joined form does
+    for argv in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
+        assert cli_main(["constants", *argv]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {flag}: [constants] {key} "
+                               f"must be above 0 ")
+
+
 def test_each_config_flag_names_a_schema_key():
     schemas = {"experiment": harness._EXPERIMENT_SCHEMA,
                "model": harness._MODEL_SCHEMA,
@@ -537,6 +549,21 @@ def test_cli_constants_table_without_an_interaction_takes_a_given_c_k(
     assert (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("recipe", ["assumptions", "ergodicity"])
+def test_cli_constants_of_another_recipe_without_an_interaction_exits_2(
+        recipe, tmp_path, capsys):
+    # the constants command builds the rate table whatever the document's
+    # recipe, so it asks the constants_table rule for W = 0 of every recipe
+    text = ZERO_W_CONSTANTS.replace("constants_table", recipe)
+    assert cli_main(["constants", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 5: recipe 'constants_table' with W = 0 has "
+        "C_K = 0, and the rate constants need C_K > 0: set [constants] "
+        "C_K\n")
+    given = write_cfg(tmp_path, text + "[constants]\nC_K = 0.5\n")
+    assert cli_main(["constants", "--config", given]) == 0
+
+
 def test_cli_constants_table_with_a_zero_harmonic_w_exits_2(tmp_path, capsys):
     # harmonic_W with L_W = 0 is W = 0 under another name: the refusal asks
     # the built spec for C_K, not the family name
@@ -618,6 +645,27 @@ def test_csv_header_and_determinism(tmp_path):
         assert blobs_a[name] == blobs_b[name], name
         head = blobs_a[name].decode().splitlines()[0]
         assert head.startswith("# recipe=chaos_scaling seed=5 rng=philox")
+
+
+def test_chaos_scaling_rows_are_the_closed_form_gaps():
+    # against the hand formulas of each N's Gaussian closed form, bit for
+    # bit: the x_1 marginal's gap (sqrt(Var x_1) - sqrt(var_x))^2, and the
+    # joint gap, that of the mean direction alone, spread over N particles
+    cfg = parse_config("[experiment]\nrecipe = chaos_scaling\n[model]\n"
+                       "gamma = 2.0\nsigma = 1.0\nbeta = 2.0\n[numerics]\n"
+                       "N_list = [1, 2, 8, 512]\nn_mc = 0\n")
+    report = run_experiment(cfg)
+    expected = []
+    for N in (1, 2, 8, 512):
+        rec = gaussian_closed_form(cfg.spec.V.curvature, cfg.spec.W.L_W, 2.0,
+                                   N)
+        mean_var = rec.covariance_spectrum()[0][0]
+        joint = (math.sqrt(mean_var) - math.sqrt(rec.var_x)) ** 2
+        expected.append(
+            (N, (math.sqrt(rec.marginal_var_x1) - math.sqrt(rec.var_x)) ** 2,
+             joint / N))
+    assert report.tables["scaling"][1] == expected
+    assert report.scalars["joint_gap_sq"] == joint
 
 
 def test_thread_count_does_not_change_output(tmp_path):

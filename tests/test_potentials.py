@@ -57,6 +57,26 @@ def test_harmonic_w_point_values():
     assert hess[0, 0] == pytest.approx(0.25, abs=1e-14)
 
 
+@pytest.mark.parametrize("family, name, side", [
+    ("quadratic", "curvature", "V"), ("harmonic_W", "L_W", "W")])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_forms_evaluate_their_formulas(family, name, side, d):
+    # (c/2)|x|^2, its gradient and its Hessian over any leading axes, bit for
+    # bit; the coefficient is read at each call, so a change in place is
+    # seen by the next one
+    fld = builtin_field(family, {name: 1.5}, side, d)
+    rng = np.random.default_rng(d)
+    for shape in ((5, d), (2, 3, d)):
+        x = rng.standard_normal(shape)
+        for c in (1.5, 0.3, 1.5):
+            setattr(fld, name, c)
+            assert np.array_equal(fld.value(x),
+                                  0.5 * c * np.sum(x * x, axis=-1))
+            assert np.array_equal(fld.grad(x), c * x)
+            assert np.array_equal(fld.hess(x), np.broadcast_to(
+                c * np.eye(d), shape[:-1] + (d, d)))
+
+
 def test_mollified_coulomb_at_origin():
     spec = make_system("quadratic", None, "mollified_coulomb",
                        {"a": 1.0, "b": 1.0, "k": 2.0})
