@@ -11,7 +11,6 @@ is from its mean-field limit at equilibrium:
 
     R0_i = (1/N) sum_{j!=i} K(x_i - x_j) - (K * rho)(x_i)
     R1_i = same with grad K
-    R2_i = -R0_i
     R3_i = (1/N) sum_{j!=i} grad K(x_j - x_i) . v_j
 
 and the per-ensemble aggregate (1/N) sum_i |R_i|² concentrates like 1/N when
@@ -29,6 +28,7 @@ from scipy.spatial import cKDTree, distance
 from scipy.special import digamma, gammaln
 
 from .dynamics import sample_f_infty
+from .equilibrium import interaction_convolution
 from .kinetic_pde import _line_fit
 from .potentials import (_pair_entries, _panel_entries, _panel_height, _view,
                          pair_panels)
@@ -38,6 +38,8 @@ _MAX_ASSIGNMENT = 4096
 # its largest is near-singular, and the solve takes the centred cost
 # (identical rows, collinear clouds, n <= d)
 _SINGULAR = 1e-12
+# the error terms, by the paper's numbers
+_TERMS = ("R0", "R1", "R3")
 
 
 def w2_exact(a, b):
@@ -225,7 +227,6 @@ class ErrorStats:
 
     r0: np.ndarray      # (N, d)
     r1: np.ndarray      # (N, d, d)
-    r2: np.ndarray      # (N, d)
     r3: np.ndarray      # (N, d)
     aggregates: dict    # name -> (1/N) sum_i |R_i|^2
 
@@ -239,8 +240,6 @@ def mean_field_tables(spec, rho_inf):
     Both error-statistics paths interpolate these tables linearly rather than
     re-integrating at arbitrary points, so they agree to rounding.
     """
-
-    from .equilibrium import interaction_convolution
 
     conv_k = -interaction_convolution(spec, rho_inf.x_axis, rho_inf.values,
                                       derivative=1)
@@ -317,10 +316,10 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
 
 
 def _mean_squares(terms):
-    """The aggregates (1/N) sum_i |R_i|^2 of R0, R1, R2 = -R0 and R3 from
-    the (3, R, N) terms of _error_terms, one column per ensemble."""
+    """The aggregates (1/N) sum_i |R_i|^2 of R0, R1 and R3 from the
+    (3, R, N) terms of _error_terms, one column per ensemble."""
 
-    return np.mean(terms**2, axis=-1)[[0, 1, 0, 2]]
+    return np.mean(terms**2, axis=-1)
 
 
 def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
@@ -339,10 +338,9 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
         tables = mean_field_tables(spec, rho_inf)
     terms = _error_terms(ensemble.positions.T, ensemble.velocities.T, spec,
                          rho_inf, tables)
-    agg = dict(zip(("R0", "R1", "R2", "R3"),
-                   map(float, _mean_squares(terms)[:, 0])))
+    agg = dict(zip(_TERMS, map(float, _mean_squares(terms)[:, 0])))
     r0, r1, r3 = terms[:, 0, :, None]
-    return ErrorStats(r0, r1[..., None], -r0, r3, agg)
+    return ErrorStats(r0, r1[..., None], r3, agg)
 
 
 def _scalar_kernels(spec):
@@ -441,9 +439,8 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None,
         r1[i] = s_dk / N - lerp(table_dk, x[i])
         r3[i] = s_v / N
     agg = {"R0": float(np.mean(r0**2)), "R1": float(np.mean(r1**2)),
-           "R2": float(np.mean(r0**2)), "R3": float(np.mean(r3**2))}
-    return ErrorStats(r0[:, None], r1[:, None, None], -r0[:, None],
-                      r3[:, None], agg)
+           "R3": float(np.mean(r3**2))}
+    return ErrorStats(r0[:, None], r1[:, None, None], r3[:, None], agg)
 
 
 def loglog_fit(n_values, means):
@@ -487,7 +484,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
 
     For the k-th smallest N, n_mc iid ensembles are drawn from rho_inf x
     Maxwellian on rng.derive(20_000 * (k + 1)), substreams 0..n_mc-1, and
-    the four aggregates averaged, so a permuted n_values permutes the
+    the three aggregates averaged, so a permuted n_values permutes the
     columns.  A point's ensembles are drawn and evaluated _stack_size(N)
     at a time as one stack, each with the bits of an error_statistics call
     on it alone.  The N points fan out over `threads` worker threads, the
@@ -505,7 +502,6 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
                          f"got n_mc={n_mc}, N in {list(n_values)}")
     if rho_inf.is_phase_space:
         rho_inf = rho_inf.marginal_x()
-    terms = ("R0", "R1", "R2", "R3")
     tables = mean_field_tables(spec, rho_inf)
     n_points = len(n_values)
     ranked = sorted(range(n_points), key=lambda i: n_values[i])
@@ -515,7 +511,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
         point_rng = rng.derive(20_000 * (k + 1))
         N = n_values[ranked[k]]
         size = _stack_size(N)
-        aggs = np.empty((len(terms), n_mc))  # each term's samples contiguous
+        aggs = np.empty((len(_TERMS), n_mc))  # each term's samples contiguous
         for first in range(0, n_mc, size):
             stack = range(first, min(first + size, n_mc))
             x, vel = np.empty((2, len(stack), N))
@@ -542,7 +538,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     # a slope needs at least two N values and strictly positive means
     fits = {t: (None if n_points < 2 or np.any(means <= 0)
                 else loglog_fit(n_values, means))
-            for t, means in zip(terms, mean)}
+            for t, means in zip(_TERMS, mean)}
     return ConcentrationResult(
-        terms=terms, mean=mean, se=se, fits=fits,
+        terms=_TERMS, mean=mean, se=se, fits=fits,
         timings=tuple(done_at[i][1] for i in range(n_points)))

@@ -20,9 +20,9 @@ import sys
 from . import __version__
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      SchemeError, StabilityError, StrictAssumptionError)
-from .harness import (_DEFAULT_FAMILIES, _build_config, _check_recipe_inputs,
-                      _parse_value, _read_sections, constants_records,
-                      run_experiment, write_report)
+from .harness import (_DEFAULT_FAMILIES, _build_config, _parse_value,
+                      _read_sections, constants_records, run_experiment,
+                      write_report)
 from .potentials import check_assumptions
 
 _NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError)
@@ -125,14 +125,10 @@ def _config(args):
             given.append((("potential", name), _parse_value(raw), flag))
     for (section, key), value, flag in given:
         sections.setdefault(section, {})[key] = (value, flag)
-    config = _build_config(sections, errors)
-    if args.command == "constants":
-        # its records are constants_table's: ask that recipe's rules too
-        _check_recipe_inputs("constants_table", sections, config.spec,
-                             config.params, {}, errors)
-        if errors:
-            raise ConfigError(errors)
-    return config
+    # the constants command's records are constants_table's: ask that
+    # recipe's rules too
+    return _build_config(sections, errors, also_recipe=(
+        "constants_table" if args.command == "constants" else None))
 
 
 def _cmd_run(args):

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import GridDensity, interaction_convolution
+from .equilibrium import (GridDensity, formal_equilibrium,
+                          interaction_convolution)
 from .errors import SchemeError, StabilityError
 
 _LOG_FLOOR = 1e-300
@@ -362,8 +363,6 @@ def modulated_energy(density, spec, params, weights, f_infty, f_hat=None,
     Passing free_energy_infty or free_energy_f (floats) skips recomputing
     F(f_infty) or F(f).
     """
-
-    from .equilibrium import formal_equilibrium
 
     if isinstance(density, KineticState):
         density = density.density

@@ -89,6 +89,18 @@ def test_w2_shape_errors():
         w2_exact(np.zeros((5000, 2)), np.zeros((5000, 2)))
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (np.zeros(0), np.zeros(0), "empty clouds"),
+    (np.zeros((0, 2)), np.zeros((0, 2)), "empty clouds"),
+    (np.array([0.0, np.nan]), np.zeros(2), "clouds must be finite"),
+    (np.zeros((3, 2)), np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]),
+     "clouds must be finite"),
+])
+def test_w2_exact_refuses_empty_or_non_finite_clouds(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        w2_exact(a, b)
+
+
 def _w2_raw_assignment(a, b):
     """W2 from the assignment on the raw cdist cost, summed in row order."""
 
@@ -296,6 +308,29 @@ def test_w2_gaussian_rejects_non_psd():
         w2_gaussian(np.zeros(2), bad, np.zeros(2), np.eye(2))
 
 
+@pytest.mark.parametrize("mean2, cov1, message", [
+    (np.zeros(1), np.eye(2), "mean dimensions differ"),
+    (np.zeros(2), np.ones((2, 3)), "cov1 must be square"),
+    (np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
+     "cov1 must be symmetric"),
+])
+def test_w2_gaussian_refuses_mismatched_inputs(mean2, cov1, message):
+    with pytest.raises(ValueError, match=message):
+        w2_gaussian(np.zeros(2), cov1, mean2, np.eye(2))
+
+
+@pytest.mark.parametrize("evals1, evals2, message", [
+    (((1.0, 2),), ((1.0, 3),), "different total multiplicity"),
+    (((1.0, 1), (0.5, 1)), ((2.0, 1),), "different total multiplicity"),
+    (((-0.1, 1), (1.0, 1)), ((1.0, 2),), "must be nonnegative"),
+    (((1.0, 2),), ((1.0, 1), (-1e-300, 1)), "must be nonnegative"),
+])
+def test_w2_gaussian_spectral_refuses_mismatched_spectra(evals1, evals2,
+                                                         message):
+    with pytest.raises(ValueError, match=message):
+        w2_gaussian_spectral(evals1, evals2)
+
+
 def test_w2_gaussian_spectral_matches_bures():
     # shared eigenbasis spectra: ((value, multiplicity), ...)
     spec1 = ((1.0, 1), (0.8, 3))
@@ -375,7 +410,8 @@ def test_error_stats_zero_kernel(baseline_params, rng):
     rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
     Z = ensemble_from(rho, baseline_params, rng, 32)
     stats = error_statistics(Z, spec, rho, params=baseline_params)
-    for name in ("R0", "R1", "R2", "R3"):
+    assert set(stats.aggregates) == {"R0", "R1", "R3"}
+    for name in ("R0", "R1", "R3"):
         assert stats.aggregate(name) == 0.0
 
 
@@ -387,7 +423,8 @@ def test_error_stats_match_reference(mollified_setup, rng):
         fast = error_statistics(Z, spec, rho, params=params)
         ref = error_statistics_reference(Z, spec, rho, params=params,
                                          tables=ref_tables)
-        for name in ("R0", "R1", "R2", "R3"):
+        assert fast.aggregates.keys() == ref.aggregates.keys()
+        for name in ("R0", "R1", "R3"):
             assert fast.aggregate(name) == pytest.approx(
                 ref.aggregate(name), rel=1e-12, abs=1e-300), (name, n)
 
@@ -430,13 +467,6 @@ def test_error_stats_harmonic_closed_form(baseline_spec, baseline_params,
     assert np.max(np.abs(stats.r0[:, 0] - 0.25 * np.mean(x))) < 1e-6
 
 
-def test_error_stats_sign_relation(mollified_setup, rng):
-    spec, params, rho = mollified_setup
-    Z = ensemble_from(rho, params, rng, 32)
-    stats = error_statistics(Z, spec, rho, params=params)
-    assert np.array_equal(stats.r2, -stats.r0)
-
-
 def test_error_stats_escape_names_particle(mollified_setup):
     spec, params, rho = mollified_setup
     Z = PhaseEnsemble(np.array([[0.0], [40.0]]), np.zeros((2, 1)))
@@ -471,11 +501,10 @@ def _error_terms_one_block(spec, rho, tables, x, v):
 def _error_terms(spec, rho, tables, x, v):
     stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]), spec,
                              rho, tables=tables)
-    assert np.array_equal(stats.r2, -stats.r0)
     terms = (stats.r0[:, 0], stats.r1[:, 0, 0], stats.r3[:, 0])
     assert stats.aggregates == {
         "R0": float(np.mean(terms[0]**2)), "R1": float(np.mean(terms[1]**2)),
-        "R2": float(np.mean(terms[0]**2)), "R3": float(np.mean(terms[2]**2))}
+        "R3": float(np.mean(terms[2]**2))}
     return terms
 
 
@@ -699,14 +728,14 @@ def test_stacked_error_terms_equal_each_ensemble_alone(w_family, w_params, N,
     for R in counts:
         terms = chaos_metrics._error_terms(x[:R], v[:R], spec, rho, tables)
         aggs = chaos_metrics._mean_squares(terms)
-        assert aggs.shape == (4, R)
+        assert aggs.shape == (3, R)
         for r in range(R):
             stats = alone[r]
             assert _bits(terms[0][r]) == _bits(stats.r0[:, 0])
             assert _bits(terms[1][r]) == _bits(stats.r1[:, 0, 0])
             assert _bits(terms[2][r]) == _bits(stats.r3[:, 0])
             assert list(aggs[:, r]) == [stats.aggregates[t]
-                                        for t in ("R0", "R1", "R2", "R3")]
+                                        for t in ("R0", "R1", "R3")]
 
 
 def test_stacked_escape_names_the_repetition(mollified_setup):
@@ -758,16 +787,15 @@ def _concentration_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
     # the (terms x N) mean and se arrays
     tables = mean_field_tables(spec, rho)
     ranked = sorted(range(len(n_values)), key=lambda i: n_values[i])
-    mean, se = np.empty((2, 4, len(n_values)))
+    mean, se = np.empty((2, 3, len(n_values)))
     for i, N in enumerate(n_values):
         point_rng = rng.derive(20_000 * (ranked.index(i) + 1))
-        aggs = np.empty((4, n_mc))
+        aggs = np.empty((3, n_mc))
         for s in range(n_mc):
             x, v = sample_f_infty(rho, params, N, point_rng, substream=s)
             stats = error_statistics(PhaseEnsemble(x[:, None], v[:, None]),
                                      spec, rho, tables=tables)
-            aggs[:, s] = [stats.aggregates[t] for t in ("R0", "R1", "R2",
-                                                        "R3")]
+            aggs[:, s] = [stats.aggregates[t] for t in ("R0", "R1", "R3")]
         for k, vals in enumerate(aggs):
             mean[k, i] = vals.mean()
             se[k, i] = vals.std(ddof=1) / math.sqrt(n_mc)
@@ -811,7 +839,8 @@ def test_concentration_slopes(mollified_setup, rng):
     result = concentration_check(spec, rho, params,
                                  n_values=[16, 32, 64, 128], n_mc=60,
                                  rng=rng)
-    for term in ("R0", "R1", "R2", "R3"):
+    assert result.terms == ("R0", "R1", "R3")
+    for term in result.terms:
         slope, se, r2 = result.fits[term]
         assert -1.3 <= slope <= -0.7, term
         assert r2 >= 0.8, term
@@ -841,7 +870,7 @@ def test_concentration_zero_kernel_skips_fit(baseline_params, rng):
     rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
     result = concentration_check(spec, rho, baseline_params,
                                  n_values=[8, 16, 32], n_mc=10, rng=rng)
-    assert result.mean.shape == (4, 3)
+    assert result.mean.shape == (3, 3)
     assert np.all(result.mean == 0.0)
     assert result.fits["R0"] is None
 

@@ -122,6 +122,37 @@ def test_duplicate_key_rejected_with_both_lines():
     assert "line 3" in msg and "line 4" in msg
 
 
+@pytest.mark.parametrize("text, errors", [
+    ("[experiment]\nrecipe = ergodicity\n[numerics\nN = 16\n",
+     ["line 3: malformed section header '[numerics'",
+      "line 4: key outside any section"]),
+    ("[experiment]\nrecipe = ergodicity\n[solver]\n",
+     ["line 3: unknown section [solver]; expected one of experiment, "
+      "potential, model, constants, numerics"]),
+    ("[experiment]\nrecipe = ergodicity\n[experiment]\nseed = 1\n",
+     ["line 3: section [experiment] appears twice",
+      "line 4: key outside any section"]),
+    ("[experiment]\nrecipe = ergodicity\nseed 1\n",
+     ["line 3: expected 'key = value', got 'seed 1'"]),
+    ("seed = 1\n[experiment]\nrecipe = ergodicity\n",
+     ["line 1: key outside any section"]),
+    ("[experiment]\nrecipe = ergodicity\nseed = true\n",
+     ["line 3: [experiment] seed must be int, got True"]),
+    ("[experiment]\nrecipe = ergodicity\n[model]\ngamma = true\n",
+     ["line 4: [model] gamma must be float, got True"]),
+    ("[experiment]\nrecipe = chaos_scaling\n[numerics]\nN_list = []\n",
+     ["line 4: [numerics] N_list must be int_list, got []"]),
+    ('[experiment]\nrecipe = chaos_scaling\n[numerics]\nN_list = [8, "a"]\n',
+     ["line 4: [numerics] N_list must be int_list, got [8, 'a']"]),
+], ids=["malformed_header", "unknown_section", "section_twice",
+        "line_without_equals", "key_before_any_section", "bool_for_int",
+        "bool_for_float", "empty_int_list", "string_in_int_list"])
+def test_document_errors_name_their_line(text, errors):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == errors
+
+
 def test_type_mismatch_and_unknown_key_collected_together():
     bad = ("[experiment]\nrecipe = ergodicity\n"
            "[numerics]\nN = hello\nbogus_key = 3\n")
@@ -562,6 +593,20 @@ def test_cli_constants_of_another_recipe_without_an_interaction_exits_2(
         "C_K\n")
     given = write_cfg(tmp_path, text + "[constants]\nC_K = 0.5\n")
     assert cli_main(["constants", "--config", given]) == 0
+
+
+def test_cli_constants_reports_the_zero_w_rule_with_the_document_errors(
+        tmp_path, capsys):
+    # the constants_table rule for W = 0 is asked in the same pass as the
+    # document's own rules, so one run names both
+    text = (ZERO_W_CONSTANTS.replace("constants_table", "assumptions")
+            + "[constants]\ntheta = 0\n")
+    assert cli_main(["constants", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 7: [constants] theta must be above 0 (the weight "
+        "exponent of the Hessian growth condition), got 0.0",
+        "config error: line 5: recipe 'constants_table' with W = 0 has "
+        "C_K = 0, and the rate constants need C_K > 0: set [constants] C_K"]
 
 
 def test_cli_constants_table_with_a_zero_harmonic_w_exits_2(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The public API, frozen: the names `kinchaos` exports and the signatures
-of the README's Library entry points.  A change to either is a change of
-the package's observable behaviour, and shows as a diff of this file."""
+"""The public API, frozen: the names `kinchaos` exports, the signatures
+of the README's Library entry points and the public fields of the exported
+dataclasses.  A change to any of them is a change of the package's
+observable behaviour, and shows as a diff of this file."""
 
+import dataclasses
 import inspect
 
 import kinchaos
@@ -43,6 +45,29 @@ SIGNATURES = {
     "write_report": "(report, out_dir)",
 }
 
+FIELDS = {
+    "AssumptionReport": ("verdicts", "theta", "seed", "notes"),
+    "Axis": ("lo", "hi", "n"),
+    "DecayFit": ("rate", "intercept", "r2", "n_used", "n_skipped", "window"),
+    "ErrorStats": ("r0", "r1", "r3", "aggregates"),
+    "ExperimentConfig": ("recipe", "seed", "out_dir", "potential", "model",
+                         "constants", "numerics", "spec", "params"),
+    "GibbsSamples": ("positions", "velocities", "method", "acceptance_rate",
+                     "warning", "info"),
+    "GridDensity": ("x_axis", "values", "v_axis", "meta"),
+    "KineticState": ("density", "time", "step", "mass_drift"),
+    "ModelParams": ("gamma", "sigma", "beta"),
+    "PhaseEnsemble": ("positions", "velocities", "time", "step"),
+    "PotentialSpec": ("V", "W", "d", "lam", "M_lb", "C_V", "C_K", "theta",
+                      "C_V_theta", "W_grad_sup"),
+    "RngSpec": ("seed", "stream"),
+    "RunReport": ("recipe", "seed", "config_echo", "verdicts", "tables",
+                  "scalars", "texts", "timings", "version"),
+    "TheoremConstants": ("tag", "inputs", "a", "delta", "rate", "sigma_star",
+                         "H0_min", "m2_prime", "m2_doubleprime", "flags"),
+    "WeightMatrix": ("kind", "delta", "a", "theta", "H0", "potential"),
+}
+
 
 def test_exports_are_frozen():
     assert sorted(kinchaos.__all__) == EXPORTS
@@ -51,3 +76,15 @@ def test_exports_are_frozen():
 def test_library_entry_point_signatures_are_frozen():
     assert {name: str(inspect.signature(getattr(kinchaos, name)))
             for name in SIGNATURES} == SIGNATURES
+
+
+def test_exported_dataclass_fields_are_frozen():
+    # every exported dataclass, its fields in declaration order; a leading
+    # underscore marks a private field
+    fields = {}
+    for name in kinchaos.__all__:
+        obj = getattr(kinchaos, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            fields[name] = tuple(f.name for f in dataclasses.fields(obj)
+                                 if not f.name.startswith("_"))
+    assert fields == FIELDS
