@@ -30,8 +30,7 @@ from scipy.special import digamma, gammaln
 from .dynamics import sample_f_infty
 from .equilibrium import interaction_convolution
 from .kinetic_pde import _line_fit
-from .potentials import (_pair_entries, _panel_entries, _panel_height, _view,
-                         pair_panels)
+from .potentials import _pair_entries, _panel_entries, _view, pair_panels
 
 _MAX_ASSIGNMENT = 4096
 # a covariance or OT map whose least eigenvalue is at most this fraction of
@@ -45,10 +44,8 @@ _TERMS = ("R0", "R1", "R3")
 def w2_exact(a, b):
     """Exact W2 between equal-size empirical clouds (rows are points)."""
 
-    a = np.atleast_2d(np.asarray(a, dtype=float).T).T \
-        if np.asarray(a).ndim == 1 else np.asarray(a, dtype=float)
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T \
-        if np.asarray(b).ndim == 1 else np.asarray(b, dtype=float)
+    a, b = (c[:, None] if c.ndim == 1 else c
+            for c in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"need equal (n, d) clouds, got {a.shape} vs {b.shape}")
     n, d = a.shape
@@ -253,8 +250,7 @@ def _stack_size(N):
     whose first pair panels hold at most 2**15 entries together, so numpy
     calls on small N cover many ensembles; a function of N alone."""
 
-    first_panel = min(_panel_height(N, 1), N) * N
-    return max(1, 2**15 // first_panel)
+    return max(1, 2**15 // _panel_entries((N, 1)))
 
 
 def _error_terms(x, v, spec, rho_inf, tables, first=None):
@@ -332,8 +328,7 @@ def error_statistics(ensemble, spec, rho_inf, params=None, tables=None):
     del params  # error terms depend on positions/velocities and the kernel
     if ensemble.d != 1:
         raise ValueError("error statistics are implemented for d = 1")
-    if rho_inf.is_phase_space:
-        rho_inf = rho_inf.marginal_x()
+    rho_inf = rho_inf.marginal_x()
     if tables is None:
         tables = mean_field_tables(spec, rho_inf)
     terms = _error_terms(ensemble.positions.T, ensemble.velocities.T, spec,
@@ -363,8 +358,7 @@ def mean_field_tables_reference(spec, rho_inf):
     error_statistics_reference through `tables`.
     """
 
-    if rho_inf.is_phase_space:
-        rho_inf = rho_inf.marginal_x()
+    rho_inf = rho_inf.marginal_x()
     kernel, kernel_grad = _scalar_kernels(spec)
     axis = rho_inf.x_axis
     nodes = axis.nodes
@@ -398,8 +392,7 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None,
     del params
     if ensemble.d != 1:
         raise ValueError("error statistics are implemented for d = 1")
-    if rho_inf.is_phase_space:
-        rho_inf = rho_inf.marginal_x()
+    rho_inf = rho_inf.marginal_x()
     x = ensemble.positions[:, 0]
     v = ensemble.velocities[:, 0]
     N = x.size
@@ -500,8 +493,7 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     if n_mc < 1 or min(n_values) < 2:
         raise ValueError(f"need n_mc >= 1 ensembles of N >= 2 particles, "
                          f"got n_mc={n_mc}, N in {list(n_values)}")
-    if rho_inf.is_phase_space:
-        rho_inf = rho_inf.marginal_x()
+    rho_inf = rho_inf.marginal_x()
     tables = mean_field_tables(spec, rho_inf)
     n_points = len(n_values)
     ranked = sorted(range(n_points), key=lambda i: n_values[i])

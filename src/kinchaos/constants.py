@@ -200,30 +200,32 @@ class WeightMatrix:
         vx = self.potential.V.value(x[..., None])
         return 0.5 * v * v + vx + self.H0
 
-    def blocks(self, x, v):
-        """Entries (e, f, g) of the 2x2 block at phase point(s) (x, v)."""
+    def _damping_base(self, x, v):
+        """H(z) of an M2 weight, or H = 1 for M1, on the broadcast shape of
+        (x, v): the M1 entries are the M2 formula at H = 1."""
 
-        e0 = self.delta * self.a**3
-        f0 = self.delta * self.a**2
-        g0 = 2.0 * self.delta * self.a
         if self.kind == "M1_constant":
-            one = np.ones(np.broadcast(np.asarray(x), np.asarray(v)).shape)
-            return e0 * one, f0 * one, g0 * one
+            return np.ones(np.broadcast_shapes(np.shape(x), np.shape(v)))
         h = self.hamiltonian(x, v)
         if np.any(h <= 0):
             bad = np.argwhere(np.asarray(h) <= 0)
             raise ValueError(f"H(z) <= 0 encountered (H0 floor violated) at "
                              f"index {bad[0].tolist()}")
-        return (e0 * h ** (-3.0 * self.theta),
-                f0 * h ** (-2.0 * self.theta),
-                g0 * h ** (-self.theta))
+        return h
+
+    def blocks(self, x, v):
+        """Entries (e, f, g) of the 2x2 block at phase point(s) (x, v)."""
+
+        h = self._damping_base(x, v)
+        return (self.delta * self.a**3 * h ** (-3.0 * self.theta),
+                self.delta * self.a**2 * h ** (-2.0 * self.theta),
+                2.0 * self.delta * self.a * h ** (-self.theta))
 
     def determinant_identity(self, x, v):
         """delta^2 a^4 H^(-4 theta), the exact value of e*g - f^2."""
 
-        if self.kind == "M1_constant":
-            return self.delta**2 * self.a**4
-        return self.delta**2 * self.a**4 * self.hamiltonian(x, v) ** (-4.0 * self.theta)
+        return (self.delta**2 * self.a**4
+                * self._damping_base(x, v) ** (-4.0 * self.theta))
 
 
 def build_weight_matrix(kind, delta, a, theta=0.0, H0=0.0, spec=None):

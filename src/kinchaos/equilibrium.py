@@ -274,13 +274,13 @@ def assemble_f_infty(rho, params, v_axis):
 
 
 def formal_equilibrium(rho_t, spec, params, v_axis):
-    """Gibbs-shaped density built from the current marginal rho_t:
+    """Gibbs-shaped density built from the x marginal of rho_t (a position
+    or a phase-space density):
 
         f_hat(x, v) ~ exp(-beta (V + W * rho_t)(x)) * maxwellian(v)
     """
 
-    if rho_t.is_phase_space:
-        rho_t = rho_t.marginal_x()
+    rho_t = rho_t.marginal_x()
     axis = rho_t.x_axis
     pos = _gibbs_map(spec, params, axis, spec.V.value(axis.nodes[:, None]),
                      rho_t.values)

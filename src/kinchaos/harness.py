@@ -736,8 +736,7 @@ def _run_meanfield_decay(cfg, report, threads):
     def functionals(state, F):
         """(H_W, H_formal, I_M, E_M) of a checkpoint state of free energy F."""
 
-        f_hat = formal_equilibrium(state.density.marginal_x(), spec, params,
-                                   v_axis)
+        f_hat = formal_equilibrium(state.density, spec, params, v_axis)
         E_M = modulated_energy(state, spec, params, weights, f_inf,
                                f_hat=f_hat, free_energy_infty=F_inf,
                                free_energy_f=F)

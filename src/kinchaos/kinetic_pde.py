@@ -308,11 +308,7 @@ def weighted_fisher(f, g, weights):
         raise ValueError("weighted_fisher needs phase-space densities")
     x = f.x_axis.nodes
     v = f.v_axis.nodes
-    if getattr(weights, "kind", None) == "M1_constant":
-        # the same block on every node: scalar entries, no node grids
-        e_b, f_b, g_b = weights.blocks(x[0], v[0])
-    else:
-        e_b, f_b, g_b = weights.blocks(*np.meshgrid(x, v, indexing="ij"))
+    e_b, f_b, g_b = weights.blocks(x[:, None], v[None, :])
     not_pd = (e_b <= 0) | (e_b * g_b - f_b**2 <= 0)
     if np.any(not_pd):
         bad = np.argwhere(np.broadcast_to(not_pd, f.values.shape))[0]
@@ -367,8 +363,7 @@ def modulated_energy(density, spec, params, weights, f_infty, f_hat=None,
     if isinstance(density, KineticState):
         density = density.density
     if f_hat is None:
-        f_hat = formal_equilibrium(density.marginal_x(), spec, params,
-                                   density.v_axis)
+        f_hat = formal_equilibrium(density, spec, params, density.v_axis)
     if free_energy_infty is None:
         free_energy_infty = free_energy(f_infty, spec, params).total
     if free_energy_f is None:

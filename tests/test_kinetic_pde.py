@@ -519,15 +519,16 @@ def test_weighted_fisher_rejects_indefinite(f_inf):
 
 
 @pytest.mark.parametrize("kind", ["M1_constant", "M2_hamiltonian_weighted"])
-def test_weighted_fisher_builds_node_grids_only_for_varying_weights(
+def test_weighted_fisher_asks_every_weight_on_the_broadcast_axes(
         kind, f_inf, baseline_spec, monkeypatch):
-    # M1 is one block on every node: its entries are scalars, and the
-    # value equals the node-grid evaluation bit for bit
+    # both kinds are evaluated once, on the axes (nx, 1) and (1, nv), and
+    # the value equals the one from blocks on the full node grid bit for bit
     weights = build_weight_matrix(kind, 1.0, 1.5, theta=0.5, H0=1.0,
                                   spec=baseline_spec)
     f = gaussian_phase(f_inf.x_axis, f_inf.v_axis, 0.4, -0.2, 1.1, 0.9)
+    X, V = np.meshgrid(f.x_axis.nodes, f.v_axis.nodes, indexing="ij")
     on_grid = weighted_fisher(f, f_inf, SimpleNamespace(
-        blocks=weights.blocks))
+        blocks=lambda x, v: weights.blocks(X, V)))
     shapes = []
     blocks = WeightMatrix.blocks
 
@@ -537,8 +538,8 @@ def test_weighted_fisher_builds_node_grids_only_for_varying_weights(
 
     monkeypatch.setattr(WeightMatrix, "blocks", spy)
     assert weighted_fisher(f, f_inf, weights) == on_grid
-    grid = f.values.shape
-    assert shapes == [((), ()) if kind == "M1_constant" else (grid, grid)]
+    nx, nv = f.values.shape
+    assert shapes == [((nx, 1), (1, nv))]
 
 
 def test_weighted_fisher_rejects_indefinite_constant_weight(f_inf):
@@ -619,3 +620,4 @@ def test_fit_rejects_all_nonpositive():
     t = np.linspace(0, 1, 10)
     with pytest.raises(ValueError):
         fit_decay(t, np.zeros_like(t))
+
