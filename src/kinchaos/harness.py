@@ -61,7 +61,8 @@ from .equilibrium import (_MIN_NODES, Axis, GridDensity, _closed_form,
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
-from .potentials import PotentialSpec, check_assumptions, make_system
+from .potentials import (PotentialSpec, _harmonic_L_W, check_assumptions,
+                         make_system)
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
 
@@ -354,9 +355,10 @@ def _lines(entries, pick):
 
 def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
     """The rules that span several keys: fluctuation-dissipation, the step
-    counts and checkpoints, distinct N, the closed form and W != 0, asked of
-    the built spec and model, line-numbered.  A key that failed its own rules
-    is missing from `numerics`, and the rules that read it are skipped."""
+    counts and checkpoints, distinct N, the closed form and the W of
+    concentration and constants_table, asked of the built spec and model,
+    line-numbered.  A key that failed its own rules is missing from
+    `numerics`, and the rules that read it are skipped."""
 
     gap = 0.0 if params is None \
         else params.sigma * params.beta - params.gamma
@@ -413,20 +415,24 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
         errors.append(f"{lines}: recipe '{recipe}' needs the closed-form "
                       f"Gaussian family: quadratic V with harmonic_W (or "
                       f"zero) W, got {spec.V.family}/{spec.W.family}")
-    if spec.C_K == 0:
-        # W = 0, on the lines that set W, or on the first [potential] entry
-        # when W = 0 is that section's default
+    # W = 0 or harmonic W, on the lines that set W, on the first [potential]
+    # entry when W is that section's default, or on the recipe line when the
+    # whole section is
+    if recipe == "concentration" and _harmonic_L_W(spec.W) is not None:
+        lines = _lines(entries or {"recipe": sections["experiment"]["recipe"]},
+                       lambda key: key.startswith("w_"))
+        errors.append(f"{lines}: recipe 'concentration' needs an "
+                      f"interaction W other than zero or harmonic_W, got "
+                      f"{spec.W.family}: with W = 0 every error term is "
+                      f"exactly 0, and a harmonic K' is constant, so R1 is "
+                      f"exactly L_W/N and its aggregate falls like 1/N^2; "
+                      f"neither has a 1/N slope to fit")
+    elif (recipe == "constants_table" and spec.C_K == 0
+          and "C_K" not in sections.get("constants", {})):
         lines = _lines(entries, lambda key: key.startswith("w_"))
-        if recipe == "concentration":
-            errors.append(f"{lines}: recipe 'concentration' needs an "
-                          f"interaction W: with W = 0 every error term is "
-                          f"exactly 0, so there is no slope against N to "
-                          f"fit")
-        elif (recipe == "constants_table"
-              and "C_K" not in sections.get("constants", {})):
-            errors.append(f"{lines}: recipe 'constants_table' with W = 0 "
-                          f"has C_K = 0, and the rate constants need "
-                          f"C_K > 0: set [constants] C_K")
+        errors.append(f"{lines}: recipe 'constants_table' with W = 0 "
+                      f"has C_K = 0, and the rate constants need "
+                      f"C_K > 0: set [constants] C_K")
 
 
 def parse_config(text):

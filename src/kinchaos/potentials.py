@@ -276,14 +276,13 @@ class ExpPower(RadialField):
 
     def constants(self):
         a, k = self.a, self.k
-        # lam=1 works since the exponential dominates; M_lb by a dense scan
-        s = np.geomspace(1e-3, 50.0, 4001)
-        m = float(max(0.0, np.max(s**2 - np.exp(a * s**k))))
         # weighted Hessian sup away from the (non-C^2) origin, s >= 1
         tail = np.geomspace(1.0, 1e4, 4001)
         w = np.abs(a**2 * k**2 * tail ** (2 * k - 2)
                    + a * k * (k - 1) * tail ** (k - 2))
-        return {"lam": 1.0, "M_lb": m, "C_V": math.inf, "theta": 0.5,
+        # lam=1 works since the exponential dominates
+        return {"lam": 1.0, "M_lb": _exp_power_gap_sup(a, k),
+                "C_V": math.inf, "theta": 0.5,
                 "C_V_theta": float(np.max(w))}
 
 
@@ -399,13 +398,76 @@ class MollifiedCoulomb(RadialField):
         return p
 
     def constants(self):
-        # sup |hess W| and sup |grad W| on a dense deterministic radial net;
-        # the Hessian's radial and tangential eigenvalues are W'' and W'/s
-        scale = self.b if self.form == "power" else self.r0
+        # sup |hess W| and sup |grad W|; the Hessian's radial and tangential
+        # eigenvalues are W'' and W'/s
+        a, b = self.a, self.b
+        if self.form == "power" and self.k == 2.0:
+            # |W'/s| = a (s² + b²)^(-3/2) peaks at s = 0, where |W''| equals
+            # it and elsewhere stays below it; |W'| peaks at s = b/sqrt(2)
+            return {"C_K": a / b**3,
+                    "W_grad_sup": 2 * a / (3 * math.sqrt(3) * b**2)}
+        scale = b if self.form == "power" else self.r0
         s = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 4001) * scale])
-        w1, w2 = map(np.abs, self._w12(s * s))
-        return {"C_K": float(np.max(np.maximum(w1, w2))),
-                "W_grad_sup": float(np.max(w1 * s))}
+
+        def w1(s):  # |W'/s|
+            return np.abs(self._w12(s * s)[0])
+
+        def w2(s):  # |W''|
+            return np.abs(self._w12(s * s)[1])
+
+        return {"C_K": max(_sup_on_net(w1, s), _sup_on_net(w2, s)),
+                "W_grad_sup": _sup_on_net(lambda s: w1(s) * s, s)}
+
+
+def _sup_on_net(fn, s):
+    """An upper bound of sup fn >= 0: its maximum on the sorted net s,
+    refined twice on 1001 points between the net neighbours of the
+    maximiser (each pass brings a smooth peak a thousandfold closer), then
+    rounded up by 1e-12 of itself."""
+
+    best = 0.0
+    for _ in range(3):
+        vals = fn(s)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        s = np.linspace(s[max(j - 1, 0)], s[min(j + 1, s.size - 1)], 1001)
+    return best * (1.0 + 1e-12)
+
+
+def _exp_power_gap_sup(a, k):
+    """max(0, sup_s s² - exp(a s^k)), rounded up: M_lb of exp_power at lam=1.
+
+    With u = a s^k, the derivative has the sign of -g(u), where
+    g(u) = u - ((2 - k)/k) log(u/a) - log(2/(a k)) is convex with its least
+    value at u* = (2 - k)/k.  So the gap falls from s = 0, rises where g < 0
+    and falls again past the larger root u2 of g, its one maximum, where
+    exp(u2) = s² 2/(k u2): the gap is s² (1 - 2/(k u2)).  u2 is bisected to
+    the last bit; the bound adds 1e-9 s² for the rounding of s² and of V
+    near s, and is inf when s² overflows.
+    """
+
+    log_a, c = math.log(a), (2.0 - k) / k
+
+    def g(u):
+        return u - c * (math.log(u) - log_a) - math.log(2.0 / k) + log_a
+
+    lo = c
+    if g(lo) >= 0:
+        return 0.0  # the gap only falls
+    hi = 2.0 * lo
+    while g(hi) < 0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    log_s2 = 2.0 / k * (math.log(hi) - log_a)
+    if log_s2 > 700.0:
+        return math.inf
+    s2 = math.exp(log_s2)
+    gap = s2 * (1.0 - 2.0 / (k * hi))
+    return gap + 1e-9 * s2 if gap > 0 else 0.0
 
 
 @dataclass
@@ -686,24 +748,22 @@ def check_assumptions(spec, *, theta=None, seed=0):
         raise ValueError(f"check_assumptions screens d = 1 only, got d = "
                          f"{spec.d}")
     pts = np.linspace(-_CORE_RADIUS, _CORE_RADIUS, _N_CORE)[:, None]
-    radii = np.abs(pts[:, 0])
     theta = spec.theta if theta is None else float(theta)
     tail_s = np.geomspace(_CORE_RADIUS, _TAIL_RADIUS, _N_TAIL)
     tail = np.concatenate([tail_s, -tail_s])[:, None]
+    pool = np.concatenate([pts, tail])
     verdicts = {}
 
-    # A1: quadratic lower bound V >= lam |x|^2 - M
-    vals = spec.V.value(pts)
-    gap = vals - spec.lam * radii**2 + spec.M_lb
+    # A1: quadratic lower bound V >= lam |x|^2 - M, on both nets
+    gap = spec.V.value(pool) - spec.lam * pool[:, 0]**2 + spec.M_lb
     i = int(np.argmin(gap))
     verdicts["A1"] = Verdict(
         "pass" if gap[i] >= -_TOL else "fail",
         margin=float(gap[i]),
-        witness=None if gap[i] >= -_TOL else pts[i],
+        witness=None if gap[i] >= -_TOL else pool[i],
         note="drift form of the lower bound: not-checked")
 
     # A2: bounded Hessian of V
-    pool = np.concatenate([pts, tail])
     hnorm = _op_norms(spec.V.hess(pool))
     j = int(np.argmax(hnorm))
     if not math.isfinite(spec.C_V):

@@ -282,6 +282,9 @@ def test_criterion_10_determinism_across_threads(tmp_path):
         "chaos_scaling": ("[experiment]\nrecipe = chaos_scaling\n"
                           "[numerics]\nn_mc = 4\nn_cloud = 2048\n"),
         "concentration": ("[experiment]\nrecipe = concentration\n"
+                          "[potential]\nv_family = quadratic\n"
+                          "v_curvature = 1.0\nw_family = mollified_coulomb\n"
+                          "w_a = 0.2\nw_b = 1.0\nw_k = 2.0\n"
                           "[numerics]\nn_mc = 40\n"
                           "N_list = [8, 16, 32, 64, 128]\n"),
         "constants_table": "[experiment]\nrecipe = constants_table\n",

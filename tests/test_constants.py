@@ -154,6 +154,15 @@ def test_m1_blocks():
     m = build_weight_matrix("M1_constant", 1.0, 1.0)
     e, f, g = m.blocks(np.zeros(1), np.zeros(1))
     assert (e[0], f[0], g[0]) == (1.0, 1.0, 2.0)
+    # the M2 formula at H = 1, on the broadcast shape of (x, v)
+    m = build_weight_matrix("M1_constant", 0.3, 1.7)
+    x, v = np.zeros((3, 1)), np.zeros((1, 4))
+    e, f, g = m.blocks(x, v)
+    assert e.shape == f.shape == g.shape == (3, 4)
+    assert np.all(e == 0.3 * 1.7**3) and np.all(f == 0.3 * 1.7**2)
+    assert np.all(g == 2.0 * 0.3 * 1.7)
+    ident = m.determinant_identity(x, v)
+    assert ident.shape == (3, 4) and np.all(ident == 0.3**2 * 1.7**4)
 
 
 def test_m2_hand_blocks():
@@ -198,3 +207,20 @@ def test_m1_positive_definite(delta, a):
     m = build_weight_matrix("M1_constant", delta, a)
     e, f, g = m.blocks(np.zeros(1), np.zeros(1))
     assert e[0] > 0 and e[0] * g[0] - f[0] ** 2 > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: thm14_case1_constants(1.0, 1.0, 0.25, 1.0, 1.0, a_rule="max"),
+     "a_rule must be 'remark', 'proof' or 'min'"),
+    (lambda: thm15_bound(1, 4, 0.0, -1.0, 1.0, 1.0),
+     "rate and prefactors must be nonnegative"),
+    (lambda: build_weight_matrix("M2_hamiltonian_weighted", 0.1, 0.5,
+                                 theta=0.5, H0=1.0),
+     "M2 requires a potential spec for V"),
+    (lambda: build_weight_matrix("M3_unknown", 0.1, 0.5),
+     "unknown weight kind 'M3_unknown'"),
+], ids=["a_rule", "negative_rate", "m2_without_spec", "unknown_kind"])
+def test_guards_refuse_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+

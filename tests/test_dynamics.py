@@ -571,3 +571,54 @@ def test_rng_required(baseline_spec, baseline_params):
     Z = PhaseEnsemble(np.ones((2, 1)), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         step_particle_system(Z, baseline_spec, baseline_params, 0.01)
+
+
+# --- input guards ------------------------------------------------------------
+
+@pytest.mark.parametrize("case, error, message", [
+    ("ensemble_shapes", ValueError,
+     r"positions and velocities must share shape \(N, d\)"),
+    ("dt_zero", StabilityError, "dt must be positive"),
+    ("dt_negative", StabilityError, "dt must be positive"),
+    ("mckean_vlasov_without_rng", ValueError,
+     "an RngSpec is required for reproducibility"),
+    ("gibbs_without_rng", ValueError,
+     "an RngSpec is required for reproducibility"),
+    ("f_infty_without_rng", ValueError,
+     "an RngSpec is required for reproducibility"),
+    ("nan_provider", ValueError,
+     r"density provider returned non-finite force at x = \[0\.5\]"),
+    ("gibbs_method", ValueError, "unknown sampling method 'nuts'"),
+])
+def test_guards_refuse_bad_input(case, error, message, baseline_spec,
+                                 baseline_params, rho_inf):
+    Z = PhaseEnsemble(np.array([[0.5], [-1.0]]), np.zeros((2, 1)))
+
+    def nan_at_first(x):
+        force = np.zeros_like(x)
+        force[0] = np.nan
+        return force
+
+    call = {
+        "ensemble_shapes": lambda: PhaseEnsemble(np.zeros((4, 1)),
+                                                 np.zeros((3, 1))),
+        "dt_zero": lambda: step_particle_system(
+            Z, baseline_spec, baseline_params, 0.0, rng=RngSpec(seed=0)),
+        "dt_negative": lambda: step_mckean_vlasov(
+            Z, baseline_spec, baseline_params, -0.01, np.zeros_like,
+            rng=RngSpec(seed=0)),
+        "mckean_vlasov_without_rng": lambda: step_mckean_vlasov(
+            Z, baseline_spec, baseline_params, 0.01, np.zeros_like),
+        "gibbs_without_rng": lambda: sample_gibbs(
+            baseline_spec, baseline_params, 4, 2),
+        "f_infty_without_rng": lambda: sample_f_infty(
+            rho_inf, baseline_params, 4),
+        "nan_provider": lambda: step_mckean_vlasov(
+            Z, baseline_spec, baseline_params, 0.01, nan_at_first,
+            rng=RngSpec(seed=0)),
+        "gibbs_method": lambda: sample_gibbs(
+            baseline_spec, baseline_params, 4, 2, method="nuts",
+            rng=RngSpec(seed=0)),
+    }[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -276,3 +276,40 @@ def test_spec_closed_form_rejects_non_gaussian_families(v_family, w_family):
     spec = make_system(v_family, None, w_family, None)
     with pytest.raises(ValueError, match=f"got {v_family}/{w_family}"):
         _closed_form(spec, 1.0, 8)
+
+
+# --- input guards ------------------------------------------------------------
+
+@pytest.mark.parametrize("case, message", [
+    ("axis_infinite_lo", "axis bounds must be finite"),
+    ("axis_nan_hi", "axis bounds must be finite"),
+    ("density_shape", r"values shape \(127,\) does not match axes \(128,\)"),
+    ("zero_mass",
+     "cannot normalize density with nonpositive or non-finite mass"),
+    ("positions_of_phase",
+     "sample_positions is defined for position densities"),
+    ("phase_of_positions", "sample_phase needs a phase-space density"),
+    ("derivative_3", "derivative must be 0, 1 or 2"),
+    ("assemble_phase", r"rho must be a position \(1D\) density"),
+    ("lam_V_zero", "need lam_V > 0, L_W >= 0, beta > 0, N >= 1"),
+    ("lam_V_negative", "need lam_V > 0, L_W >= 0, beta > 0, N >= 1"),
+])
+def test_guards_refuse_bad_input(case, message, rho_inf, f_inf,
+                                 baseline_spec, baseline_params):
+    axis, gen = rho_inf.x_axis, np.random.default_rng(0)
+    call = {
+        "axis_infinite_lo": lambda: Axis(-math.inf, 1.0, 32),
+        "axis_nan_hi": lambda: Axis(0.0, math.nan, 32),
+        "density_shape": lambda: GridDensity(axis, np.ones(axis.n - 1)),
+        "zero_mass": lambda: GridDensity.from_values(axis, np.zeros(axis.n)),
+        "positions_of_phase": lambda: f_inf.sample_positions(gen, 3),
+        "phase_of_positions": lambda: rho_inf.sample_phase(gen, 3),
+        "derivative_3": lambda: interaction_convolution(
+            baseline_spec, axis, rho_inf.values, derivative=3),
+        "assemble_phase": lambda: assemble_f_infty(f_inf, baseline_params,
+                                                   f_inf.v_axis),
+        "lam_V_zero": lambda: gaussian_closed_form(0.0, 0.25, 1.0, 4),
+        "lam_V_negative": lambda: gaussian_closed_form(-1.0, 0.25, 1.0, 4),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

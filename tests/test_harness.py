@@ -61,6 +61,12 @@ N_list = [8, 16, 32, 64]
 n_mc = 40
 """
 
+# the W of CONCENTRATION_SMALL, for a concentration document that would
+# otherwise take the refused harmonic default
+COULOMB_W = ("[potential]\nv_family = quadratic\nv_curvature = 1.0\n"
+             "w_family = mollified_coulomb\nw_a = 0.2\nw_b = 1.0\nw_k = 2.0\n")
+RECIPE_POTENTIAL = {"concentration": COULOMB_W}
+
 # three checkpoints (t = 0.01, 0.02, 0.03) inside the default fit window
 # [0.15 T, 0.9 T]; the keys sit on lines 5-7, so an appended key is line 8
 MEANFIELD_SMALL = """
@@ -437,7 +443,8 @@ def test_each_schema_rule_refuses_a_value_just_past_its_bound(
     # just past its bound is one error, on that key's line
     relation, bound, why = rule
     value = _past(want, relation, bound)
-    text = f"[experiment]\nrecipe = {recipe}\n[{section}]\n{key} = {value}\n"
+    text = (f"[experiment]\nrecipe = {recipe}\n[{section}]\n{key} = {value}\n"
+            + RECIPE_POTENTIAL.get(recipe, ""))
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert len(err.value.errors) == 1
@@ -496,7 +503,8 @@ def test_each_config_flag_names_a_schema_key():
 
 @pytest.mark.parametrize("recipe", harness._RECIPES)
 def test_bare_config_of_each_recipe_parses(recipe):
-    cfg = parse_config(f"[experiment]\nrecipe = {recipe}\n")
+    cfg = parse_config(f"[experiment]\nrecipe = {recipe}\n"
+                       + RECIPE_POTENTIAL.get(recipe, ""))
     assert cfg.numerics == {key: entry[1] for key, entry in
                             harness._NUMERICS_SCHEMA[recipe].items()}
 
@@ -535,14 +543,21 @@ def test_meanfield_decay_fits_the_records_the_window_rule_counts(tmp_path,
     ("v_family = quadratic\nw_family = zero\n", "w_family = zero"),
     # W defaults to zero; the error names the first [potential] line
     ("v_family = quadratic\nv_curvature = 2.0\n", "v_family = quadratic"),
-    # W = 0 under another name: the rule asks the built spec for C_K
+    # W = 0 under another name: the rule asks the built spec for L_W
     ("v_family = quadratic\nw_family = harmonic_W\nw_L_W = 0.0\n",
      "w_family = harmonic_W\nw_L_W = 0.0"),
+    # harmonic W: R1 = L_W/N exactly, an aggregate of slope -2
+    ("v_family = quadratic\nw_family = harmonic_W\nw_L_W = 0.25\n",
+     "w_family = harmonic_W\nw_L_W = 0.25"),
+    # the default potential is harmonic; with no [potential] entry the error
+    # names the recipe line
+    ("", "recipe = concentration"),
 ])
 def test_concentration_needs_an_interaction(potential, named, tmp_path,
                                             capsys):
-    # W = 0 makes every aggregate exactly 0: no slope against N exists, and
-    # the four slope verdicts would FAIL a correct program
+    # W = 0 makes every aggregate exactly 0 and harmonic W makes R1 fall like
+    # 1/N²: no 1/N slope exists, and the slope verdicts would FAIL a correct
+    # program
     text = CONCENTRATION_SMALL.replace(
         "v_family = quadratic\nv_curvature = 1.0\nw_family = mollified_coulomb"
         "\nw_a = 0.2\nw_b = 1.0\nw_k = 2.0\n", potential)
@@ -792,7 +807,8 @@ def test_recipes_build_nothing_after_parse_config(recipe, monkeypatch):
     # the runners read cfg.spec and cfg.params; the one build after parsing
     # is the W = 0 spec of the concentration zero-kernel control
     cfg = parse_config(f"[experiment]\nrecipe = {recipe}\n"
-                       f"[numerics]\n{TINY_NUMERICS[recipe]}")
+                       f"[numerics]\n{TINY_NUMERICS[recipe]}"
+                       + RECIPE_POTENTIAL.get(recipe, ""))
     make_system = potentials.make_system
     zero_w_builds = []
 
@@ -1030,7 +1046,8 @@ def test_repeated_n_rows_keep_their_own_se():
     # point i of N_list draws from rng.derive(20_000 * (i + 1)), substreams
     # 0..n_mc-1; the two N = 8 points are different samples
     text = ("[experiment]\nrecipe = concentration\nseed = 0\n"
-            "[numerics]\nN_list = [8, 8, 16]\nn_mc = 20\nnx = 129\n")
+            "[numerics]\nN_list = [8, 8, 16]\nn_mc = 20\nnx = 129\n"
+            + COULOMB_W)
     cfg = parse_config(text)
     report = run_experiment(cfg)
     spec, params = cfg.spec, cfg.params
@@ -1200,3 +1217,43 @@ def test_cli_seed_flag_overrides(tmp_path):
                      "--out-dir", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "report.json") as fh:
         assert json.load(fh)["seed"] == 99
+
+
+def test_run_of_a_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.ini"
+    assert cli_main(["run", str(missing), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert str(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nseed = 1\n", "[experiment] recipe is required"),
+    ("[model]\nbeta = 1.0\n", "[experiment] recipe is required"),
+    ("[experiment]\nrecipe = constants_table\n[constants]\n"
+     "meanfield_variant = 1\n",
+     "line 4: [constants] meanfield_variant must be bool, got 1"),
+    ("[experiment]\nrecipe = constants_table\n[constants]\n"
+     "meanfield_variant = \"true\"\n",
+     "line 4: [constants] meanfield_variant must be bool, got 'true'"),
+])
+def test_config_guards_refuse_bad_input(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [message]
+
+
+def test_write_report_unwraps_numpy_scalars_and_arrays(tmp_path):
+    report = harness.RunReport(recipe="constants_table", seed=0,
+                               config_echo={})
+    report.scalars = {"f": np.float64(0.1), "i": np.int64(7),
+                      "a": np.array([[1.5, 2.0]]), "n": np.arange(3)}
+    write_report(report, str(tmp_path))
+    scalars = json.loads((tmp_path / "report.json").read_text())["scalars"]
+    assert scalars == {"f": 0.1, "i": 7, "a": [[1.5, 2.0]], "n": [0, 1, 2]}
+    report.scalars = {"x": object()}
+    with pytest.raises(TypeError, match="^not JSON serializable: "
+                                        "<class 'object'>$"):
+        write_report(report, str(tmp_path / "again"))

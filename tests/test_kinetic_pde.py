@@ -621,3 +621,25 @@ def test_fit_rejects_all_nonpositive():
     with pytest.raises(ValueError):
         fit_decay(t, np.zeros_like(t))
 
+
+@pytest.mark.parametrize("case, message", [
+    ("state", r"KineticState needs an \(x, v\) density"),
+    ("free_energy", "free_energy needs a phase-space density"),
+    ("fisher", "weighted_fisher needs phase-space densities"),
+    ("entropy_across_kinds", "densities live on different kinds of grids"),
+    ("fit_unequal", "times and values must be equal-length 1D arrays"),
+])
+def test_guards_refuse_the_wrong_kind_of_input(case, message, rho_inf, f_inf,
+                                               baseline_spec,
+                                               baseline_params):
+    weights = build_weight_matrix("M1_constant", 1.0, 1.5)
+    call = {
+        "state": lambda: KineticState(rho_inf),
+        "free_energy": lambda: free_energy(rho_inf, baseline_spec,
+                                           baseline_params),
+        "fisher": lambda: weighted_fisher(rho_inf, rho_inf, weights),
+        "entropy_across_kinds": lambda: relative_entropy_grid(f_inf, rho_inf),
+        "fit_unequal": lambda: fit_decay([0.0, 1.0, 2.0], [1.0, 0.5]),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -587,3 +587,95 @@ def test_assumption_determinism(baseline_spec):
 def test_assumption_drift_variant_not_checked(baseline_spec):
     note = check_assumptions(baseline_spec).verdicts["A1"].note
     assert "not-checked" in note
+
+
+@pytest.mark.parametrize("family, params, side, message", [
+    ("power_k", {"amp": 0.0}, "V", "power_k: amp must be positive"),
+    ("exp_power", {"a": 0.0}, "V", "exp_power: a must be positive"),
+    ("exp_power", {"k": 1.0}, "V", r"exp_power: k must lie in \(0, 1\)"),
+    ("exp_power", {"k": 0.0}, "V", r"exp_power: k must lie in \(0, 1\)"),
+    ("harmonic_W", {"L_W": -0.25}, "W",
+     "harmonic_W: L_W must be nonnegative"),
+    ("mollified_coulomb", {"form": "yukawa"}, "W",
+     "mollified_coulomb: form must be 'power' or 'arctan'"),
+    ("mollified_coulomb", {"a": 0.0}, "W",
+     "mollified_coulomb: a must be positive"),
+    ("mollified_coulomb", {"b": 0.0}, "W",
+     "mollified_coulomb: b must be positive"),
+    ("mollified_coulomb", {"k": 1.5}, "W",
+     "mollified_coulomb: k must be >= 2"),
+    ("mollified_coulomb", {"form": "arctan", "r0": 0.0}, "W",
+     "mollified_coulomb: r0 must be positive"),
+])
+def test_family_ranges_refuse_a_value_outside(family, params, side, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        builtin_field(family, params, side)
+    assert err.value.side == side
+
+
+# every builtin family at its defaults and at the parameters the tests use
+DECLARED_CASES = [
+    ("quadratic", {}, "V"),
+    ("quadratic", {"curvature": 1.3}, "V"),
+    ("quadratic", {"curvature": 40.0}, "V"),
+    ("power_k", {}, "V"),
+    ("power_k", {"k": 2.0}, "V"),
+    ("power_k", {"k": 3.0, "amp": 0.5}, "V"),
+    ("power_k", {"k": 6.0}, "V"),
+    ("exp_power", {}, "V"),
+    ("exp_power", {"a": 0.7, "k": 0.5}, "V"),
+    ("zero", {}, "V"),
+    ("harmonic_W", {}, "W"),
+    ("harmonic_W", {"L_W": 0.5}, "W"),
+    ("mollified_coulomb", {}, "W"),
+    ("mollified_coulomb", {"a": 0.2}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "b": 0.8, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "b": 1.3, "k": 2.0}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 0.8, "k": 2.5}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "b": 1.0, "k": 2.5}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.3, "k": 3.0}, "W"),
+    ("mollified_coulomb", {"form": "arctan"}, "W"),
+    ("mollified_coulomb", {"a": 0.2, "r0": 1.0, "form": "arctan"}, "W"),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}, "W"),
+    ("zero", {}, "W"),
+]
+
+
+@pytest.mark.parametrize("family, params, side", DECLARED_CASES,
+                         ids=[f"{side}-{family}-{i}" for i, (family, _, side)
+                              in enumerate(DECLARED_CASES)])
+def test_declared_constants_bound_a_dense_evaluation(family, params, side):
+    # on the ray (s, 0) in d = 2 the Hessian of a radial field is diag(W'',
+    # W'/s), both eigenvalues; the net is 2e-5 apart up to s = 4, where every
+    # W peaks, and 2e-3 apart out to 400, past exp_power's largest gap at 188
+    spec = (make_system(family, params, d=2) if side == "V"
+            else make_system("zero", None, family, params, d=2))
+    s = np.concatenate([np.linspace(0.0, 4.0, 200_001),
+                        np.linspace(4.0, 400.0, 200_001)])
+    x = np.stack([s, np.zeros_like(s)], axis=-1)
+    # V >= lam |x|² - M_lb, up to the rounding of two large terms
+    gap = spec.V.value(x) - spec.lam * s**2 + spec.M_lb
+    assert np.min(gap / (1.0 + spec.lam * s**2)) >= -1e-12
+    bounds = (
+        ("C_V", np.abs(np.diagonal(spec.V.hess(x), axis1=-2, axis2=-1))),
+        ("C_K", np.abs(np.diagonal(spec.W.hess(x), axis1=-2, axis2=-1))),
+        ("W_grad_sup", np.abs(spec.W.grad(x)[:, 0])))
+    for name, values in bounds:
+        assert np.max(values) <= getattr(spec, name) * (1.0 + 1e-13), name
+
+
+@pytest.mark.parametrize("a, where, margin", [(1.0, 54.25, -40.02),
+                                              (0.7, 187.7, -18250.8)])
+def test_a1_screens_the_tail_net(a, where, margin):
+    # exp_power's largest gap s² - V lies past the core grid [-10, 10]: the
+    # declared M_lb passes A1, and the largest gap sampled only up to s = 50
+    # fails it on the tail net
+    spec = make_system("exp_power", {"a": a, "k": 0.5})
+    assert check_assumptions(spec).status("A1") == "pass"
+    s = np.geomspace(1e-3, 50.0, 4001)
+    short = float(np.max(s**2 - np.exp(a * s**0.5)))
+    a1 = check_assumptions(
+        dataclasses.replace(spec, M_lb=short)).verdicts["A1"]
+    assert a1.status == "fail"
+    assert abs(a1.witness[0]) == pytest.approx(where, abs=0.1)
+    assert a1.margin == pytest.approx(margin, rel=1e-4)
