@@ -17,15 +17,16 @@ and the per-ensemble aggregate (1/N) sum_i |R_i|² concentrates like 1/N when
 positions are iid under rho (independent velocities make R3 mean zero).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree, distance
-from scipy.special import digamma, gammaln
 
 from .dynamics import sample_f_infty
 from .equilibrium import interaction_convolution
@@ -33,12 +34,76 @@ from .kinetic_pde import _line_fit
 from .potentials import _pair_entries, _panel_entries, _view, pair_panels
 
 _MAX_ASSIGNMENT = 4096
+# rows of the cost matrix that _sqeuclidean fills per block
+_COST_ROWS = 64
 # a covariance or OT map whose least eigenvalue is at most this fraction of
 # its largest is near-singular, and the solve takes the centred cost
 # (identical rows, collinear clouds, n <= d)
 _SINGULAR = 1e-12
 # the error terms, by the paper's numbers
 _TERMS = ("R0", "R1", "R3")
+
+
+def _load_lsap():
+    """scipy's assignment solver, loaded from its compiled module alone.
+
+    `import scipy.optimize` also imports scipy.linalg, scipy.sparse and
+    more: about 0.4 s of the 0.54 s that `import kinchaos` took with it
+    (scipy 1.17, 2-vCPU x86-64 Linux).  The compiled module behind
+    scipy.optimize.linear_sum_assignment loads in about a millisecond and
+    is not entered in sys.modules.  A scipy without that module's file
+    gets the public function.
+    """
+
+    name = "scipy.optimize._lsap"
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
+    candidates = [os.path.join(root, "optimize", "_lsap" + suffix)
+                  for root in roots
+                  for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, candidates), None)
+    if path is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    previous = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    finally:
+        # a single-phase extension module enters itself in sys.modules when
+        # it is created; leave them as they were
+        if previous is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = previous
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
+
+
+def _sqeuclidean(a, b):
+    """The (n, m) squared Euclidean distances between the rows of a and b.
+
+    Sums the squared coordinate differences in coordinate order, the bits
+    of scipy's cdist(a, b, "sqeuclidean"), into one (n, m) array through a
+    scratch block of _COST_ROWS rows.
+    """
+
+    cost = np.empty((a.shape[0], b.shape[0]))
+    scratch = np.empty((min(_COST_ROWS, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], _COST_ROWS):
+        rows = slice(start, start + _COST_ROWS)
+        block = cost[rows]
+        square = scratch[:block.shape[0]]
+        np.subtract(a[rows, 0, None], b[:, 0], out=block)
+        block *= block
+        for k in range(1, a.shape[1]):
+            np.subtract(a[rows, k, None], b[:, k], out=square)
+            square *= square
+            block += square
+    return cost
 
 
 def w2_exact(a, b):
@@ -70,9 +135,9 @@ def w2_exact(a, b):
         # the centred cost as it is: a degenerate cloud has many optimal
         # couplings, and a reduced cost would change which one the solver
         # returns, so the order, and the last bits, of the sum below
-        cost = distance.cdist(ac, bc, "sqeuclidean")
+        cost = _sqeuclidean(ac, bc)
     else:
-        cost = distance.cdist(*matched, "sqeuclidean")
+        cost = _sqeuclidean(*matched)
         # row then column reduction: a dual start at which the solver's
         # shortest augmenting paths are short
         cost -= cost.min(axis=1, keepdims=True)
@@ -178,8 +243,12 @@ def entropy_knn(samples, k=4):
 
     H = psi(n) - psi(k) + log V_d + (d/n) sum log eps_i with eps_i the
     distance to the k-th neighbour.  The standard error comes from the spread
-    of four disjoint-subsample estimates.
+    of four disjoint-subsample estimates.  Imports scipy.spatial and
+    scipy.special on its first call.
     """
+
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma, gammaln
 
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:

@@ -21,6 +21,9 @@ import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# RngSpec builds numpy.random generators, and numpy imports that subpackage
+# on first use: load it with kinchaos, not at the first draw
+import numpy.random
 
 from .errors import BlowUpError, StabilityError
 from .equilibrium import _closed_form

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .potentials import Quadratic, _harmonic_L_W
 
@@ -254,8 +253,8 @@ def maxwellian_factor(params, v_axis):
     """
 
     sd = 1.0 / math.sqrt(params.beta)
-    covered = 0.5 * (erf(v_axis.hi / (sd * math.sqrt(2)))
-                     - erf(v_axis.lo / (sd * math.sqrt(2))))
+    covered = 0.5 * (math.erf(v_axis.hi / (sd * math.sqrt(2)))
+                     - math.erf(v_axis.lo / (sd * math.sqrt(2))))
     if covered < 1 - 1e-6:
         raise ValueError(f"velocity grid holds only {covered:.9f} of the "
                          "Gaussian mass; widen it")

@@ -794,14 +794,13 @@ def check_assumptions(spec, *, theta=None, seed=0):
 def _check_a3(spec, pts, theta, tail):
     # weighted sup |V^(-2 theta) hess V| excluding the origin where V may vanish
     pool = np.concatenate([pts, tail])
-    radii = np.linalg.norm(pool, axis=-1)
-    mask = radii > 1e-6
-    vals = spec.V.value(pool[mask])
-    if np.any(vals <= 0):
-        mask2 = vals > 0
-        pool_w, vals = pool[mask][mask2], vals[mask2]
-    else:
-        pool_w = pool[mask]
+    pool = pool[np.linalg.norm(pool, axis=-1) > 1e-6]
+    vals = spec.V.value(pool)
+    positive = vals > 0
+    if not np.any(positive):
+        return Verdict("not-checked", note="V <= 0 on the whole net, so "
+                                           "V^(-2 theta) is undefined")
+    pool_w, vals = pool[positive], vals[positive]
     hn = _op_norms(spec.V.hess(pool_w))
     weighted = vals ** (-2 * theta) * hn
     jw = int(np.argmax(weighted))

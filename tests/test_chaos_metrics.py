@@ -1,5 +1,6 @@
 """Wasserstein distances, entropy estimation, and mean-field error terms."""
 
+import importlib.machinery
 import math
 import os
 import platform
@@ -277,6 +278,86 @@ def test_w2_peak_memory_is_one_cost_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 1024 * 1024 * 8
+
+
+# --- the assignment, without scipy.optimize ------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 1024])
+def test_sqeuclidean_cost_has_the_bits_of_cdist(n, d):
+    # 64 rows per block: one short block, one full, one and a bit, and many
+    gen = np.random.default_rng(10 * n + d)
+    # coordinates over six decades, so a sum in another order would round
+    # differently
+    a = gen.standard_normal((n, d)) * np.geomspace(1e-3, 1e3, d)
+    b = gen.standard_normal((n, d)) + 0.3
+    assert chaos_metrics._sqeuclidean(a, b).tobytes() \
+        == distance.cdist(a, b, "sqeuclidean").tobytes()
+
+
+def test_extension_solver_matches_the_public_one():
+    gen = np.random.default_rng(6)
+    costs = [gen.standard_normal((n, n)) for n in (1, 2, 31, 256)]
+    costs.append(gen.random((50, 80)))
+    # every row the same: every permutation is optimal, and the solver's
+    # tie-breaking picks the columns
+    costs.append(np.tile(gen.random(64), (64, 1)))
+    solve = chaos_metrics._load_lsap()
+    for cost in costs:
+        rows, cols = solve(cost)
+        expected = linear_sum_assignment(cost)
+        assert np.array_equal(rows, expected[0])
+        assert np.array_equal(cols, expected[1])
+
+
+def test_lsap_loader_reads_the_extension_file(monkeypatch):
+    # the file is read on its own: neither the public function nor a
+    # sys.modules entry is involved
+    import scipy.optimize
+    name = "scipy.optimize._lsap"
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", None)
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    assert callable(chaos_metrics._load_lsap())
+    assert name not in sys.modules
+
+
+def test_lsap_loader_falls_back_to_the_public_function(monkeypatch):
+    # a scipy without the extension file, as the suffixes see it
+    import scipy.optimize
+
+    def public(cost):
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".not-an-extension"])
+    assert chaos_metrics._load_lsap() is public
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import numpy as np
+import kinchaos.cli
+from kinchaos import w2_exact
+
+gen = np.random.default_rng(0)
+a = gen.standard_normal((64, 2))
+w2_exact(a, gen.standard_normal((64, 2)) + 0.5)
+w2_exact(np.tile(a[0], (64, 1)), a)
+print(*sorted(sys.modules))
+"""
+
+
+def test_import_and_assignment_load_no_heavy_scipy_subpackage():
+    # scipy.optimize, with scipy.linalg and scipy.sparse behind it, was
+    # most of the time `import kinchaos.cli` took
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.spatial",
+             "scipy.special", "scipy.sparse")
+    loaded = _run_python(IMPORT_FOOTPRINT).split()
+    assert "kinchaos.cli" in loaded
+    assert [m for m in loaded
+            if m in heavy or m.startswith(tuple(h + "." for h in heavy))] \
+        == []
 
 
 # --- Gaussian closed forms ------------------------------------------------------
@@ -567,6 +648,21 @@ def test_error_stats_memory_stays_blocked(mollified_setup):
 # temporary from new pages or from its free lists depending on what the
 # process freed before, so only a fresh process (as a `kinchaos run` is)
 # makes the count repeatable
+def _run_python(code):
+    """The standard output of `code` run in a fresh interpreter that imports
+    kinchaos from this source tree."""
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(chaos_metrics.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 FAULTS_PER_CALL = """
 import resource
 import numpy as np
@@ -637,15 +733,7 @@ def test_error_terms_fault_in_no_pages_per_panel():
     # numpy 2.4), where a fresh temporary per panel step faulted in
     # 560-900.  The count depends on the allocator as well as on this
     # code: glibc serves blocks of 128 KiB and more from fresh pages
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(chaos_metrics.__file__).resolve().parents[1])]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], env=env,
-                          capture_output=True, text=True, timeout=300,
-                          check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout.split()[-1]) < 100
+    assert float(_run_python(FAULTS_PER_CALL).split()[-1]) < 100
 
 
 def test_error_stats_one_radial_evaluation_per_block(mollified_setup,

@@ -10,12 +10,24 @@ from kinchaos.dynamics import ModelParams
 from kinchaos.equilibrium import (Axis, GridDensity, _closed_form,
                                   assemble_f_infty, formal_equilibrium,
                                   gaussian_closed_form,
-                                  interaction_convolution, solve_rho_infty)
+                                  interaction_convolution, maxwellian_factor,
+                                  solve_rho_infty)
 from kinchaos.potentials import make_system
 from tests.conftest import grid_var
 
 
 # --- Axis and GridDensity ----------------------------------------------------
+
+def test_maxwellian_factor_refuses_a_grid_that_cuts_the_gaussian():
+    # at beta = 1, |v| <= 4.5 holds 1 - 6.8e-6 of the mass and |v| <= 6
+    # holds 1 - 2.0e-9, on either side of the 1 - 1e-6 the guard asks for
+    params = ModelParams(gamma=1.0, sigma=1.0, beta=1.0)
+    with pytest.raises(ValueError, match="widen it"):
+        maxwellian_factor(params, Axis(-4.5, 4.5, 64))
+    v_axis = Axis(-6.0, 6.0, 64)
+    g = maxwellian_factor(params, v_axis)
+    assert float(g @ v_axis.trapezoid_weights()) == pytest.approx(1.0)
+
 
 def test_axis_validation():
     with pytest.raises(ValueError):

@@ -1091,6 +1091,12 @@ def test_cli_check_assumptions_subcommand(capsys):
     assert "A3" in out and "A2" in out
 
 
+def test_cli_check_assumptions_on_a_zero_confinement(capsys):
+    # it used to exit 2 with "attempt to get argmax of an empty sequence"
+    assert cli_main(["check-assumptions", "--v-family", "zero"]) == 0
+    assert "A3:not-checked" in capsys.readouterr().out
+
+
 def test_cli_check_assumptions_strict_failure(capsys):
     code = cli_main(["check-assumptions", "--v-family", "power_k",
                      "--param", "v_k=4", "--theta", "0.25", "--strict"])

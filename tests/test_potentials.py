@@ -568,6 +568,23 @@ def test_a3_refuses_a_decaying_tail_ratio():
     assert verdict.margin == pytest.approx(2 ** 1.5 / 1e3)
 
 
+@pytest.mark.parametrize("w_family, w_params", [
+    ("zero", None),
+    ("harmonic_W", {"L_W": 0.25}),
+    ("harmonic_W", {"L_W": 1.0}),
+    ("mollified_coulomb", None),
+    ("mollified_coulomb", {"a": 0.2, "b": 0.5, "k": 4.0}),
+    ("mollified_coulomb", {"form": "arctan", "r0": 1.0}),
+])
+def test_a3_is_not_checked_on_a_zero_confinement(w_family, w_params):
+    # V = 0 leaves no net point where V^(-2 theta) is defined; the screen
+    # used to take the argmax of an empty array there
+    report = check_assumptions(make_system("zero", None, w_family, w_params))
+    verdict = report.verdicts["A3"]
+    assert verdict.status == "not-checked"
+    assert "V <= 0 on the whole net" in verdict.note
+
+
 def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
     # harmonic W with L_W = 0.25 declares C_K = 0.25; a spec that declares
     # 0.1 understates sup |hess W|
