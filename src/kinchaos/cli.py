@@ -138,12 +138,11 @@ def _cmd_run(args):
     config = _config(args)
     report = run_experiment(config, threads=args.threads)
     paths = write_report(report, config.out_dir)
-    for v in report.verdicts:
-        status = "PASS" if v["passed"] else "FAIL"
-        print(f"{status}  {v['name']}")
+    for name, v in report.verdicts.items():
+        print(f"{'PASS' if v.passed else 'FAIL'}  {name}")
     print("wrote: " + ", ".join(paths))
     if args.strict and config.recipe == "assumptions" and not report.passed():
-        failed = [v["name"] for v in report.verdicts if not v["passed"]]
+        failed = [n for n, v in report.verdicts.items() if not v.passed]
         raise StrictAssumptionError(f"failed under --strict: "
                                     f"{', '.join(failed)}")
     return 0
@@ -155,8 +154,7 @@ def _cmd_constants(args):
                      sort_keys=True))
     if not args.json_only:
         for r in records:
-            print()
-            print(r.table())
+            print(f"\n{r.table()}")
     return 0
 
 
@@ -164,9 +162,8 @@ def _cmd_check_assumptions(args):
     config = _config(args)
     result = check_assumptions(config.spec, theta=config.constants["theta"],
                                seed=config.seed)
-    print(json.dumps(result.as_dict(), indent=2, sort_keys=True, default=str))
-    print()
-    print(result.summary())
+    print(json.dumps(result.as_dict(), indent=2, sort_keys=True),
+          result.summary(), sep="\n\n")
     if args.strict and result.failed():
         raise StrictAssumptionError(
             "assumption screening failed: " + ", ".join(result.failed()))

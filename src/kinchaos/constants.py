@@ -52,23 +52,22 @@ class TheoremConstants:
     m2_doubleprime: float | None = None
     flags: dict = field(default_factory=dict)
 
+    def _outputs(self):
+        """The derived quantities that the recipe sets, in report order."""
+
+        return {k: getattr(self, k) for k in OUTPUT_NAMES
+                if getattr(self, k) is not None}
+
     def as_dict(self):
-        out = {"tag": self.tag, "inputs": dict(self.inputs), "flags": dict(self.flags)}
-        for k in OUTPUT_NAMES:
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
+        return {"tag": self.tag, "inputs": dict(self.inputs),
+                "flags": dict(self.flags), **self._outputs()}
 
     def table(self):
         """Aligned text table of the record."""
         rows = [("tag", self.tag)]
         rows += [(k, f"{v:.12g}" if isinstance(v, (int, float)) else str(v))
                  for k, v in self.inputs.items()]
-        for k in OUTPUT_NAMES:
-            v = getattr(self, k)
-            if v is not None:
-                rows.append((k, f"{v:.12g}"))
+        rows += [(k, f"{v:.12g}") for k, v in self._outputs().items()]
         rows += [(k, str(v)) for k, v in self.flags.items()]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)

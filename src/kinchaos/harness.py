@@ -51,18 +51,18 @@ from . import __version__
 from .chaos_metrics import (_MAX_ASSIGNMENT, _map_indexed,
                             concentration_check, error_statistics,
                             loglog_fit, w2_exact, w2_gaussian_spectral)
-from .constants import (OUTPUT_NAMES, build_weight_matrix, thm13_constants,
+from .constants import (build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
 from .equilibrium import (_MIN_NODES, Axis, GridDensity, _closed_form,
-                          _has_closed_form, assemble_f_infty,
+                          _coverage_check, _has_closed_form, assemble_f_infty,
                           formal_equilibrium, solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
-from .potentials import (PotentialSpec, _harmonic_L_W, check_assumptions,
-                         make_system)
+from .potentials import (PotentialSpec, Verdict, _harmonic_L_W, _json_default,
+                         check_assumptions, make_system)
 
 _SECTIONS = ("experiment", "potential", "model", "constants", "numerics")
 
@@ -121,6 +121,21 @@ _NUMERICS_SCHEMA = {
     },
     "constants_table": {},
     "assumptions": {},
+}
+
+# the verdicts of each recipe, in report order; RunReport.add_verdict refuses
+# any other name (chaos_scaling at n_mc = 0 leaves out its sampled check)
+_VERDICTS = {
+    "ergodicity": ("w2_reaches_floor", "rate_at_least_thm13_c", "fit_r2"),
+    "meanfield_decay": ("mass_drift_per_step", "free_energy_monotone",
+                        "entropy_decay_fit", "modulated_energy_decay_fit",
+                        "w2_below_modulated_energy"),
+    "chaos_scaling": ("joint_w2_sq_matches_closed_form",
+                      "joint_slope_minus_one", "sampled_matches_analytic_3se"),
+    "concentration": ("slope_R0", "slope_R1", "slope_R3",
+                      "zero_kernel_control"),
+    "constants_table": ("all_outputs_finite_positive",),
+    "assumptions": ("A1", "A2", "A3", "A4", "A5"),
 }
 
 _RECIPES = tuple(_NUMERICS_SCHEMA)
@@ -251,35 +266,21 @@ def _where(locations):
 def _coerce(value, want):
     """Return the coerced value or None if the type does not fit."""
 
-    if want == "int":
-        if isinstance(value, bool):
-            return None
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        return None
-    if want == "float":
-        if isinstance(value, bool):
-            return None
-        if isinstance(value, (int, float)):
-            return float(value)
-        return None
+    if want == "int_list":
+        got = ([_coerce(item, "int") for item in value]
+               if isinstance(value, list) else [])
+        return got if got and None not in got else None
     if want == "bool":
         return value if isinstance(value, bool) else None
     if want == "str":
         return value if isinstance(value, str) else None
-    if want == "int_list":
-        if not isinstance(value, list) or not value:
-            return None
-        out = []
-        for item in value:
-            got = _coerce(item, "int")
-            if got is None:
-                return None
-            out.append(got)
-        return out
-    raise AssertionError(want)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None  # true and false are no numbers
+    if want == "float":
+        return float(value)
+    if isinstance(value, int) or value.is_integer():
+        return int(value)
+    return None
 
 
 def _apply_schema(section_name, entries, schema, errors, recipe=None,
@@ -408,6 +409,19 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
                       f"{numerics['N_list']}")
     if spec is None:
         return  # its build error names the family or parameter at fault
+    # the x grid must hold exp(-beta V) to the tol that solve_rho_infty asks
+    # by default; the defaults pass, so x_max, beta or a V entry is set
+    if "x_max" in numerics and "nx" in numerics and params is not None:
+        axis = Axis(-numerics["x_max"], numerics["x_max"], numerics["nx"])
+        try:
+            _coverage_check(spec, params, axis, 1e-10)
+        except ValueError as exc:
+            lines = _where([loc for name, prefix in (
+                ("numerics", "x_max"), ("model", "beta"), ("potential", "v_"))
+                for key, (_, loc) in sections.get(name, {}).items()
+                if key.startswith(prefix)])
+            errors.append(f"{lines}: [numerics] x_max = {axis.hi} for recipe "
+                          f"'{recipe}': {exc}; widen x_max")
     entries = sections.get("potential", {})
     if recipe in _CLOSED_FORM and not _has_closed_form(spec):
         # the defaults pass, so a failing pair names at least one family
@@ -525,7 +539,7 @@ class RunReport:
     recipe: str
     seed: int
     config_echo: dict
-    verdicts: list = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)  # name -> Verdict
     tables: dict = field(default_factory=dict)   # name -> (columns, rows)
     scalars: dict = field(default_factory=dict)
     texts: dict = field(default_factory=dict)    # name -> file text
@@ -533,21 +547,31 @@ class RunReport:
     version: str = __version__
 
     def add_verdict(self, name, passed, measured, threshold, detail=""):
-        self.verdicts.append({
-            "name": name, "passed": bool(passed), "measured": measured,
-            "threshold": threshold, "detail": detail})
+        self.add_record(name, Verdict("pass" if passed else "fail", measured,
+                                      threshold, detail))
+
+    def add_record(self, name, verdict):
+        """Keep a Verdict under a name of _VERDICTS[recipe] not yet used."""
+
+        if name not in _VERDICTS.get(self.recipe, ()) or name in self.verdicts:
+            raise ValueError(f"recipe {self.recipe!r} declares no verdict "
+                             f"{name!r} or has it already")
+        self.verdicts[name] = verdict
 
     def add_table(self, name, columns, rows):
         self.tables[name] = (tuple(columns), [tuple(r) for r in rows])
 
     def passed(self):
-        return all(v["passed"] for v in self.verdicts)
+        return all(v.passed for v in self.verdicts.values())
 
     def as_dict(self):
         return {"recipe": self.recipe, "seed": self.seed,
                 "version": self.version, "config": self.config_echo,
-                "verdicts": self.verdicts, "scalars": self.scalars,
-                "timings": self.timings,
+                "verdicts": [{"name": name, "passed": v.passed,
+                              "measured": v.measured, "threshold": v.threshold,
+                              "detail": v.detail}
+                             for name, v in self.verdicts.items()],
+                "scalars": self.scalars, "timings": self.timings,
                 "tables": {name: {"columns": list(cols), "n_rows": len(rows)}
                            for name, (cols, rows) in self.tables.items()}}
 
@@ -562,16 +586,6 @@ def _fmt_cell(cell):
     if isinstance(cell, (int, np.integer)):
         return str(int(cell))
     return str(cell)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def write_report(report, out_dir):
@@ -690,8 +704,7 @@ def _run_ergodicity(cfg, report, threads):
         if (k + 1) % every == 0 or k + 1 == n_steps:
             record(Z)
 
-    ts = np.array([r[0] for r in w2_rows])
-    w2s = np.array([r[1] for r in w2_rows])
+    ts, w2s = np.array(w2_rows).T[:2]
     below = np.nonzero(w2s <= threshold)[0]
     cut = int(below[0]) if below.size else len(ts) - 1
     cut = max(cut, 4)  # at least 5 checkpoints in the fit window
@@ -749,16 +762,13 @@ def _run_meanfield_decay(cfg, report, threads):
         H_formal = relative_entropy_grid(state.density, f_hat)
         return E_M.free_energy_gap, H_formal, E_M.fisher, E_M.total
 
-    rows = []
+    prev_F = free_energy(state, spec, params).total
+    rows = [(0.0, prev_F, *functionals(state, prev_F), 1.0)]
+    E_M0 = rows[0][5]
     steps = [0]  # the step of each row
     w2_rows = []
-    F0 = free_energy(state, spec, params).total
-    H_W0, H_f0, I_M0, E_M0 = functionals(state, F0)
-    rows.append((0.0, F0, H_W0, H_f0, I_M0, E_M0, 1.0))
-    prev_F = F0
     max_increase = 0.0
     max_drift = 0.0
-    w2_idx = 0
     for k in range(1, n_steps + 1):
         state = step_vfp(state, spec, params, dt)
         F_now = free_energy(state, spec, params).total
@@ -774,12 +784,11 @@ def _run_meanfield_decay(cfg, report, threads):
                          1.0 + state.mass_drift))
             steps.append(k)
         if k in w2_times:
-            a = state.density.sample_phase(rng.sampler(100 + w2_idx),
+            a = state.density.sample_phase(rng.sampler(100 + len(w2_rows)),
                                            num["n_w2"])
-            b = f_inf.sample_phase(rng.sampler(200 + w2_idx), num["n_w2"])
-            w2sq = w2_exact(a, b) ** 2
-            w2_rows.append((state.time, w2sq, E_M))
-            w2_idx += 1
+            b = f_inf.sample_phase(rng.sampler(200 + len(w2_rows)),
+                                   num["n_w2"])
+            w2_rows.append((state.time, w2_exact(a, b) ** 2, E_M))
 
     # the fits take the records that the config's window rule counted,
     # picked by step, not by the summed time stamps
@@ -805,17 +814,14 @@ def _run_meanfield_decay(cfg, report, threads):
     report.add_verdict("free_energy_monotone", max_increase <= 1e-8,
                        max_increase, 1e-8,
                        "max per-step increase of F")
-    report.add_verdict("entropy_decay_fit",
-                       fit_H.rate > 0 and fit_H.r2 >= 0.95,
-                       {"rate": fit_H.rate, "r2": fit_H.r2},
-                       {"rate": 0.0, "r2": 0.95})
-    report.add_verdict("modulated_energy_decay_fit",
-                       fit_EM.rate > 0 and fit_EM.r2 >= 0.95,
-                       {"rate": fit_EM.rate, "r2": fit_EM.r2},
-                       {"rate": 0.0, "r2": 0.95})
+    for name, fit in (("entropy_decay_fit", fit_H),
+                      ("modulated_energy_decay_fit", fit_EM)):
+        report.add_verdict(name, fit.rate > 0 and fit.r2 >= 0.95,
+                           {"rate": fit.rate, "r2": fit.r2},
+                           {"rate": 0.0, "r2": 0.95})
     sandwich = all(r[2] >= r[1] for r in w2_rows)
     report.add_verdict("w2_below_modulated_energy", sandwich,
-                       [[r[0], r[1], r[2]] for r in w2_rows],
+                       [list(r) for r in w2_rows],
                        "E_M >= sampled W2^2 at every checkpoint")
 
 
@@ -961,18 +967,13 @@ def constants_records(cfg):
 def _run_constants_table(cfg, report, threads):
     del threads
     records = constants_records(cfg)
-    rows = []
-    finite = True
-    for rec in records:
-        d = rec.as_dict()
-        for key in OUTPUT_NAMES:
-            if key in d:
-                rows.append((rec.tag, key, d[key]))
-                finite = finite and math.isfinite(d[key]) and d[key] > 0
-        report.scalars[rec.tag] = d
+    report.scalars.update((rec.tag, rec.as_dict()) for rec in records)
+    rows = [(rec.tag, key, value) for rec in records
+            for key, value in rec._outputs().items()]
     report.add_table("constants", ("tag", "name", "value"), rows)
     report.texts["constants.txt"] = "\n\n".join(r.table() for r in records) \
         + "\n"
+    finite = all(math.isfinite(value) and value > 0 for *_, value in rows)
     report.add_verdict("all_outputs_finite_positive", finite, finite, True)
 
 
@@ -980,13 +981,11 @@ def _run_assumptions(cfg, report, threads):
     del threads
     result = check_assumptions(cfg.spec, theta=cfg.constants["theta"],
                                seed=cfg.seed)
-    rows = []
-    for name in sorted(result.verdicts):
-        v = result.verdicts[name]
-        rows.append((name, v.status, v.margin))
-        report.add_verdict(name, v.status == "pass", v.status,
-                           "pass", v.note)
-    report.add_table("assumptions", ("assumption", "status", "margin"), rows)
+    for name in _VERDICTS["assumptions"]:
+        report.add_record(name, result.verdicts[name])
+    report.add_table("assumptions", ("assumption", "status", "margin"),
+                     [(name, v.status, v.margin)
+                      for name, v in report.verdicts.items()])
     report.scalars["report"] = result.as_dict()
     report.scalars["potential"] = cfg.spec.describe()
 

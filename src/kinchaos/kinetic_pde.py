@@ -31,7 +31,7 @@ fit helper.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -386,10 +386,7 @@ class DecayFit:
     window: tuple
 
     def as_dict(self):
-        return {"rate": self.rate, "intercept": self.intercept,
-                "r2": self.r2, "n_used": self.n_used,
-                "n_skipped": self.n_skipped,
-                "window": list(self.window)}
+        return {**asdict(self), "window": list(self.window)}
 
 
 def fit_decay(times, values, window=None):

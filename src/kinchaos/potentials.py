@@ -19,9 +19,10 @@ witnesses; it samples, it never proves.
 """
 
 import inspect
+import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +98,9 @@ class _QuadraticForm(Field):
         eye = getattr(self, self._coefficient) * np.eye(d)
         return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
+    def params(self):
+        return {self._coefficient: getattr(self, self._coefficient)}
+
 
 class Quadratic(_QuadraticForm):
     """V(x) = (curvature/2) |x|^2."""
@@ -109,9 +113,6 @@ class Quadratic(_QuadraticForm):
         if curvature <= 0:
             raise ValueError("quadratic: curvature must be positive")
         self.curvature = float(curvature)
-
-    def params(self):
-        return {"curvature": self.curvature}
 
     def constants(self):
         c = self.curvature
@@ -297,9 +298,6 @@ class HarmonicW(_QuadraticForm):
         if L_W < 0:
             raise ValueError("harmonic_W: L_W must be nonnegative")
         self.L_W = float(L_W)
-
-    def params(self):
-        return {"L_W": self.L_W}
 
     def constants(self):
         return {"C_K": self.L_W, "W_grad_sup": math.inf}
@@ -494,11 +492,9 @@ class PotentialSpec:
             "V": {"family": self.V.family, **self.V.params()},
             "W": {"family": self.W.family, **self.W.params()},
             "domain": {"d": self.d},
-            "constants": {
-                "lam": self.lam, "M_lb": self.M_lb, "C_V": self.C_V,
-                "C_K": self.C_K, "theta": self.theta,
-                "C_V_theta": self.C_V_theta, "W_grad_sup": self.W_grad_sup,
-            },
+            # the declared constants, every field after V, W and d
+            "constants": {f.name: getattr(self, f.name)
+                          for f in fields(self)[3:]},
         }
 
 
@@ -678,20 +674,29 @@ def pairwise_interaction_energy(spec, X):
 
 @dataclass
 class Verdict:
-    status: str                 # "pass" | "fail" | "not-checked"
-    margin: float | None = None
-    witness: object = None
-    note: str = ""
+    """One checked claim, kept by name in a report: a recipe's `measured`
+    against its `threshold`, or an assumption screen's status against pass."""
 
-    def as_dict(self):
-        w = self.witness
-        if isinstance(w, np.ndarray):
-            w = w.tolist()
-        elif isinstance(w, dict):
-            w = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                 for k, v in w.items()}
-        return {"status": self.status, "margin": self.margin,
-                "witness": w, "note": self.note}
+    status: str                 # "pass" | "fail" | "not-checked"
+    measured: object
+    threshold: object
+    detail: str = ""
+    margin: float | None = None
+    witness: object = None      # a fail's net point or signed measure
+
+    @property
+    def passed(self):
+        return self.status == "pass"
+
+
+def _screen(status, margin=None, witness=None, note=""):
+    return Verdict(status, status, "pass", note, margin, witness)
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 @dataclass
@@ -705,12 +710,13 @@ class AssumptionReport:
         return self.verdicts[key].status
 
     def as_dict(self):
-        return {
-            "theta": self.theta,
-            "seed": self.seed,
-            "notes": self.notes,
-            "verdicts": {k: v.as_dict() for k, v in self.verdicts.items()},
-        }
+        # plain JSON values: the witness arrays as lists
+        return json.loads(json.dumps({
+            "theta": self.theta, "seed": self.seed, "notes": self.notes,
+            "verdicts": {k: {"status": v.status, "margin": v.margin,
+                             "witness": v.witness, "note": v.detail}
+                         for k, v in self.verdicts.items()}},
+            default=_json_default))
 
     def failed(self):
         return [k for k, v in self.verdicts.items() if v.status == "fail"]
@@ -757,7 +763,7 @@ def check_assumptions(spec, *, theta=None, seed=0):
     # A1: quadratic lower bound V >= lam |x|^2 - M, on both nets
     gap = spec.V.value(pool) - spec.lam * pool[:, 0]**2 + spec.M_lb
     i = int(np.argmin(gap))
-    verdicts["A1"] = Verdict(
+    verdicts["A1"] = _screen(
         "pass" if gap[i] >= -_TOL else "fail",
         margin=float(gap[i]),
         witness=None if gap[i] >= -_TOL else pool[i],
@@ -767,13 +773,13 @@ def check_assumptions(spec, *, theta=None, seed=0):
     hnorm = _op_norms(spec.V.hess(pool))
     j = int(np.argmax(hnorm))
     if not math.isfinite(spec.C_V):
-        verdicts["A2"] = Verdict(
+        verdicts["A2"] = _screen(
             "fail", margin=-math.inf, witness=pool[j],
             note=f"declared C_V unbounded; grid sup {hnorm[j]:.6g} at |x|="
                  f"{np.linalg.norm(pool[j]):.3g} grows without bound")
     else:
         margin = spec.C_V + 1e-9 - hnorm[j]
-        verdicts["A2"] = Verdict(
+        verdicts["A2"] = _screen(
             "pass" if margin >= 0 else "fail",
             margin=float(margin),
             witness=None if margin >= 0 else pool[j],
@@ -798,7 +804,7 @@ def _check_a3(spec, pts, theta, tail):
     vals = spec.V.value(pool)
     positive = vals > 0
     if not np.any(positive):
-        return Verdict("not-checked", note="V <= 0 on the whole net, so "
+        return _screen("not-checked", note="V <= 0 on the whole net, so "
                                            "V^(-2 theta) is undefined")
     pool_w, vals = pool[positive], vals[positive]
     hn = _op_norms(spec.V.hess(pool_w))
@@ -817,7 +823,7 @@ def _check_a3(spec, pts, theta, tail):
     v = spec.V.value(tpts)
     good = g2 > 0
     if not np.any(good):
-        return Verdict("not-checked", note="vanishing gradient on tail net")
+        return _screen("not-checked", note="vanishing gradient on tail net")
     r1 = lap[good] / g2[good]
     kappa1 = float(np.max(r1))
     ok_k1 = kappa1 < 1.0  # condition requires kappa_1 in (0, 1)
@@ -829,21 +835,21 @@ def _check_a3(spec, pts, theta, tail):
     ok_k2 = kappa2 > _TOL and slope >= -0.05
 
     if ok_weight and ok_k1 and ok_k2:
-        return Verdict("pass",
+        return _screen("pass",
                        margin=float(spec.C_V_theta - weighted[jw]),
                        note=f"kappa1={kappa1:.4g} kappa2={kappa2:.4g} "
                             f"tail slope={slope:.3g}")
     if not ok_weight:
-        return Verdict("fail", margin=float(spec.C_V_theta - weighted[jw]),
+        return _screen("fail", margin=float(spec.C_V_theta - weighted[jw]),
                        witness=pool_w[jw],
                        note=f"weighted Hessian {weighted[jw]:.6g} exceeds "
                             f"C_V_theta {spec.C_V_theta:.6g}")
     if not ok_k1:
         w = tpts[good][int(np.argmax(r1))]
-        return Verdict("fail", margin=float(1.0 - kappa1), witness=w,
+        return _screen("fail", margin=float(1.0 - kappa1), witness=w,
                        note=f"laplacian/|grad|^2 = {kappa1:.4g} not < 1 on tail")
     w = tpts[good][int(np.argmin(r2))]
-    return Verdict("fail", margin=float(kappa2), witness=w,
+    return _screen("fail", margin=float(kappa2), witness=w,
                    note=f"|grad V|^2 / V^(2 theta + 1) decays on the tail "
                         f"(min {kappa2:.4g}, log-log slope {slope:.3g})")
 
@@ -856,7 +862,7 @@ def _check_a4(spec, pts):
     # with no interaction there is no smallness condition to meet, even where
     # the modulus is 0 (power_k at the origin)
     if isinstance(spec.W, Zero):
-        return Verdict("pass", margin=conv / 2.0,
+        return _screen("pass", margin=conv / 2.0,
                        note="no interaction; bound vacuous")
     # displacement net: a dense line over every difference of two grid points
     r = np.linspace(-2 * _CORE_RADIUS, 2 * _CORE_RADIUS, 4001)[:, None]
@@ -866,13 +872,13 @@ def _check_a4(spec, pts):
     gap = conv / 2.0 - spec.C_K
     strict_ok = gap > 0
     if bound_ok and strict_ok:
-        return Verdict("pass", margin=float(gap),
+        return _screen("pass", margin=float(gap),
                        note=f"sup|hess W| = {hn[j]:.12g} <= C_K = {spec.C_K:.12g}"
                             f" < lam/2 = {conv / 2.0:.12g}")
     if not bound_ok:
-        return Verdict("fail", margin=float(spec.C_K - hn[j]), witness=r[j],
+        return _screen("fail", margin=float(spec.C_K - hn[j]), witness=r[j],
                        note=f"measured sup|hess W| = {hn[j]:.6g} above C_K")
-    return Verdict("fail", margin=float(gap),
+    return _screen("fail", margin=float(gap),
                    note=f"C_K = {spec.C_K:.6g} not below lam/2 = "
                         f"{conv / 2.0:.6g}")
 
@@ -893,8 +899,8 @@ def _check_a5(spec, pts, seed):
             worst = q
             worst_witness = {"points": x.copy(), "weights": c.copy(), "form": q}
     if worst < -_TOL:
-        return Verdict("fail", margin=float(worst), witness=worst_witness,
+        return _screen("fail", margin=float(worst), witness=worst_witness,
                        note="interaction energy form negative on a zero-mass "
                             "signed measure")
-    return Verdict("pass", margin=float(worst),
+    return _screen("pass", margin=float(worst),
                    note=f"min form over {_N_RANDOM_MEASURES} random measures")

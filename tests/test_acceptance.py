@@ -21,8 +21,11 @@ from kinchaos.constants import (build_weight_matrix, thm13_constants,
                                 thm14_case1_constants, thm14_case2_constants)
 from kinchaos.dynamics import ModelParams, PhaseEnsemble, RngSpec, sample_f_infty
 from kinchaos.equilibrium import Axis, gaussian_closed_form, solve_rho_infty
-from kinchaos.harness import parse_config, run_experiment, write_report
+from kinchaos.harness import (_VERDICTS, parse_config, run_experiment,
+                              write_report)
 from kinchaos.potentials import check_assumptions, make_system
+
+from csv_manifest import CONFIGS
 
 GAUSS_ENTROPY = 1.4189385332046727      # 0.5 ln(2 pi e)
 
@@ -121,11 +124,10 @@ def test_criterion_2_weight_matrix_identity():
 def test_criterion_3_gaussian_ergodicity():
     t0 = time.perf_counter()
     report = run_recipe("[experiment]\nrecipe = ergodicity\n")
-    verdicts = {v["name"]: v for v in report.verdicts}
     ok = report.passed()
     # the theory rate the fit must beat, for the baseline inputs
     ok &= abs(report.scalars["thm13"]["rate"] - 0.0017006802721088437) < 1e-9
-    ok &= verdicts["fit_r2"]["measured"] >= 0.9
+    ok &= report.verdicts["fit_r2"].measured >= 0.9
     finish(3, "N=64 cloud reaches the closed-form Gibbs marginal within "
            "2x the sampling floor, fitted rate beats the recipe rate",
            ok, t0, 60.0)
@@ -153,10 +155,8 @@ def test_criterion_4_uniform_in_n_closed_form():
 def test_criterion_5_chaos_scaling():
     t0 = time.perf_counter()
     report = run_recipe("[experiment]\nrecipe = chaos_scaling\n")
-    names = {v["name"] for v in report.verdicts}
-    ok = report.passed() and names == {
-        "joint_w2_sq_matches_closed_form", "joint_slope_minus_one",
-        "sampled_matches_analytic_3se"}
+    ok = report.passed()
+    ok &= list(report.verdicts) == list(_VERDICTS["chaos_scaling"])
     finish(5, "joint W2^2 per particle is the closed form / N and Monte "
            "Carlo agrees with the closed-form marginal within 3 bootstrap SE",
            ok, t0, 120.0)
@@ -165,10 +165,8 @@ def test_criterion_5_chaos_scaling():
 def test_criterion_6_meanfield_decay():
     t0 = time.perf_counter()
     report = run_recipe("[experiment]\nrecipe = meanfield_decay\n")
-    names = {v["name"] for v in report.verdicts}
-    ok = report.passed() and names == {
-        "mass_drift_per_step", "free_energy_monotone", "entropy_decay_fit",
-        "modulated_energy_decay_fit", "w2_below_modulated_energy"}
+    ok = report.passed()
+    ok &= list(report.verdicts) == list(_VERDICTS["meanfield_decay"])
     ok &= len(report.tables["w2_checkpoints"][1]) == 5
     finish(6, "128x128 kinetic PDE: mass conserved, free energy monotone, "
            "entropy and modulated energy decay, W2^2 under the envelope",
@@ -189,9 +187,8 @@ w_a = 0.2
 w_b = 1.0
 w_k = 2.0
 """)
-    names = {v["name"] for v in report.verdicts}
-    ok = report.passed() and names == {
-        "slope_R0", "slope_R1", "slope_R3", "zero_kernel_control"}
+    ok = report.passed()
+    ok &= list(report.verdicts) == list(_VERDICTS["concentration"])
     finish(7, "all three error aggregates decay like 1/N over N in 8..512 "
            "(200 repetitions); zero kernel gives exact zeros", ok, t0, 120.0)
 
@@ -275,23 +272,8 @@ def test_criterion_9_assumption_checker():
 
 def test_criterion_10_determinism_across_threads(tmp_path):
     t0 = time.perf_counter()
-    configs = {
-        "ergodicity": "[experiment]\nrecipe = ergodicity\n",
-        "meanfield_decay": ("[experiment]\nrecipe = meanfield_decay\n"
-                            "[numerics]\nnx = 64\nnv = 64\nT = 0.5\n"),
-        "chaos_scaling": ("[experiment]\nrecipe = chaos_scaling\n"
-                          "[numerics]\nn_mc = 4\nn_cloud = 2048\n"),
-        "concentration": ("[experiment]\nrecipe = concentration\n"
-                          "[potential]\nv_family = quadratic\n"
-                          "v_curvature = 1.0\nw_family = mollified_coulomb\n"
-                          "w_a = 0.2\nw_b = 1.0\nw_k = 2.0\n"
-                          "[numerics]\nn_mc = 40\n"
-                          "N_list = [8, 16, 32, 64, 128]\n"),
-        "constants_table": "[experiment]\nrecipe = constants_table\n",
-        "assumptions": "[experiment]\nrecipe = assumptions\n",
-    }
     ok = True
-    for recipe, text in configs.items():
+    for recipe, text in CONFIGS.items():
         runs = []
         for tag, threads in (("a1", 1), ("b1", 1), ("c3", 3)):
             report = run_recipe(text, threads=threads)

@@ -1,0 +1,31 @@
+"""Criterion 10's six configs against tests/csv_manifest.json: every CSV
+byte and every verdict outcome of the committed manifest, and each recipe's
+verdicts against the names it declares (harness._VERDICTS)."""
+
+import json
+
+import pytest
+
+from csv_manifest import MANIFEST, digest, versions
+from kinchaos.harness import _VERDICTS
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return digest(str(tmp_path_factory.mktemp("manifest")))
+
+
+def test_each_recipe_reports_its_declared_verdicts_in_order(runs):
+    # digest reads report.json, which lists the verdicts as they were added
+    assert {recipe: list(run["verdicts"]) for recipe, run in runs.items()} \
+        == {recipe: list(names) for recipe, names in _VERDICTS.items()}
+
+
+def test_csv_bytes_and_verdict_outcomes_match_the_manifest(runs):
+    with open(MANIFEST, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if manifest["versions"] != versions():
+        pytest.skip(f"the manifest was made with {manifest['versions']}, "
+                    f"this is {versions()}; CSV bytes are promised within "
+                    f"one version")
+    assert runs == manifest["runs"]

@@ -685,9 +685,8 @@ def test_readme_library_example_runs(capsys):
 def test_ergodicity_small_run(tmp_path):
     report, paths = run_to_dir(MINIMAL_ERGODICITY, tmp_path)
     assert report.recipe == "ergodicity"
-    names = {v["name"] for v in report.verdicts}
-    assert "w2_reaches_floor" in names
-    assert "rate_at_least_thm13_c" in names
+    assert "w2_reaches_floor" in report.verdicts
+    assert "rate_at_least_thm13_c" in report.verdicts
     assert any(p.endswith("report.json") for p in paths)
     with open(os.path.join(tmp_path, "report.json")) as fh:
         blob = json.load(fh)
@@ -785,9 +784,100 @@ def test_constants_table_recipe(tmp_path):
 
 def test_assumptions_recipe_baseline(tmp_path):
     report, _ = run_to_dir("[experiment]\nrecipe = assumptions\n", tmp_path)
-    verdicts = {v["name"]: v for v in report.verdicts}
-    assert verdicts["A1"]["passed"] and verdicts["A4"]["passed"]
-    assert not verdicts["A5"]["passed"]     # harmonic W: honest failure
+    verdicts = report.verdicts
+    assert verdicts["A1"].passed and verdicts["A4"].passed
+    assert not verdicts["A5"].passed     # harmonic W: honest failure
+
+
+@pytest.mark.parametrize("flags, potential", [
+    ([], ""), (["--v-family", "zero"], "[potential]\nv_family = zero\n")],
+    ids=["default", "zero_v"])
+def test_check_assumptions_and_the_recipe_screen_alike(flags, potential,
+                                                       tmp_path, capsys):
+    # the command screens the document's pair, with its flags set on top;
+    # the recipe screens the same pair written into the document
+    out = tmp_path / "out"
+    doc = f"[experiment]\nrecipe = assumptions\nout_dir = {out}\n"
+    assert cli_main(["check-assumptions", "--config", write_cfg(tmp_path, doc),
+                     *flags]) == 0
+    printed = capsys.readouterr().out
+    screened = json.loads(printed.split("\n\n")[0])
+    assert cli_main(["run", write_cfg(tmp_path, doc + potential)]) == 0
+    with open(out / "report.json", encoding="utf-8") as fh:
+        recipe = json.load(fh)["scalars"]["report"]
+    with open(out / "assumptions_assumptions.csv", encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[2:]]
+    statuses = {name: v["status"] for name, v in screened["verdicts"].items()}
+    assert statuses == {name: status for name, status, _ in rows}
+    assert list(statuses) == list(harness._VERDICTS["assumptions"])
+    assert screened == recipe
+    summary = "  ".join(f"{name}:{status}" for name, status in
+                        statuses.items())
+    assert printed.splitlines()[-1] == summary
+
+
+def test_add_verdict_refuses_an_undeclared_or_repeated_name():
+    report = harness.RunReport("ergodicity", 0, {})
+    with pytest.raises(ValueError, match="recipe 'ergodicity' declares no "
+                       "verdict 'w2_below_floor' or has it already"):
+        report.add_verdict("w2_below_floor", True, 0.0, 1.0)
+    report.add_verdict("fit_r2", True, 0.95, 0.9)
+    with pytest.raises(ValueError, match="'fit_r2' or has it already"):
+        report.add_verdict("fit_r2", True, 0.95, 0.9)
+    screen = potentials.check_assumptions(
+        potentials.make_system("quadratic")).verdicts["A1"]
+    with pytest.raises(ValueError, match="declares no verdict 'A1'"):
+        report.add_record("A1", screen)
+    assert list(report.verdicts) == ["fit_r2"]
+
+
+def test_a_runner_cannot_report_a_verdict_its_recipe_does_not_declare(
+        monkeypatch):
+    config = parse_config("[experiment]\nrecipe = constants_table\n")
+    run_experiment(config)
+    monkeypatch.setitem(harness._VERDICTS, "constants_table", ())
+    with pytest.raises(ValueError, match="declares no verdict "
+                       "'all_outputs_finite_positive'"):
+        run_experiment(config)
+
+
+# exp(-beta V) of this V holds 3 % of its mass beyond |x| = 8
+NARROW_V = ("[potential]\nv_family = exp_power\nv_a = 0.2\nv_k = 0.9\n"
+            "w_family = mollified_coulomb\n")
+
+
+@pytest.mark.parametrize("recipe, x_max, fraction", [
+    ("concentration", 8.0, "0.031"), ("meanfield_decay", 9.0, "0.0163")])
+def test_grid_too_narrow_for_v_is_a_config_error_naming_x_max(
+        recipe, x_max, fraction, tmp_path, capsys):
+    # solve_rho_infty used to refuse it at run time, unnumbered: "error: grid
+    # too narrow: ...", exit 2
+    text = f"[experiment]\nrecipe = {recipe}\n{NARROW_V}"
+    message = (f"line 4, 5, 6: [numerics] x_max = {x_max} for recipe "
+               f"'{recipe}': grid too narrow: exp(-beta V) mass fraction "
+               f"outside is {fraction} >= tol 1e-10; widen x_max")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [message]
+    assert cli_main(["run", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    # a set x_max is named with the V lines; a wide enough one passes
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "[numerics]\nx_max = 12.5\n")
+    assert err.value.errors[0].startswith(
+        "line 4, 5, 6, 9: [numerics] x_max = 12.5 for recipe")
+    parse_config(text + "[numerics]\nx_max = 250\n")
+
+
+def test_grid_too_narrow_for_a_small_beta_names_the_beta_line():
+    text = ("[experiment]\nrecipe = concentration\n[potential]\n"
+            "w_family = mollified_coulomb\n[model]\nbeta = 0.01\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors[0].startswith(
+        "line 6: [numerics] x_max = 8.0 for recipe 'concentration': grid "
+        "too narrow")
 
 
 TINY_NUMERICS = {
@@ -849,9 +939,7 @@ def test_verdicts_recomputable_from_series(tmp_path):
     cols, rows = report.tables["w2_series"]
     w2 = [row[cols.index("w2")] for row in rows]
     recomputed = w2[-1] <= report.scalars["threshold"]
-    verdict = next(v for v in report.verdicts
-                   if v["name"] == "w2_reaches_floor")
-    assert verdict["passed"] == recomputed
+    assert report.verdicts["w2_reaches_floor"].passed == recomputed
     assert report.scalars["threshold"] == 2.0 * report.scalars["floor"]
 
 
@@ -1022,10 +1110,9 @@ def test_zero_kernel_control_trips_on_tables_of_another_spec(monkeypatch):
     monkeypatch.setattr(chaos_metrics, "mean_field_tables", first_tables)
     text = CONCENTRATION_SMALL.replace("n_mc = 40", "n_mc = 4")
     report = run_experiment(parse_config(text))
-    control = next(v for v in report.verdicts
-                   if v["name"] == "zero_kernel_control")
-    assert not control["passed"]
-    assert control["measured"]["R0"] > 0.0
+    control = report.verdicts["zero_kernel_control"]
+    assert not control.passed
+    assert control.measured["R0"] > 0.0
 
 
 def test_zero_kernel_control_stays_on_a_narrow_grid():
@@ -1037,9 +1124,7 @@ def test_zero_kernel_control_stays_on_a_narrow_grid():
             "[numerics]\nN_list = [8, 16]\nn_mc = 4\nnx = 129\n"
             "x_max = 3.0\n")
     report = run_experiment(parse_config(text))
-    control = next(v for v in report.verdicts
-                   if v["name"] == "zero_kernel_control")
-    assert control["passed"]
+    assert report.verdicts["zero_kernel_control"].passed
 
 
 def test_repeated_n_rows_keep_their_own_se():

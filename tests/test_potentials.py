@@ -553,7 +553,7 @@ def test_a3_refuses_a_tail_laplacian_not_below_the_gradient():
     spec = dataclasses.replace(spec, C_V_theta=_NO_WEIGHT_BOUND)
     verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
     assert verdict.status == "fail"
-    assert "not < 1 on tail" in verdict.note
+    assert "not < 1 on tail" in verdict.detail
     assert verdict.margin == pytest.approx(1.0 - 1e5)
 
 
@@ -564,7 +564,7 @@ def test_a3_refuses_a_decaying_tail_ratio():
                                C_V_theta=_NO_WEIGHT_BOUND)
     verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
     assert verdict.status == "fail"
-    assert "decays on the tail" in verdict.note
+    assert "decays on the tail" in verdict.detail
     assert verdict.margin == pytest.approx(2 ** 1.5 / 1e3)
 
 
@@ -582,7 +582,7 @@ def test_a3_is_not_checked_on_a_zero_confinement(w_family, w_params):
     report = check_assumptions(make_system("zero", None, w_family, w_params))
     verdict = report.verdicts["A3"]
     assert verdict.status == "not-checked"
-    assert "V <= 0 on the whole net" in verdict.note
+    assert "V <= 0 on the whole net" in verdict.detail
 
 
 def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
@@ -591,7 +591,7 @@ def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
     spec = dataclasses.replace(baseline_spec, C_K=0.1)
     verdict = check_assumptions(spec).verdicts["A4"]
     assert verdict.status == "fail"
-    assert "measured sup|hess W| = 0.25 above C_K" in verdict.note
+    assert "measured sup|hess W| = 0.25 above C_K" in verdict.detail
     assert verdict.margin == pytest.approx(-0.15)
 
 
@@ -602,7 +602,7 @@ def test_assumption_determinism(baseline_spec):
 
 
 def test_assumption_drift_variant_not_checked(baseline_spec):
-    note = check_assumptions(baseline_spec).verdicts["A1"].note
+    note = check_assumptions(baseline_spec).verdicts["A1"].detail
     assert "not-checked" in note
 
 
