@@ -1,16 +1,21 @@
 """The CSV manifest: the sha256 of every CSV that criterion 10's six configs
-write, each run's verdict outcomes by name, and the Python, numpy and scipy
-versions that wrote them.
+write, each run's verdict outcomes by name, the exit code and the sha256 of
+the stdout of a fixed list of `kinchaos constants` and `kinchaos
+check-assumptions` invocations, and the Python, numpy and scipy versions
+that wrote them.
 
     PYTHONPATH=src python3 tests/csv_manifest.py
 
-reruns the six configs once, at --threads 1, and rewrites
-tests/csv_manifest.json.  tests/test_csv_manifest.py reruns them and
-compares, so a CSV byte that moves fails Tier-1.  Rewriting the manifest is
-a declared output change: it never makes a failing comparison pass.
+reruns the six configs once, at --threads 1, and the invocations, and
+rewrites tests/csv_manifest.json.  tests/test_csv_manifest.py reruns them
+and compares, so a CSV or stdout byte that moves fails Tier-1.  Rewriting
+the manifest is a declared output change: it never makes a failing
+comparison pass.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -19,6 +24,7 @@ import tempfile
 import numpy
 import scipy
 
+from kinchaos.cli import main as cli_main
 from kinchaos.harness import parse_config, run_experiment, write_report
 
 # one small config per recipe, the ones criterion 10 reruns across threads
@@ -37,6 +43,31 @@ CONFIGS = {
     "constants_table": "[experiment]\nrecipe = constants_table\n",
     "assumptions": "[experiment]\nrecipe = assumptions\n",
 }
+
+# the documents that the invocations below name, by file name
+CLI_DOCUMENTS = {
+    "constants.ini": ("[experiment]\nrecipe = constants_table\n"
+                      "[model]\ngamma = 2.0\nsigma = 0.5\n"
+                      "[constants]\ntheta = 0.9\nrho_ls = 0.5\n"
+                      "a_rule = proof\n"),
+    "concentration.ini": CONFIGS["concentration"],
+}
+
+# each a command line split on spaces; a word that names a document of
+# CLI_DOCUMENTS is that document's path
+CLI_RUNS = (
+    "constants",
+    "constants --json-only",
+    "constants --c-k 0.25 --c-v 1",
+    "constants --config constants.ini",
+    "check-assumptions",
+    "check-assumptions --strict",
+    "check-assumptions --v-family power_k --param v_k=6",
+    "check-assumptions --v-family zero",
+    "check-assumptions --w-family mollified_coulomb --param w_form=arctan "
+    "--param w_r0=1",
+    "check-assumptions --config concentration.ini",
+)
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "csv_manifest.json")
@@ -70,9 +101,30 @@ def digest(out_root):
     return runs
 
 
+def cli_digest(out_root):
+    """{command line: {"exit": code, "stdout": sha256}} of each of CLI_RUNS,
+    with its documents written under `out_root`."""
+
+    paths = {}
+    for name, text in CLI_DOCUMENTS.items():
+        paths[name] = os.path.join(out_root, name)
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    runs = {}
+    for line in CLI_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([paths.get(word, word) for word in line.split()])
+        runs[line] = {"exit": code, "stdout": hashlib.sha256(
+            out.getvalue().encode("utf-8")).hexdigest()}
+    return runs
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = {"versions": versions(), "runs": digest(tmp)}
+        manifest = {"versions": versions(), "runs": digest(tmp),
+                    "cli": cli_digest(tmp)}
     with open(MANIFEST, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
