@@ -8,22 +8,25 @@
 Each config flag sets one config entry over the document's, or over the
 recipe's defaults: it is read and checked as that entry, and errors name it.
 
-Exit codes: 0 success, 2 configuration error, 3 assumption violation under
---strict, 4 numerical failure (blow-up, instability, scheme or solver error).
+constants and check-assumptions print the report of the constants_table and
+assumptions recipes run on that config.
+
+Exit codes: 0 success, 2 configuration error, 3 under --strict when an
+assumption screen's status is fail, 4 numerical failure (blow-up,
+instability, scheme or solver error).
 """
 
 import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import (BlowUpError, ConfigError, ConvergenceError,
                      SchemeError, StabilityError, StrictAssumptionError)
 from .harness import (_DEFAULT_FAMILIES, _build_config, _parse_value,
-                      _read_sections, constants_records, run_experiment,
-                      write_report)
-from .potentials import check_assumptions
+                      _read_sections, run_experiment, write_report)
 
 _NUMERICAL = (BlowUpError, StabilityError, SchemeError, ConvergenceError)
 
@@ -65,7 +68,7 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a recipe from a config file")
     run.add_argument("config", help="path to the config document")
     run.add_argument("--strict", action="store_true",
-                     help="exit 3 when an assumption check fails")
+                     help="exit 3 when an assumption screen fails")
     run.add_argument("--threads", type=int, default=1,
                      help="worker threads for sweep points (results are "
                      "independent of this)")
@@ -131,6 +134,16 @@ def _config(args):
         "constants_table" if args.command == "constants" else None))
 
 
+def _strict(report):
+    """Raise StrictAssumptionError when a screen of an assumptions report
+    has status fail; a not-checked screen is no violation."""
+
+    failed = [n for n, v in report.verdicts.items() if v.status == "fail"]
+    if report.recipe == "assumptions" and failed:
+        raise StrictAssumptionError(f"failed under --strict: "
+                                    f"{', '.join(failed)}")
+
+
 def _cmd_run(args):
     if args.threads < 1:
         raise ConfigError([f"--threads must be at least 1, got "
@@ -139,34 +152,29 @@ def _cmd_run(args):
     report = run_experiment(config, threads=args.threads)
     paths = write_report(report, config.out_dir)
     for name, v in report.verdicts.items():
-        print(f"{'PASS' if v.passed else 'FAIL'}  {name}")
+        print(f"{v.status.upper()}  {name}")
     print("wrote: " + ", ".join(paths))
-    if args.strict and config.recipe == "assumptions" and not report.passed():
-        failed = [n for n, v in report.verdicts.items() if not v.passed]
-        raise StrictAssumptionError(f"failed under --strict: "
-                                    f"{', '.join(failed)}")
+    if args.strict:
+        _strict(report)
     return 0
 
 
 def _cmd_constants(args):
-    records = constants_records(_config(args))
-    print(json.dumps([r.as_dict() for r in records], indent=2,
+    report = run_experiment(replace(_config(args), recipe="constants_table"))
+    print(json.dumps(list(report.scalars.values()), indent=2,
                      sort_keys=True))
     if not args.json_only:
-        for r in records:
-            print(f"\n{r.table()}")
+        print("\n" + report.texts["constants.txt"], end="")
     return 0
 
 
 def _cmd_check_assumptions(args):
-    config = _config(args)
-    result = check_assumptions(config.spec, theta=config.constants["theta"],
-                               seed=config.seed)
-    print(json.dumps(result.as_dict(), indent=2, sort_keys=True),
-          result.summary(), sep="\n\n")
-    if args.strict and result.failed():
-        raise StrictAssumptionError(
-            "assumption screening failed: " + ", ".join(result.failed()))
+    report = run_experiment(replace(_config(args), recipe="assumptions"))
+    print(json.dumps(report.scalars["report"], indent=2, sort_keys=True),
+          "  ".join(f"{n}:{v.status}" for n, v in report.verdicts.items()),
+          sep="\n\n")
+    if args.strict:
+        _strict(report)
     return 0
 
 

@@ -57,7 +57,8 @@ from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
 from .equilibrium import (_MIN_NODES, Axis, GridDensity, _closed_form,
                           _coverage_check, _has_closed_form, assemble_f_infty,
-                          formal_equilibrium, solve_rho_infty)
+                          formal_equilibrium, maxwellian_factor,
+                          solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
 from .kinetic_pde import (KineticState, fit_decay, free_energy,
                           modulated_energy, relative_entropy_grid, step_vfp)
@@ -107,7 +108,10 @@ _NUMERICS_SCHEMA = {
         "N_mc_list": ("int_list", [8, 32, 128],
                       ("at least", 1, "each N is a particle count")),
         "n_mc": ("int", 8, ("at least", 0, "the sampled repetitions per N; "
-                            "0 skips the sampled check")),
+                            "0 skips the sampled check"),
+                 ("at most", 1000, "repetition rep of N point idx draws from "
+                  "rng.derive(10_000 (idx + 1) + 10 rep + 0..2), so "
+                  "repetition 1000 would share the next point's noise")),
         "n_cloud": ("int", 8192, ("at least", 1, "each W2 compares two "
                                   "clouds of n_cloud points")),
     },
@@ -407,6 +411,15 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
         errors.append(f"{_where([loc])}: [numerics] N_list needs at least two "
                       f"distinct values for recipe '{recipe}', got "
                       f"{numerics['N_list']}")
+    # the v grid must hold the Maxwellian that assemble_f_infty takes on it;
+    # its share depends on v_max alone, so the failing v_max is set
+    if "v_max" in numerics and "nv" in numerics and params is not None:
+        try:
+            maxwellian_factor(params, _v_axis(numerics, params))
+        except ValueError as exc:
+            lines = _lines(sections["numerics"], lambda key: key == "v_max")
+            errors.append(f"{lines}: [numerics] v_max = {numerics['v_max']} "
+                          f"for recipe '{recipe}': {exc}")
     if spec is None:
         return  # its build error names the family or parameter at fault
     # the x grid must hold exp(-beta V) to the tol that solve_rho_infty asks
@@ -630,6 +643,13 @@ def _converged_rho_infty(spec, params, axis):
     return rho_inf
 
 
+def _v_axis(num, params):
+    """The meanfield_decay v grid: nv nodes on [-v_max, v_max] / sqrt(beta)."""
+
+    half = num["v_max"] / math.sqrt(params.beta)
+    return Axis(-half, half, num["nv"])
+
+
 def _schedule(num):
     """(steps, steps per checkpoint) of a run of span T at step dt."""
 
@@ -733,8 +753,7 @@ def _run_meanfield_decay(cfg, report, threads):
     rng = RngSpec(seed=cfg.seed)
 
     x_axis = Axis(-num["x_max"], num["x_max"], num["nx"])
-    v_axis = Axis(-num["v_max"] / math.sqrt(params.beta),
-                  num["v_max"] / math.sqrt(params.beta), num["nv"])
+    v_axis = _v_axis(num, params)
     rho_inf = _converged_rho_infty(spec, params, x_axis)
     f_inf = assemble_f_infty(rho_inf, params, v_axis)
     F_inf = free_energy(f_inf, spec, params).total
@@ -938,11 +957,11 @@ def _run_concentration(cfg, report, threads):
                        stats.aggregates, 0.0, "W = 0 gives exact zeros")
 
 
-def constants_records(cfg):
-    """The three rate records of a config's built spec and model, with each
-    constant that [constants] sets taken from there; shared by recipe and
-    CLI."""
+def _run_constants_table(cfg, report, threads):
+    """The three rate records of the config's built spec and model, with each
+    constant that [constants] sets taken from there."""
 
+    del threads
     c, spec, params = cfg.constants, cfg.spec, cfg.params
 
     def given(name, built):
@@ -953,20 +972,15 @@ def constants_records(cfg):
 
     gamma, sigma = params.gamma, params.sigma
     C_K, C_V = given("C_K", spec.C_K), given("C_V", spec.C_V)
-    t13 = thm13_constants(gamma, sigma, C_K, C_V, c["rho_LS"])
-    t14c1 = thm14_case1_constants(gamma, sigma, C_K, C_V, c["rho_ls"],
-                                  c["a_rule"])
-    t14c2 = thm14_case2_constants(
-        gamma, sigma, C_K,
-        given("C_V_theta", finite_positive(spec.C_V_theta)), c["theta"],
-        given("W_grad_sup", finite_positive(spec.W_grad_sup)), c["rho_wls"],
-        c["d"], c["meanfield_variant"])
-    return [t13, t14c1, t14c2]
-
-
-def _run_constants_table(cfg, report, threads):
-    del threads
-    records = constants_records(cfg)
+    records = [
+        thm13_constants(gamma, sigma, C_K, C_V, c["rho_LS"]),
+        thm14_case1_constants(gamma, sigma, C_K, C_V, c["rho_ls"],
+                              c["a_rule"]),
+        thm14_case2_constants(
+            gamma, sigma, C_K,
+            given("C_V_theta", finite_positive(spec.C_V_theta)), c["theta"],
+            given("W_grad_sup", finite_positive(spec.W_grad_sup)),
+            c["rho_wls"], c["d"], c["meanfield_variant"])]
     report.scalars.update((rec.tag, rec.as_dict()) for rec in records)
     rows = [(rec.tag, key, value) for rec in records
             for key, value in rec._outputs().items()]

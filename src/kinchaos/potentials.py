@@ -718,12 +718,6 @@ class AssumptionReport:
                          for k, v in self.verdicts.items()}},
             default=_json_default))
 
-    def failed(self):
-        return [k for k, v in self.verdicts.items() if v.status == "fail"]
-
-    def summary(self):
-        return "  ".join(f"{k}:{v.status}" for k, v in sorted(self.verdicts.items()))
-
 
 def _op_norms(H):
     """Operator norms of a stack of symmetric matrices."""

@@ -880,6 +880,42 @@ def test_grid_too_narrow_for_a_small_beta_names_the_beta_line():
         "too narrow")
 
 
+@pytest.mark.parametrize("v_max, covered", [("4.0", "0.999936658"),
+                                            ("4.5", "0.999993205")])
+def test_v_grid_too_narrow_for_the_maxwellian_is_a_config_error_naming_v_max(
+        v_max, covered, tmp_path, capsys):
+    # maxwellian_factor used to refuse it at run time, unnumbered: "error:
+    # velocity grid holds only ...", exit 2
+    text = MEANFIELD_SMALL + f"v_max = {v_max}\n"
+    message = (f"line 8: [numerics] v_max = {v_max} for recipe "
+               f"'meanfield_decay': velocity grid holds only {covered} of "
+               f"the Gaussian mass; widen it")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [message]
+    assert cli_main(["run", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # a wide enough one passes
+    parse_config(MEANFIELD_SMALL + "v_max = 6\n")
+
+
+def test_chaos_scaling_n_mc_stops_where_two_n_points_would_share_noise(
+        tmp_path, capsys):
+    # repetition 1000 of N point idx would draw from rng.derive(10_000
+    # (idx + 2) + 0..2), the streams of repetition 0 of point idx + 1
+    text = CHAOS_SMALL.replace("n_mc = 4", "n_mc = 1001")
+    assert cli_main(["run", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 9: [numerics] n_mc must be at most 1000 for "
+        "recipe 'chaos_scaling'")
+    assert not (tmp_path / "out").exists()
+    text = CHAOS_SMALL.replace("n_mc = 4", "n_mc = 1000")
+    assert parse_config(text).numerics["n_mc"] == 1000
+
+
 TINY_NUMERICS = {
     "ergodicity": "N = 8\nT = 1.5\n",
     "meanfield_decay": "nx = 64\nnv = 64\nT = 0.04\ncheckpoint_every = 0.01\n"
@@ -1158,6 +1194,36 @@ def test_cli_strict_assumptions_exit_code(tmp_path, capsys):
     code = cli_main(["run", cfg, "--strict",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 3
+
+
+# [potential] entries of an assumptions document, the exit code of --strict
+# and the statuses of A1..A5: its five screens pass (quadratic V of
+# curvature 4e4 with Coulomb W, screened at theta = 0.01: V >= 2 on the net
+# off the origin, so V^(-2 theta) hess V stays below C_V_theta = 4e4, and
+# the tail slope -4 theta stays above -0.05), it fails A3 and A5 (the
+# default), or its A3 is not checked (V = 0)
+STRICT_DOCUMENTS = {
+    "all_pass": ("[potential]\nv_family = quadratic\nv_curvature = 40000.0\n"
+                 "w_family = mollified_coulomb\n[constants]\ntheta = 0.01\n",
+                 0, "PASS PASS PASS PASS PASS"),
+    "default_fails": ("", 3, "PASS PASS FAIL PASS FAIL"),
+    "zero_v_not_checked": ("[potential]\nv_family = zero\n", 0,
+                           "PASS PASS NOT-CHECKED PASS PASS"),
+}
+
+
+@pytest.mark.parametrize("potential, code, statuses",
+                         STRICT_DOCUMENTS.values(), ids=list(STRICT_DOCUMENTS))
+def test_strict_exits_alike_from_run_and_check_assumptions(
+        potential, code, statuses, tmp_path, capsys):
+    # exit 3 means a screen whose status is fail, and not-checked is none;
+    # run --strict used to print FAIL  A3 and exit 3 on V = 0
+    cfg = write_cfg(tmp_path, f"[experiment]\nrecipe = assumptions\n"
+                    f"out_dir = {tmp_path / 'out'}\n{potential}")
+    assert cli_main(["run", cfg, "--strict"]) == code
+    assert capsys.readouterr().out.splitlines()[:5] == [
+        f"{status}  A{i}" for i, status in enumerate(statuses.split(), 1)]
+    assert cli_main(["check-assumptions", "--config", cfg, "--strict"]) == code
 
 
 def test_cli_constants_subcommand(capsys):
