@@ -316,10 +316,11 @@ def mean_field_tables(spec, rho_inf):
 
 def _stack_size(N):
     """Ensembles per stack of _error_terms in a sweep (d = 1): the most
-    whose first pair panels hold at most 2**15 entries together, so numpy
-    calls on small N cover many ensembles; a function of N alone."""
+    whose first pair panels hold at most 2**16 entries together, so numpy
+    calls on small N cover many ensembles and few calls release the
+    interpreter lock; a function of N alone."""
 
-    return max(1, 2**15 // _panel_entries((N, 1)))
+    return max(1, 2**16 // _panel_entries((N, 1)))
 
 
 def _error_terms(x, v, spec, rho_inf, tables, first=None):
@@ -333,7 +334,7 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
     with the signs - and +, and the sign of K is applied once, in the
     division by -N.  K and K' of a panel come from one evaluation of W,
     which a radial W serves from one |x|, W'/s and W''.  The panels, W's
-    derivatives and the products with v are evaluated into six buffers of
+    derivatives and the products with v are evaluated into four rows of
     the first panel's size, allocated once per call.  The convolution
     tables are linearly interpolated at the particle positions.  A particle
     off their grid is a ValueError, raised before any pair sum, that names
@@ -352,11 +353,12 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
     R, N = x.shape
     terms = np.zeros((3, R, N))
     s0, s1, s3 = terms
-    # rows: the panel, then W's scratch (RadialField._grad_hess); the
-    # products with v go over the panel, which grad and hess no longer need
-    work = np.empty((6, _panel_entries((R, N, 1))))
+    # rows: the panel, then W's scratch (RadialField._grad_hess), which ends
+    # with the Hessian in row 1 and the gradient in row 3; the products with
+    # v go over the panel, which grad and hess no longer need
+    work = np.empty((4, _panel_entries((R, N, 1))))
     for rows, diff, self_pairs in pair_panels(x[..., None], out=work[0]):
-        grad, hess = spec.W._grad_hess(diff, out=work[1:6])
+        grad, hess = spec.W._grad_hess(diff, out=work[1:])
         g = grad[..., 0]
         h = hess[..., 0, 0]
         g[self_pairs] = 0.0
@@ -555,8 +557,8 @@ def concentration_check(spec, rho_inf, params, n_values, n_mc, rng,
     yield identically zero aggregates and fits of None.  Every N needs a
     pair (N >= 2), and each point at least one ensemble.  Each point's wall
     time and the CPU time of the thread that ran it (time.thread_time, which
-    GIL waits do not inflate) go in `timings` with its pair entries,
-    n_mc * potentials._pair_entries(N, 1).
+    counts the handoffs of the interpreter lock between threads) go in
+    `timings` with its pair entries, n_mc * potentials._pair_entries(N, 1).
     """
 
     if n_mc < 1 or min(n_values) < 2:

@@ -133,12 +133,15 @@ class RadialField(Field):
     Every _w12 must give w2 == w1 at s = 0 (W''(0) = lim W'(s)/s, bit for
     bit): the one-dimensional Hessian relies on it in place of a mask.
 
-    The error terms pass `out`, a (5, n) float array with n at least the
-    entries of x, to _grad_hess: its rows take |x|², W'/s, W'' (and then,
-    in d = 1, the Hessian), the scratch of _w12 and the gradient, so a
-    panel forms no new array of its size.  A _w12 may leave out alone and
-    return fresh arrays, as all but the Coulomb power form at k = 2 do.
-    The arithmetic is the same with and without `out`, and so are the bits.
+    The error terms pass `out`, a (3, n) float array with n at least the
+    entries of x, to _grad_hess in d = 1: row 0 takes |x|², then W''
+    in place over it (its last use of |x|²), then the Hessian; row 1 W'/s;
+    row 2 the scratch of _w12, then the gradient.  So a panel forms no new
+    array of its size.  A _w12 may leave out alone and return fresh arrays,
+    as all but the Coulomb power form at k = 2 do.  The arithmetic is the
+    same with and without `out`, and so are the bits.  In d >= 2 the
+    Hessian still needs |x|² after W'' is written, so `out` is refused
+    there with a ValueError.
     """
 
     def _v(self, s):
@@ -159,12 +162,16 @@ class RadialField(Field):
         return np.sqrt(self._sq_norm(x))
 
     def _radial(self, x, out):
-        """|x|², W'/s and W'' of x, into rows 0 to 3 of `out` when given."""
+        """|x|², W'/s and W'' of x.  Given `out`, |x|² goes into row 0,
+        W'/s into row 1 and _w12's scratch into row 2, and W'' over |x|²,
+        so the |x|² returned holds W'' when _w12 writes into `out`."""
 
-        rows = [None] * 4 if out is None else [
-            _view(row, x.shape[:-1]) for row in out[:4]]
-        t = self._sq_norm(x, out=rows[0])
-        return (t, *self._w12(t, out=None if out is None else rows[1:]))
+        if out is None:
+            t = self._sq_norm(x)
+            return (t, *self._w12(t))
+        t, w1, scratch = (_view(row, x.shape[:-1]) for row in out)
+        self._sq_norm(x, out=t)
+        return (t, *self._w12(t, out=(w1, t, scratch)))
 
     def value(self, x):
         return self._v(self._norm(x))
@@ -178,10 +185,12 @@ class RadialField(Field):
 
     def _grad_hess(self, x, out=None):
         x = np.asarray(x, dtype=float)
+        if out is not None and x.shape[-1] != 1:
+            raise ValueError("_grad_hess evaluates into `out` in d = 1 only")
         t, w1, w2 = self._radial(x, out)
-        return (np.multiply(w1[..., None], x, out=_view(out, x.shape, 4)),
+        return (np.multiply(w1[..., None], x, out=_view(out, x.shape, 2)),
                 self._radial_hess(x, t, w1, w2,
-                                  out=_view(out, x.shape[:-1], 2)))
+                                  out=_view(out, x.shape[:-1], 0)))
 
     @staticmethod
     def _radial_hess(x, t, w1, w2, out=None):
@@ -349,7 +358,8 @@ class MollifiedCoulomb(RadialField):
             # one root instead of two powers: with inv = 1/(s² + b²),
             # W'/s = -a inv^(3/2) and W'' = W'/s (b² - 2s²) inv
             # = W'/s (1 - 3 s² inv), whose factor is exactly 1 at s = 0;
-            # evaluated in place into out (w1, w2, scratch) or fresh rows
+            # evaluated in place into out (w1, w2, scratch) or fresh rows;
+            # w2 may be t itself, whose last use is t * inv
             if out is None:
                 out = np.empty((3,) + np.shape(t))
             w1, w2, inv = (row[...] for row in out)

@@ -676,8 +676,8 @@ spec = make_system("quadratic", {"curvature": 1.0}, "mollified_coulomb",
 params = ModelParams(1.0, 1.0, 1.0)
 rho = solve_rho_infty(spec, params, Axis(-8.0, 8.0, 513))
 tables = chaos_metrics.mean_field_tables(spec, rho)
-x, v = np.empty((2, 2, 512))
-for r in range(2):
+x, v = np.empty((2, 4, 512))
+for r in range(4):
     x[r], v[r] = sample_f_infty(rho, params, 512, RngSpec(seed=41),
                                 substream=r)
 chaos_metrics._error_terms(x, v, spec, rho, tables)
@@ -728,10 +728,10 @@ def test_error_terms_hold_no_new_panel_per_panel(mollified_setup,
                     reason="fault counts calibrated on Linux with glibc")
 def test_error_terms_fault_in_no_pages_per_panel():
     # the measurement behind the test above, in page faults: after a
-    # warm-up, 20 calls at N = 512, R = 2 on the coulomb_concentration
-    # table grid fault in 14-19 pages per call (x86-64 Linux, glibc 2.36,
-    # numpy 2.4), where a fresh temporary per panel step faulted in
-    # 560-900.  The count depends on the allocator as well as on this
+    # warm-up, 20 calls at N = 512, R = 4 (a sweep's stack there) on the
+    # coulomb_concentration table grid fault in 24 pages per call (x86-64
+    # Linux, glibc 2.36, numpy 2.4), where a fresh temporary per panel step
+    # faulted in 1085.  The count depends on the allocator as well as on this
     # code: glibc serves blocks of 128 KiB and more from fresh pages
     assert float(_run_python(FAULTS_PER_CALL).split()[-1]) < 100
 
@@ -801,7 +801,7 @@ def test_stacked_error_terms_equal_each_ensemble_alone(w_family, w_params, N,
     rho = solve_rho_infty(spec, baseline_params, Axis(-9.0, 9.0, 128))
     tables = mean_field_tables(spec, rho)
     size = chaos_metrics._stack_size(N)
-    assert size == (56 if N == 24 else 2)
+    assert size == (113 if N == 24 else 4)
     counts = sorted({*range(1, min(size, 8) + 1), size, size + 1,
                      2 * size + 1})
     gen = np.random.default_rng(N)
@@ -858,8 +858,8 @@ def test_concentration_escape_names_the_repetition(mollified_setup, rng,
 
     monkeypatch.setattr(chaos_metrics, "sample_f_infty",
                         off_grid_at_substream_3)
-    # at N = 200 the stacks hold repetitions (0, 1), (2, 3) and (4,)
-    assert chaos_metrics._stack_size(200) == 2
+    # at N = 200 the stacks hold repetitions (0, 1, 2, 3) and (4,)
+    assert chaos_metrics._stack_size(200) == 4
     with pytest.raises(ValueError, match="repetition 3, particle 5 at "
                                          "x=-40.0 escapes"):
         concentration_check(spec, rho, params, n_values=[8, 200], n_mc=5,
@@ -894,7 +894,7 @@ def _concentration_one_at_a_time(spec, rho, params, n_values, n_mc, rng):
 def test_concentration_rows_equal_one_ensemble_at_a_time(mollified_setup, rng,
                                                          threads):
     # stacked points (N = 8 and 24 in one stack each, N = 200 and 300 in
-    # stacks of two with a short last one) give the means and SEs of a loop
+    # stacks of four with a short last one) give the means and SEs of a loop
     # over the ensembles one at a time, bit for bit
     spec, params, rho = mollified_setup
     n_values = [24, 300, 8, 200]
@@ -978,6 +978,29 @@ def test_concentration_threads_do_not_change_rows(mollified_setup, rng):
                               n_mc=10, rng=rng, threads=1)
     two = concentration_check(spec, rho, params, n_values=[8, 16, 32],
                               n_mc=10, rng=rng, threads=2)
+    assert np.array_equal(one.mean, two.mean)
+    assert np.array_equal(one.se, two.se)
+    assert one.fits == two.fits
+
+
+def test_concentration_threads_do_not_change_a_multi_stack_point(
+        mollified_setup, rng, monkeypatch):
+    # at N = 512 a point's 9 ensembles run in stacks of 4, 4 and 1, the
+    # shape of the sweep's costliest points, and two threads give the bits
+    # of one
+    spec, params, rho = mollified_setup
+    stacks, error_terms = [], chaos_metrics._error_terms
+
+    def recorded(x, *args, **kwargs):
+        stacks.append(x.shape)
+        return error_terms(x, *args, **kwargs)
+
+    monkeypatch.setattr(chaos_metrics, "_error_terms", recorded)
+    one = concentration_check(spec, rho, params, n_values=[32, 512], n_mc=9,
+                              rng=rng, threads=1)
+    assert sorted(stacks) == [(1, 512), (4, 512), (4, 512), (9, 32)]
+    two = concentration_check(spec, rho, params, n_values=[32, 512], n_mc=9,
+                              rng=rng, threads=2)
     assert np.array_equal(one.mean, two.mean)
     assert np.array_equal(one.se, two.se)
     assert one.fits == two.fits

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinchaos.potentials import (check_assumptions, make_system,
-                                 pair_panels, pairwise_interaction_energy)
+from kinchaos.potentials import (RadialField, check_assumptions,
+                                 make_system, pair_panels,
+                                 pairwise_interaction_energy)
 from tests.conftest import quarter_linear_spec
 
 
@@ -244,6 +245,57 @@ def test_grad_hess_equals_grad_and_hess_bitwise(family, params, side, d):
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
+
+
+W_FAMILIES = [
+    ("zero", None),
+    ("harmonic_W", {"L_W": 0.25}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.0, "k": 2.0}),
+    ("mollified_coulomb", {"a": 0.5, "b": 0.8, "k": 2.0}),
+    ("mollified_coulomb", {"a": 0.2, "b": 0.8, "k": 2.5}),
+    ("mollified_coulomb", {"a": 0.2, "b": 1.3, "k": 3.0}),
+    ("mollified_coulomb", {"a": 0.5, "r0": 0.7, "form": "arctan"}),
+]
+W_FAMILY_IDS = ["zero", "harmonic", "coulomb_k2", "coulomb_k2_b0.8",
+                "coulomb_k2.5", "coulomb_k3", "coulomb_arctan"]
+
+
+@pytest.mark.parametrize("family,params", W_FAMILIES, ids=W_FAMILY_IDS)
+def test_grad_hess_into_three_rows_equals_fresh_arrays_in_1d(family, params):
+    # the error terms' scratch: |x|², then W'' over it, then the Hessian in
+    # row 0, W'/s in row 1, _w12's scratch and then the gradient in row 2,
+    # rows longer than the panel; the bits of grad and hess on fresh arrays,
+    # whether or not the family's _w12 writes into the rows
+    fld = builtin_field(family, params, "W")
+    diff = awkward_pair_differences(1, 1e-3 * (params or {}).get("r0", 1.0))
+    rows = np.full((3, diff.size + 7), np.nan)
+    grad, hess = fld._grad_hess(diff, out=rows)
+    for fused, alone in ((grad, fld.grad(diff)), (hess, fld.hess(diff))):
+        assert fused.shape == alone.shape
+        assert _bits(fused) == _bits(alone)
+    if isinstance(fld, RadialField):
+        assert np.shares_memory(grad, rows[2])
+        assert np.shares_memory(hess, rows[0])
+
+
+@pytest.mark.parametrize("family,params", W_FAMILIES, ids=W_FAMILY_IDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_grad_hess_refuses_scratch_rows_for_a_radial_w_beyond_1d(family,
+                                                                 params, d):
+    # the general Hessian reads |x|² after W'' has been written over it, so
+    # a radial W refuses the rows in d >= 2; a field that is not radial
+    # never writes into them and returns its fresh arrays
+    fld = builtin_field(family, params, "W", d)
+    diff = awkward_pair_differences(d, 1e-3 * (params or {}).get("r0", 1.0))
+    rows = np.full((3, diff.size), np.nan)
+    if isinstance(fld, RadialField):
+        with pytest.raises(ValueError, match="in d = 1 only"):
+            fld._grad_hess(diff, out=rows)
+        return
+    grad, hess = fld._grad_hess(diff, out=rows)
+    assert _bits(grad) == _bits(fld.grad(diff))
+    assert _bits(hess) == _bits(fld.hess(diff))
+    assert np.all(np.isnan(rows))
 
 
 RADIAL_FAMILIES = [
