@@ -117,8 +117,9 @@ class PhaseEnsemble:
     velocities: np.ndarray      # (N, d)
     time: float = 0.0
     step: int = 0
-    # (spec, V, W, positions snapshot, force) from the closing kick of the
-    # step that produced this state; see step_particle_system
+    # (spec, V, W, their params(), positions snapshot, force) from the
+    # closing kick of the step that produced this state; see
+    # step_particle_system
     _closing_force: tuple | None = field(default=None, init=False,
                                          compare=False, repr=False)
 
@@ -269,8 +270,9 @@ def step_particle_system(Z, spec, params, dt, scheme="baoab", rng=None,
     A BAOAB step leaves the force of its closing kick on the returned
     ensemble, and the next call opens with it instead of evaluating the
     force again ("first same as last").  It is reused only for the same
-    spec, V and W objects and positions equal to those it was computed at;
-    any other state, and every `copy()`, gets a fresh evaluation.
+    spec, V and W objects with the same `params()`, and positions equal to
+    those it was computed at; any other state, and every `copy()`, gets a
+    fresh evaluation.
     """
 
     if rng is None:
@@ -281,15 +283,17 @@ def step_particle_system(Z, spec, params, dt, scheme="baoab", rng=None,
         return -spec.V.grad(x) + pairwise_force(spec, x)
 
     f_start = None
+    coefficients = (spec.V.params(), spec.W.params())
     if Z._closing_force is not None:
-        c_spec, c_V, c_W, c_x, c_f = Z._closing_force
+        c_spec, c_V, c_W, c_coefficients, c_x, c_f = Z._closing_force
         if (c_spec is spec and c_V is spec.V and c_W is spec.W
+                and c_coefficients == coefficients
                 and np.array_equal(c_x, Z.positions)):
             f_start = c_f
     out, f_end = _advance(Z, params, dt, scheme, rng, force, f_start)
     if f_end is not None:
-        out._closing_force = (spec, spec.V, spec.W, out.positions.copy(),
-                              f_end)
+        out._closing_force = (spec, spec.V, spec.W, coefficients,
+                              out.positions.copy(), f_end)
     return out
 
 

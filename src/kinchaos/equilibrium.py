@@ -205,12 +205,14 @@ def _gibbs_map(spec, params, axis, v_vals, rho_values):
 
     exponent = -params.beta * (
         v_vals + interaction_convolution(spec, axis, rho_values))
-    exponent -= np.max(exponent)
-    out = np.exp(exponent)
-    if not np.all(np.isfinite(out)):
-        i = int(np.flatnonzero(~np.isfinite(out))[0])
+    top = np.max(exponent)
+    if not np.isfinite(top):
+        # the first NaN or +inf exponent; node 0 when every one is -inf
+        i = int(np.argmax(np.isnan(exponent) | (exponent == np.inf)))
         raise ValueError(f"non-finite Gibbs map at grid value "
-                         f"x={axis.nodes[i]!r}")
+                         f"x={float(axis.nodes[i])}")
+    exponent -= top
+    out = np.exp(exponent)
     out /= float(out @ axis.trapezoid_weights())
     return out
 

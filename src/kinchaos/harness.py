@@ -50,7 +50,7 @@ import numpy as np
 from . import __version__
 from .chaos_metrics import (_MAX_ASSIGNMENT, _map_indexed,
                             concentration_check, error_statistics,
-                            loglog_fit, w2_exact, w2_gaussian_spectral)
+                            w2_exact, w2_gaussian_spectral)
 from .constants import (build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
@@ -107,8 +107,7 @@ _NUMERICS_SCHEMA = {
                    ("at least", 1, "each N is a particle count")),
         "N_mc_list": ("int_list", [8, 32, 128],
                       ("at least", 1, "each N is a particle count")),
-        "n_mc": ("int", 8, ("at least", 0, "the sampled repetitions per N; "
-                            "0 skips the sampled check"),
+        "n_mc": ("int", 8, ("at least", 1, "the sampled repetitions per N"),
                  ("at most", 1000, "repetition rep of N point idx draws from "
                   "rng.derive(10_000 (idx + 1) + 10 rep + 0..2), so "
                   "repetition 1000 would share the next point's noise")),
@@ -128,14 +127,13 @@ _NUMERICS_SCHEMA = {
 }
 
 # the verdicts of each recipe, in report order; RunReport.add_verdict refuses
-# any other name (chaos_scaling at n_mc = 0 leaves out its sampled check)
+# any other name, and run_experiment a report that lists not exactly these
 _VERDICTS = {
     "ergodicity": ("w2_reaches_floor", "rate_at_least_thm13_c", "fit_r2"),
     "meanfield_decay": ("mass_drift_per_step", "free_energy_monotone",
                         "entropy_decay_fit", "modulated_energy_decay_fit",
                         "w2_below_modulated_energy"),
-    "chaos_scaling": ("joint_w2_sq_matches_closed_form",
-                      "joint_slope_minus_one", "sampled_matches_analytic_3se"),
+    "chaos_scaling": ("sampled_matches_analytic_3se",),
     "concentration": ("slope_R0", "slope_R1", "slope_R3",
                       "zero_kernel_control"),
     "constants_table": ("all_outputs_finite_positive",),
@@ -849,11 +847,8 @@ def _run_chaos_scaling(cfg, report, threads):
     num = cfg.numerics
     rng = RngSpec(seed=cfg.seed)
     closed = {N: _closed_form(spec, params.beta, N)
-              for N in {1, *num["N_list"], *num["N_mc_list"]}}
-    var_mf = closed[1].var_x    # rho_inf's, the same in every record
-    # the mean direction alone (N = 1) carries the joint gap at every N
-    gap_sq = w2_gaussian_spectral(closed[1].covariance_spectrum(),
-                                  ((var_mf, 1),))
+              for N in {*num["N_list"], *num["N_mc_list"]}}
+    var_mf = closed[num["N_list"][0]].var_x    # rho_inf's, in every record
 
     def marginal_gap(N):
         """W2^2 between the x_1 marginal of the N-particle law and rho_inf."""
@@ -865,27 +860,9 @@ def _run_chaos_scaling(cfg, report, threads):
         (N, marginal_gap(N), w2_gaussian_spectral(
             closed[N].covariance_spectrum(), ((var_mf, N),)) / N)
         for N in num["N_list"]]
-    _, _, joint_vals = zip(*scaling_rows)
     report.add_table("scaling", ("N", "marginal_w2_sq",
                                  "joint_w2_sq_per_particle"), scaling_rows)
 
-    dev = max(abs(N * jv - gap_sq) for N, jv in
-              zip(num["N_list"], joint_vals))
-    report.scalars["joint_gap_sq"] = gap_sq
-    report.add_verdict("joint_w2_sq_matches_closed_form",
-                       dev <= 1e-12 * max(gap_sq, 1.0), dev,
-                       1e-12, "max |N * value - closed form| over N")
-    if gap_sq > 0:
-        slope, slope_se, r2 = loglog_fit(num["N_list"], joint_vals)
-        report.scalars["joint_slope"] = slope
-        report.add_verdict("joint_slope_minus_one", abs(slope + 1.0) <= 1e-3,
-                           slope, -1.0)
-    else:
-        report.add_verdict("joint_slope_minus_one", True, 0.0, -1.0,
-                           "zero interaction: identical laws, slope vacuous")
-
-    if num["n_mc"] <= 0:
-        return
     n_cloud = num["n_cloud"]
     reps = num["n_mc"]
 
@@ -1015,11 +992,16 @@ _RECIPE_RUNNERS = {
 
 
 def run_experiment(config, threads=1):
-    """Execute a validated config and return its RunReport."""
+    """Execute a validated config and return its RunReport, whose verdicts
+    are its recipe's declared names in order (else ValueError)."""
 
     report = RunReport(recipe=config.recipe, seed=config.seed,
                        config_echo=config.as_dict())
     start = time.perf_counter()
     _RECIPE_RUNNERS[config.recipe](config, report, threads)
     report.timings["wall_seconds"] = time.perf_counter() - start
+    if tuple(report.verdicts) != _VERDICTS[config.recipe]:
+        raise ValueError(f"recipe {config.recipe!r} reported verdicts "
+                         f"{list(report.verdicts)}, not the declared "
+                         f"{list(_VERDICTS[config.recipe])}")
     return report

@@ -157,8 +157,8 @@ def test_criterion_5_chaos_scaling():
     report = run_recipe("[experiment]\nrecipe = chaos_scaling\n")
     ok = report.passed()
     ok &= list(report.verdicts) == list(_VERDICTS["chaos_scaling"])
-    finish(5, "joint W2^2 per particle is the closed form / N and Monte "
-           "Carlo agrees with the closed-form marginal within 3 bootstrap SE",
+    finish(5, "Monte Carlo agrees with the closed-form marginal within 3 "
+           "bootstrap SE",
            ok, t0, 120.0)
 
 

@@ -1,6 +1,8 @@
 """Constant recipes against frozen independent evaluations, plus the
 weight-matrix algebra they feed."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from kinchaos.constants import (build_weight_matrix, thm13_constants,
                                 thm14_case1_constants, thm14_case2_constants,
                                 thm15_bound)
-from kinchaos.potentials import make_system
+from kinchaos.potentials import Field, make_system
 
 # hand evaluations of the recipe formulas, computed once by a separate
 # script and frozen here; the library must reproduce them to 1e-12 relative
@@ -192,6 +194,22 @@ def test_m2_determinant_identity():
         expect = delta**2 * a**4 * H ** (-4 * theta)
         assert np.allclose(e * g - f**2, expect, rtol=1e-14, atol=0)
         assert np.all(e > 0) and np.all(e * g - f**2 > 0)
+
+
+class MinusFive(Field):
+    """V = -5 everywhere, below the H0 = 1 floor of an M2 weight."""
+
+    def value(self, x):
+        return np.full(np.shape(x)[:-1], -5.0)
+
+
+def test_m2_refuses_a_hamiltonian_below_zero():
+    spec = dataclasses.replace(make_system("quadratic"), V=MinusFive())
+    m = build_weight_matrix("M2_hamiltonian_weighted", 0.1, 0.5, theta=0.5,
+                            H0=1.0, spec=spec)
+    with pytest.raises(ValueError, match=r"^H\(z\) <= 0 encountered \(H0 "
+                       r"floor violated\) at index \[0\]$"):
+        m.blocks(np.zeros(1), np.zeros(1))
 
 
 def test_m2_requires_h0_floor():

@@ -1,6 +1,7 @@
 """Integrators, noise streams, and the stationary samplers."""
 
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -303,6 +304,20 @@ def test_dt_guard(baseline_spec, baseline_params, rng):
         step_particle_system(Z, baseline_spec, baseline_params, 10.0, rng=rng)
 
 
+@pytest.mark.parametrize("far", [[30.0, 1.0], [1.0, 30.0]])
+def test_dt_guard_takes_the_operator_norm_of_a_matrix_hessian(far, rng):
+    # in d = 2 the stiffness is the largest eigenvalue of hess |x|^4,
+    # 12 |x|^2 = 10812 at either point; the Hessian's first diagonal entry
+    # would read 3612 at (1, 30), where dt 0.01 would pass
+    spec = make_system("power_k", {"k": 4.0}, d=2)
+    model = ModelParams(gamma=1.0, sigma=1.0, beta=1.0)
+    Z = PhaseEnsemble(np.array([[0.1, 0.2], far]), np.zeros((2, 2)))
+    message = (f"particle 1 at x = {far}: dt * sqrt(|hess V| + C_K) = 1.04 "
+               f"> 0.5")
+    with pytest.raises(StabilityError, match=f"^{re.escape(message)}"):
+        step_particle_system(Z, spec, model, 0.01, rng=rng)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family, params, far", [
     ("power_k", {"k": 4.0}, 10.0),
@@ -464,6 +479,24 @@ def test_carried_force_dropped_for_another_spec(force_calls, baseline_spec,
     del force_calls[:]
     got = step_particle_system(Z, swapped, baseline_params, 0.01, rng=rng)
     assert len(force_calls) == 2
+    assert np.array_equal(got.velocities, expect.velocities)
+
+
+@pytest.mark.parametrize("side, name", [("W", "L_W"), ("V", "curvature")])
+def test_carried_force_dropped_after_a_coefficient_change(
+        side, name, force_calls, baseline_params, rng):
+    # a field reads its coefficient at each call, so a value changed in place
+    # is a new force; the carried one differed by 2.5e-3 in velocity at L_W
+    spec = make_system("quadratic", {"curvature": 1.0},
+                       "harmonic_W", {"L_W": 0.25})
+    Z = step_particle_system(_cloud(8), spec, baseline_params, 0.01, rng=rng)
+    setattr(getattr(spec, side), name, 0.75)
+    expect = step_particle_system(Z.copy(), spec, baseline_params, 0.01,
+                                  rng=rng)
+    del force_calls[:]
+    got = step_particle_system(Z, spec, baseline_params, 0.01, rng=rng)
+    assert len(force_calls) == 2
+    assert np.array_equal(got.positions, expect.positions)
     assert np.array_equal(got.velocities, expect.velocities)
 
 

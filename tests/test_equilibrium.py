@@ -2,6 +2,7 @@
 closed forms that anchor it."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kinchaos.equilibrium import (Axis, GridDensity, _closed_form,
                                   gaussian_closed_form,
                                   interaction_convolution, maxwellian_factor,
                                   solve_rho_infty)
-from kinchaos.potentials import make_system
+from kinchaos.potentials import Field, make_system
 from tests.conftest import grid_var
 
 
@@ -237,6 +238,26 @@ def test_formal_equilibrium_harmonic_variance(baseline_spec, baseline_params,
     f_hat = formal_equilibrium(rho_t, baseline_spec, baseline_params, v_axis)
     assert grid_var(ax, f_hat.marginal_x().values) == pytest.approx(
         0.8, abs=1e-6)
+
+
+class NanAtOrigin(Field):
+    """|x|²/2, but NaN at x = 0."""
+
+    def value(self, x):
+        r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+        return np.where(r2 == 0, np.nan, 0.5 * r2)
+
+
+def test_gibbs_map_names_the_node_of_a_non_finite_value(baseline_params,
+                                                        v_axis):
+    # the one NaN must not spread through the shift by the largest exponent
+    # before the guard looks; it named x=np.float64(-8.0), the first node
+    spec = replace(make_system("quadratic"), V=NanAtOrigin())
+    ax = Axis(-8.0, 8.0, 65)
+    rho = GridDensity.from_values(ax, np.exp(-ax.nodes**2 / 2))
+    with pytest.raises(ValueError,
+                       match=r"^non-finite Gibbs map at grid value x=0\.0$"):
+        formal_equilibrium(rho, spec, baseline_params, v_axis)
 
 
 # --- Gaussian closed forms ----------------------------------------------------

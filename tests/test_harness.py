@@ -360,10 +360,15 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
      "line 17: [numerics] nx must be at least 16 for recipe 'concentration'"),
     (CONCENTRATION_SMALL + "x_max = -8\n",
      "line 17: [numerics] x_max must be above 0 for recipe 'concentration'"),
-    # ran like n_mc = 0, exit 0, at the parent
+    # a negative count ran like n_mc = 0, exit 0, before n_mc had a rule
     (CHAOS_SMALL.replace("n_mc = 4", "n_mc = -3"),
-     "line 9: [numerics] n_mc must be at least 0 for recipe 'chaos_scaling' "
-     "(the sampled repetitions per N; 0 skips the sampled check), got -3"),
+     "line 9: [numerics] n_mc must be at least 1 for recipe 'chaos_scaling' "
+     "(the sampled repetitions per N), got -3"),
+    # ran without its sampled check, so with no verdict, while n_mc could
+    # be 0
+    (CHAOS_SMALL.replace("n_mc = 4", "n_mc = 0"),
+     "line 9: [numerics] n_mc must be at least 1 for recipe 'chaos_scaling' "
+     "(the sampled repetitions per N), got 0"),
     # thm15_C_front = 0.0 and exit 0 at the parent
     (MEANFIELD_SMALL + "[constants]\nrho_LS = -1\n",
      "line 9: [constants] rho_LS must be above 0 (a log-Sobolev constant), "
@@ -397,7 +402,8 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
         "meanfield_decay_nx_15", "meanfield_decay_nv_8",
         "meanfield_decay_x_max_0", "meanfield_decay_v_max_negative",
         "concentration_nx_8", "concentration_x_max_negative",
-        "chaos_scaling_n_mc_negative", "meanfield_decay_rho_LS_negative",
+        "chaos_scaling_n_mc_negative", "chaos_scaling_n_mc_0",
+        "meanfield_decay_rho_LS_negative",
         "ergodicity_rho_LS_negative", "constants_table_a_rule_foo",
         "constants_table_C_K_0", "assumptions_theta_nan"])
 def test_sizes_without_work_are_config_errors(text, message, tmp_path,
@@ -712,7 +718,8 @@ def test_chaos_scaling_rows_are_the_closed_form_gaps():
     # joint gap, that of the mean direction alone, spread over N particles
     cfg = parse_config("[experiment]\nrecipe = chaos_scaling\n[model]\n"
                        "gamma = 2.0\nsigma = 1.0\nbeta = 2.0\n[numerics]\n"
-                       "N_list = [1, 2, 8, 512]\nn_mc = 0\n")
+                       "N_list = [1, 2, 8, 512]\nN_mc_list = [2]\nn_mc = 1\n"
+                       "n_cloud = 16\n")
     report = run_experiment(cfg)
     expected = []
     for N in (1, 2, 8, 512):
@@ -724,7 +731,6 @@ def test_chaos_scaling_rows_are_the_closed_form_gaps():
             (N, (math.sqrt(rec.marginal_var_x1) - math.sqrt(rec.var_x)) ** 2,
              joint / N))
     assert report.tables["scaling"][1] == expected
-    assert report.scalars["joint_gap_sq"] == joint
 
 
 def test_thread_count_does_not_change_output(tmp_path):
@@ -839,6 +845,42 @@ def test_a_runner_cannot_report_a_verdict_its_recipe_does_not_declare(
     with pytest.raises(ValueError, match="declares no verdict "
                        "'all_outputs_finite_positive'"):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda verdicts: verdicts.pop("A3"),
+    lambda verdicts: verdicts.update(A1=verdicts.pop("A1")),
+], ids=["one_left_out", "one_moved_last"])
+def test_a_run_reports_exactly_its_declared_verdicts_in_order(edit,
+                                                              monkeypatch):
+    # the declared table is the whole report: a runner that leaves a declared
+    # verdict out, or reports the names out of order, fails the run
+    inner = harness._RECIPE_RUNNERS["assumptions"]
+
+    def runner(cfg, report, threads):
+        inner(cfg, report, threads)
+        edit(report.verdicts)
+
+    monkeypatch.setitem(harness._RECIPE_RUNNERS, "assumptions", runner)
+    with pytest.raises(ValueError, match=r"^recipe 'assumptions' reported "
+                       r"verdicts \[.*\], not the declared \['A1', 'A2', "
+                       r"'A3', 'A4', 'A5'\]$"):
+        run_experiment(parse_config("[experiment]\nrecipe = assumptions\n"))
+
+
+def test_a_non_integral_number_for_an_int_key_is_a_type_error():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[experiment]\nrecipe = ergodicity\n[numerics]\n"
+                     "N = 64.5\n")
+    assert err.value.errors == ["line 4: [numerics] N must be int, got 64.5"]
+
+
+def test_assumptions_report_the_exp_power_parameters():
+    report = run_experiment(parse_config(
+        "[experiment]\nrecipe = assumptions\n[potential]\n"
+        "v_family = exp_power\n"))
+    assert report.scalars["potential"]["V"] == {"family": "exp_power",
+                                                "a": 1.0, "k": 0.5}
 
 
 # exp(-beta V) of this V holds 3 % of its mass beyond |x| = 8

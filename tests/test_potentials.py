@@ -733,6 +733,15 @@ def test_declared_constants_bound_a_dense_evaluation(family, params, side):
         assert np.max(values) <= getattr(spec, name) * (1.0 + 1e-13), name
 
 
+def test_exp_power_gap_that_only_falls_has_no_offset():
+    # at (a, k) = (5, 0.9) the gap s² - exp(a s^k) falls from s = 0 on, so
+    # lam = 1 needs no M_lb
+    spec = make_system("exp_power", {"a": 5.0, "k": 0.9})
+    assert spec.M_lb == 0.0
+    s = np.geomspace(1e-6, 100.0, 100_001)
+    assert np.all(s**2 < spec.V.value(s[:, None]))
+
+
 @pytest.mark.parametrize("a, where, margin", [(1.0, 54.25, -40.02),
                                               (0.7, 187.7, -18250.8)])
 def test_a1_screens_the_tail_net(a, where, margin):
