@@ -488,7 +488,7 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None,
     r3 = np.zeros(N)
     for i in range(N):
         if not axis.lo - 1e-12 <= x[i] <= axis.hi + 1e-12:
-            raise ValueError(f"particle {i} at x={x[i]!r} escapes the "
+            raise ValueError(f"particle {i} at x={float(x[i])!r} escapes the "
                              f"density grid [{axis.lo}, {axis.hi}]")
         s_k = 0.0
         s_dk = 0.0

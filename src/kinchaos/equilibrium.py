@@ -231,6 +231,10 @@ def solve_rho_infty(spec, params, grid, tol=1e-10, max_iter=500):
     nodes = grid.nodes
     w = grid.trapezoid_weights()
     v_vals = spec.V.value(nodes[:, None])
+    bad = np.isnan(v_vals) | (v_vals == -np.inf)
+    if bad.any():  # it would spread over the start iterate; +inf is a wall
+        i = np.argmax(bad)
+        raise ValueError(f"V is {v_vals[i]} at grid value x={nodes[i]}")
     rho = np.exp(-params.beta * (v_vals - np.min(v_vals)))
     rho /= float(rho @ w)
     residual = math.inf

@@ -843,6 +843,24 @@ def test_stacked_escape_names_the_repetition(mollified_setup):
                          rho, tables=tables)
 
 
+def test_reference_refuses_what_the_fast_path_refuses(mollified_setup):
+    # the double loop keeps its own guards: a d = 2 ensemble, and a particle
+    # off the table grid, named by its index
+    spec, params, rho = mollified_setup
+    tables = mean_field_tables(spec, rho)
+    with pytest.raises(ValueError, match=r"^error statistics are "
+                                         r"implemented for d = 1$"):
+        error_statistics_reference(
+            PhaseEnsemble(np.zeros((4, 2)), np.zeros((4, 2))), spec, rho,
+            tables=tables)
+    x = np.zeros((6, 1))
+    x[4] = 40.0
+    with pytest.raises(ValueError, match=r"^particle 4 at x=40\.0 escapes "
+                                         r"the density grid \[-9\.0, 9\.0\]$"):
+        error_statistics_reference(PhaseEnsemble(x, np.zeros((6, 1))), spec,
+                                   rho, tables=tables)
+
+
 def test_concentration_escape_names_the_repetition(mollified_setup, rng,
                                                    monkeypatch):
     # the sweep evaluates a point's ensembles in stacks, and the escape

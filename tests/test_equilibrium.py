@@ -260,6 +260,40 @@ def test_gibbs_map_names_the_node_of_a_non_finite_value(baseline_params,
         formal_equilibrium(rho, spec, baseline_params, v_axis)
 
 
+class BadAtOrigin(Field):
+    """|x|²/2, but `at_origin` at x = 0."""
+
+    def __init__(self, at_origin):
+        self.at_origin = at_origin
+
+    def value(self, x):
+        r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+        return np.where(r2 == 0, self.at_origin, 0.5 * r2)
+
+
+@pytest.mark.parametrize("at_origin, shown", [(math.nan, "nan"),
+                                              (-math.inf, "-inf")])
+def test_solve_rho_infty_names_the_node_of_a_nan_or_minus_inf_v(
+        at_origin, shown, baseline_params):
+    # the min of V spread the one value over the whole start iterate, and
+    # the Gibbs-map guard named the first node, x=-8.0
+    spec = replace(make_system("quadratic"), V=BadAtOrigin(at_origin))
+    with pytest.raises(ValueError,
+                       match=rf"^V is {shown} at grid value x=0\.0$"):
+        solve_rho_infty(spec, baseline_params, Axis(-8.0, 8.0, 65))
+
+
+def test_solve_rho_infty_takes_a_hard_wall(baseline_params):
+    # V = +inf is a wall: the density is 0 there and 2 x^2 elsewhere
+    ax = Axis(-8.0, 8.0, 65)
+    walled = solve_rho_infty(replace(make_system("quadratic"),
+                                     V=BadAtOrigin(math.inf)),
+                             baseline_params, ax)
+    assert walled.meta["converged"]
+    assert walled.values[32] == 0.0
+    assert np.all(walled.values[ax.nodes != 0] > 0)
+
+
 # --- Gaussian closed forms ----------------------------------------------------
 
 def test_closed_form_baseline_n4():

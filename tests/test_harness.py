@@ -302,9 +302,9 @@ def test_n_sweep_needs_two_distinct_n(base, n_list, tmp_path, capsys):
     # an unnumbered 'axis bounds must be finite' at the parent
     (MEANFIELD_SMALL + "x_max = Infinity\n",
      "line 8: [numerics] x_max must be finite, got inf"),
-    # every verdict of a run with a NaN threshold, exit 0, at the parent
+    # the W2 floor's factor is 2 in code: the key is gone
     (MINIMAL_ERGODICITY + "floor_factor = NaN\n",
-     "line 9: [numerics] floor_factor must be finite, got nan"),
+     "line 9: unknown key 'floor_factor' in [numerics]"),
     # 'need at least 3 positive points in the window, got 1' at the parent
     (MINIMAL_ERGODICITY.replace("T = 4.0", "T = 0.001"),
      "line 8: [numerics] T = 0.001, dt = 0.01, checkpoint_every = 0.25 give "
@@ -1240,15 +1240,13 @@ def test_cli_strict_assumptions_exit_code(tmp_path, capsys):
 
 # [potential] entries of an assumptions document, the exit code of --strict
 # and the statuses of A1..A5: its five screens pass (quadratic V of
-# curvature 4e4 with Coulomb W, screened at theta = 0.01: V >= 2 on the net
-# off the origin, so V^(-2 theta) hess V stays below C_V_theta = 4e4, and
-# the tail slope -4 theta stays above -0.05), it fails A3 and A5 (the
-# default), or its A3 is not checked (V = 0)
+# curvature 4e4 with Coulomb W, so C_K = 1 stays below lam/2 = 2e4), it
+# fails A5 (the default harmonic W), or its A3 is not checked (V = 0)
 STRICT_DOCUMENTS = {
     "all_pass": ("[potential]\nv_family = quadratic\nv_curvature = 40000.0\n"
-                 "w_family = mollified_coulomb\n[constants]\ntheta = 0.01\n",
+                 "w_family = mollified_coulomb\n",
                  0, "PASS PASS PASS PASS PASS"),
-    "default_fails": ("", 3, "PASS PASS FAIL PASS FAIL"),
+    "default_fails": ("", 3, "PASS PASS PASS PASS FAIL"),
     "zero_v_not_checked": ("[potential]\nv_family = zero\n", 0,
                            "PASS PASS NOT-CHECKED PASS PASS"),
 }
@@ -1278,7 +1276,7 @@ def test_cli_constants_subcommand(capsys):
 
 def test_cli_check_assumptions_subcommand(capsys):
     code = cli_main(["check-assumptions", "--v-family", "power_k",
-                     "--param", "v_k=4", "--theta", "0.25"])
+                     "--param", "v_k=4"])
     assert code == 0
     out = capsys.readouterr().out
     assert "A3" in out and "A2" in out
@@ -1292,7 +1290,7 @@ def test_cli_check_assumptions_on_a_zero_confinement(capsys):
 
 def test_cli_check_assumptions_strict_failure(capsys):
     code = cli_main(["check-assumptions", "--v-family", "power_k",
-                     "--param", "v_k=4", "--theta", "0.25", "--strict"])
+                     "--param", "v_k=4", "--strict"])
     assert code == 3    # A2 fails for a genuinely superquadratic potential
 
 
@@ -1325,17 +1323,87 @@ def test_cli_check_assumptions_malformed_parameter(item, message, capsys):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theta", ["-1", "0", "NaN", "nan"])
-def test_cli_check_assumptions_refuses_a_theta_outside_its_rule(theta,
-                                                                capsys):
-    # it used to screen A3 at a negative exponent and exit 0
-    code = cli_main(["check-assumptions", "--v-family", "power_k",
-                     "--param", "v_k=4", "--theta", theta])
-    assert code == 2
+def test_cli_check_assumptions_has_no_theta_flag(capsys):
+    # the screen takes A3 at the theta that the V family declares, with the
+    # C_V_theta computed for it; a flag that set another theta is a usage
+    # error
+    with pytest.raises(SystemExit) as usage:
+        cli_main(["check-assumptions", "--v-family", "power_k",
+                  "--param", "v_k=4", "--theta", "0.25"])
+    assert usage.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("config error: --theta: [constants] theta must be ")
+    assert "unrecognized arguments: --theta 0.25" in captured.err
+
+
+@pytest.mark.parametrize("argv, theta", [
+    ([], 0.0),
+    (["--v-family", "power_k", "--param", "v_k=4"], 0.25),
+    (["--v-family", "power_k", "--param", "v_k=6"], 1.0 / 3.0),
+], ids=["quadratic", "power_k_4", "power_k_6"])
+def test_cli_check_assumptions_screens_a3_at_the_declared_theta(
+        argv, theta, tmp_path, capsys):
+    # each family's C_V_theta bounds its weighted Hessian at the theta it
+    # declares; screened at [constants] theta = 0.25, A3 failed quadratic V
+    # (141.4 against C_V_theta = 1) and power_k k = 6 (30000 against 30)
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
+                    "[constants]\ntheta = 0.9\n")
+    for config in ([], ["--config", cfg]):
+        assert cli_main(["check-assumptions", *config, *argv]) == 0
+        report, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        assert report["theta"] == pytest.approx(theta, abs=1e-15)
+        assert report["verdicts"]["A3"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("key", ["fisher_delta", "fisher_a"])
+def test_the_fisher_weight_keys_are_unknown(key, tmp_path, capsys):
+    # meanfield_decay builds its M1 weight from (delta, a) = (1.0, 1.5) in
+    # code; the keys that scaled it are gone
+    cfg = write_cfg(tmp_path, MEANFIELD_SMALL + f"[constants]\n{key} = 1.0\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err \
+        == f"config error: line 9: unknown key '{key}' in [constants]\n"
+
+
+@pytest.mark.parametrize("recipe, model, got", [
+    ("ergodicity", "gamma = 0\nsigma = 0\n", "gamma = 0.0, sigma = 0.0"),
+    ("meanfield_decay", "gamma = 0\nsigma = 0\n",
+     "gamma = 0.0, sigma = 0.0"),
+    ("constants_table", "gamma = 0\n", "gamma = 0.0, sigma = 1.0"),
+    ("constants_table", "sigma = 0\n", "gamma = 1.0, sigma = 0.0"),
+], ids=["ergodicity", "meanfield_decay", "constants_table_gamma",
+        "constants_table_sigma"])
+def test_a_recipe_with_rates_refuses_zero_friction_or_noise(
+        recipe, model, got, tmp_path, capsys):
+    # each ended after set-up with an unnumbered 'step_vfp needs sigma > 0'
+    # or 'gamma must be positive and finite, got 0.0'
+    lines = "line 4, 5" if model.count("\n") == 2 else "line 4"
+    message = (f"{lines}: recipe '{recipe}' needs gamma > 0 and sigma > 0 "
+               f"(the rate recipes and the VFP step take both positive), "
+               f"got {got}")
+    cfg = write_cfg(tmp_path, f"[experiment]\nrecipe = {recipe}\n"
+                    f"[model]\n{model}")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_constants_refuses_zero_friction_on_the_flag(capsys):
+    assert cli_main(["constants", "--gamma", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: --gamma: recipe 'constants_table' needs gamma > 0 and "
+        "sigma > 0 (the rate recipes and the VFP step take both positive), "
+        "got gamma = 0.0, sigma = 1.0\n")
+
+
+@pytest.mark.parametrize("text", [
+    CHAOS_SMALL, CONCENTRATION_SMALL, "[experiment]\nrecipe = assumptions\n"],
+    ids=["chaos_scaling", "concentration", "assumptions"])
+def test_recipes_without_rates_admit_zero_friction_and_noise(text):
+    cfg = parse_config(text + "[model]\ngamma = 0\nsigma = 0\n")
+    assert (cfg.params.gamma, cfg.params.sigma) == (0.0, 0.0)
 
 
 def test_cli_check_assumptions_defaults_to_the_uncoupled_pair(capsys):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinchaos.potentials import (RadialField, check_assumptions,
-                                 make_system, pair_panels,
+from kinchaos.potentials import (Field, PotentialSpec, RadialField, Zero,
+                                 check_assumptions, make_system, pair_panels,
                                  pairwise_interaction_energy)
 from tests.conftest import quarter_linear_spec
 
@@ -637,6 +637,27 @@ def test_a3_is_not_checked_on_a_zero_confinement(w_family, w_params):
     assert "V <= 0 on the whole net" in verdict.detail
 
 
+class ConstantOne(Field):
+    """V = 1: positive everywhere, with no gradient anywhere."""
+
+    def value(self, x):
+        return np.ones(np.shape(x)[:-1])
+
+    def grad(self, x):
+        return np.zeros(np.shape(x))
+
+    def hess(self, x):
+        return np.zeros(np.shape(x) + np.shape(x)[-1:])
+
+
+def test_a3_is_not_checked_on_a_tail_without_gradient():
+    # the tail ratios divide by |grad V|^2, which is 0 on the whole tail net
+    verdict = check_assumptions(PotentialSpec(ConstantOne(), Zero(), 1)) \
+        .verdicts["A3"]
+    assert verdict.status == "not-checked"
+    assert verdict.detail == "vanishing gradient on tail net"
+
+
 def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
     # harmonic W with L_W = 0.25 declares C_K = 0.25; a spec that declares
     # 0.1 understates sup |hess W|
@@ -740,6 +761,12 @@ def test_exp_power_gap_that_only_falls_has_no_offset():
     assert spec.M_lb == 0.0
     s = np.geomspace(1e-6, 100.0, 100_001)
     assert np.all(s**2 < spec.V.value(s[:, None]))
+
+
+def test_exp_power_gap_beyond_the_float_range_is_infinite():
+    # at (a, k) = (0.01, 0.03) the gap peaks near s² = exp(8e3), past the
+    # largest float: the declared M_lb is inf, not an OverflowError
+    assert make_system("exp_power", {"a": 0.01, "k": 0.03}).M_lb == math.inf
 
 
 @pytest.mark.parametrize("a, where, margin", [(1.0, 54.25, -40.02),
