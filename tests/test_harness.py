@@ -1336,6 +1336,22 @@ def test_cli_check_assumptions_has_no_theta_flag(capsys):
     assert "unrecognized arguments: --theta 0.25" in captured.err
 
 
+@pytest.mark.parametrize("theta", ["-1", "0", "NaN", "nan"])
+def test_cli_check_assumptions_refuses_a_theta_outside_its_rule(
+        theta, tmp_path, capsys):
+    # A3 is screened at the family's declared theta, but a --config that
+    # sets [constants] theta is still held to that key's rule
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n"
+                    f"[constants]\ntheta = {theta}\n")
+    code = cli_main(["check-assumptions", "--config", cfg,
+                     "--v-family", "power_k", "--param", "v_k=4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("config error: line 4: [constants] theta must be ")
+
+
 @pytest.mark.parametrize("argv, theta", [
     ([], 0.0),
     (["--v-family", "power_k", "--param", "v_k=4"], 0.25),
