@@ -323,6 +323,22 @@ def _stack_size(N):
     return max(1, 2**16 // _panel_entries((N, 1)))
 
 
+def _refuse_off_grid(x, axis, first=None):
+    """Raise ValueError for the first particle of an (R, N) stack of
+    positions that lies off the axis by more than 1e-12 max(1, |hi|), one
+    mask for the stack: the grid-escape rule of both error-term paths.  It
+    names the particle and, when the stack holds repetitions first,
+    first + 1, ... of a sweep point, its repetition."""
+
+    eps = 1e-12 * max(1.0, abs(axis.hi))
+    bad = (x < axis.lo - eps) | (x > axis.hi + eps)
+    if np.any(bad):
+        r, i = np.argwhere(bad)[0]
+        where = "" if first is None else f"repetition {first + r}, "
+        raise ValueError(f"{where}particle {i} at x={float(x[r, i])!r} "
+                         f"escapes the density grid [{axis.lo}, {axis.hi}]")
+
+
 def _error_terms(x, v, spec, rho_inf, tables, first=None):
     """R0, R1 and R3 of each ensemble of an (R, N) stack of positions x and
     velocities v (d = 1), as one (3, R, N) array.
@@ -337,19 +353,11 @@ def _error_terms(x, v, spec, rho_inf, tables, first=None):
     derivatives and the products with v are evaluated into four rows of
     the first panel's size, allocated once per call.  The convolution
     tables are linearly interpolated at the particle positions.  A particle
-    off their grid is a ValueError, raised before any pair sum, that names
-    it and, when the stack holds repetitions first, first + 1, ... of a
-    sweep point, its repetition.
+    off their grid is refused by _refuse_off_grid before any pair sum.
     """
 
     axis = rho_inf.x_axis
-    eps = 1e-12 * max(1.0, abs(axis.hi))
-    bad = (x < axis.lo - eps) | (x > axis.hi + eps)
-    if np.any(bad):
-        r, i = np.argwhere(bad)[0]
-        where = "" if first is None else f"repetition {first + r}, "
-        raise ValueError(f"{where}particle {i} at x={float(x[r, i])!r} "
-                         f"escapes the density grid [{axis.lo}, {axis.hi}]")
+    _refuse_off_grid(x, axis, first)
     R, N = x.shape
     terms = np.zeros((3, R, N))
     s0, s1, s3 = terms
@@ -469,6 +477,7 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None,
     N = x.size
     axis = rho_inf.x_axis
     nodes = axis.nodes
+    _refuse_off_grid(x[None], axis)
     kernel, kernel_grad = _scalar_kernels(spec)
     if tables is None:
         tables = mean_field_tables_reference(spec, rho_inf)
@@ -487,9 +496,6 @@ def error_statistics_reference(ensemble, spec, rho_inf, params=None,
     r1 = np.zeros(N)
     r3 = np.zeros(N)
     for i in range(N):
-        if not axis.lo - 1e-12 <= x[i] <= axis.hi + 1e-12:
-            raise ValueError(f"particle {i} at x={float(x[i])!r} escapes the "
-                             f"density grid [{axis.lo}, {axis.hi}]")
         s_k = 0.0
         s_dk = 0.0
         s_v = 0.0

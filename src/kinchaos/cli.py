@@ -11,9 +11,9 @@ recipe's defaults: it is read and checked as that entry, and errors name it.
 constants and check-assumptions print the constants_table and assumptions
 reports of that config; A3 is screened at the V family's declared theta.
 
-Exit codes: 0 success, 2 configuration error, 3 under --strict when an
-assumption screen's status is fail, 4 numerical failure (blow-up,
-instability, scheme or solver error).
+Exit codes: 0 success, 2 configuration error (or a run too large for
+memory), 3 under --strict when an assumption screen's status is fail, 4
+numerical failure (blow-up, instability, scheme or solver error).
 """
 
 import argparse
@@ -201,6 +201,9 @@ def main(argv=None):
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -217,7 +217,12 @@ def _gibbs_map(spec, params, axis, v_vals, rho_values):
     return out
 
 
-def solve_rho_infty(spec, params, grid, tol=1e-10, max_iter=500):
+# solve_rho_infty's default tolerance, of its residual and of the tail mass
+# off its grid; the config's x-grid rule asks the same
+_RHO_TOL = 1e-10
+
+
+def solve_rho_infty(spec, params, grid, tol=_RHO_TOL, max_iter=500):
     """Damped fixed-point iteration for the equilibrium position marginal.
 
     Each sweep maps rho on the Axis `grid` to normalize(exp(-beta (V +

@@ -55,13 +55,14 @@ from .constants import (build_weight_matrix, thm13_constants,
                         thm14_case1_constants, thm14_case2_constants)
 from .dynamics import (ModelParams, PhaseEnsemble, RngSpec, sample_f_infty,
                        sample_gibbs, step_particle_system)
-from .equilibrium import (_MIN_NODES, Axis, GridDensity, _closed_form,
-                          _coverage_check, _has_closed_form, assemble_f_infty,
-                          formal_equilibrium, maxwellian_factor,
-                          solve_rho_infty)
+from .equilibrium import (_MIN_NODES, _RHO_TOL, Axis, GridDensity,
+                          _closed_form, _coverage_check, _has_closed_form,
+                          assemble_f_infty, formal_equilibrium,
+                          maxwellian_factor, solve_rho_infty)
 from .errors import ConfigError, ConvergenceError
-from .kinetic_pde import (KineticState, fit_decay, free_energy,
-                          modulated_energy, relative_entropy_grid, step_vfp)
+from .kinetic_pde import (_LEAST_FIT_POINTS, KineticState, fit_decay,
+                          free_energy, modulated_energy,
+                          relative_entropy_grid, step_vfp)
 from .potentials import (PotentialSpec, Verdict, _harmonic_L_W, _json_default,
                          check_assumptions, make_system)
 
@@ -149,9 +150,6 @@ _MODEL_SCHEMA = {"gamma": ("float", 1.0), "sigma": ("float", 1.0),
 # the dynamics, exp(-(gamma/sigma) H), only when sigma * beta = gamma
 _FLUCTUATION_DISSIPATION = ("ergodicity", "chaos_scaling", "meanfield_decay")
 
-# the ergodicity and meanfield_decay decay fits take at least this many
-# checkpoints (meanfield_decay: inside its fit window)
-_LEAST_CHECKPOINTS = 3
 # recipes whose oracle is the Gaussian closed form
 _CLOSED_FORM = ("ergodicity", "chaos_scaling")
 
@@ -370,6 +368,7 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
                       f"{params.sigma}")
     # the recipes with a time span: ergodicity and meanfield_decay
     spans = ("T", "dt", "checkpoint_every")
+    window = ("fit_lo", "fit_hi") if recipe == "meanfield_decay" else ()
     if all(key in numerics for key in spans):
         # the defaults pass, so at least one of the spans is set
         lines = _lines(sections.get("numerics", {}), lambda key: key in spans)
@@ -379,27 +378,23 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
             errors.append(f"{lines}: [numerics] T / dt and checkpoint_every "
                           f"/ dt must be finite step counts for recipe "
                           f"'{recipe}', got {got}")
-        elif recipe == "ergodicity":
-            count = _checkpoints_within(numerics, 0.0, math.inf)
-            if count < _LEAST_CHECKPOINTS:
-                errors.append(
-                    f"{lines}: [numerics] {got} give {count} checkpoint(s) "
-                    f"for recipe 'ergodicity', whose decay fit needs at "
-                    f"least {_LEAST_CHECKPOINTS}")
-        elif "fit_lo" in numerics and "fit_hi" in numerics:
-            window = [numerics[key] * numerics["T"]
-                      for key in ("fit_lo", "fit_hi")]
-            count = _checkpoints_within(numerics, *window)
-            if count < _LEAST_CHECKPOINTS:
+        elif all(key in numerics for key in window):
+            # ergodicity fits its decay over every checkpoint, and
+            # meanfield_decay its decays over [fit_lo T, fit_hi T]
+            ends = [numerics[key] * numerics["T"] for key in window]
+            count = _checkpoints_within(numerics, *(ends or (0.0, math.inf)))
+            if count < _LEAST_FIT_POINTS:
                 # the defaults pass, so a span or a window end is set
-                keys = spans + ("fit_lo", "fit_hi")
+                keys = spans + window
                 lines = _lines(sections["numerics"], lambda key: key in keys)
                 got = ", ".join(f"{key} = {numerics[key]}" for key in keys)
+                inside = (f" in the fit window [fit_lo T, fit_hi T] = {ends}"
+                          if window else "")
+                fits = "fits need" if window else "fit needs"
                 errors.append(
-                    f"{lines}: [numerics] {got} give {count} checkpoint(s) "
-                    f"in the fit window [fit_lo T, fit_hi T] = {window} for "
-                    f"recipe 'meanfield_decay', whose decay fits need at "
-                    f"least {_LEAST_CHECKPOINTS}")
+                    f"{lines}: [numerics] {got} give {count} checkpoint(s)"
+                    f"{inside} for recipe '{recipe}', whose decay {fits} at "
+                    f"least {_LEAST_FIT_POINTS}")
     # every recipe with an N_list fits a slope against N
     if "N_list" in numerics and len(set(numerics["N_list"])) < 2:
         loc = sections["numerics"]["N_list"][1]  # the default passes
@@ -422,7 +417,7 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
     if "x_max" in numerics and "nx" in numerics and params is not None:
         axis = Axis(-numerics["x_max"], numerics["x_max"], numerics["nx"])
         try:
-            _coverage_check(spec, params, axis, 1e-10)
+            _coverage_check(spec, params, axis, _RHO_TOL)
         except ValueError as exc:
             lines = _where([loc for name, prefix in (
                 ("numerics", "x_max"), ("model", "beta"), ("potential", "v_"))
@@ -449,12 +444,21 @@ def _check_recipe_inputs(recipe, sections, spec, params, numerics, errors):
                       f"exactly 0, and a harmonic K' is constant, so R1 is "
                       f"exactly L_W/N and its aggregate falls like 1/N^2; "
                       f"neither has a 1/N slope to fit")
-    elif (recipe == "constants_table" and spec.C_K == 0
-          and "C_K" not in sections.get("constants", {})):
-        lines = _lines(entries, lambda key: key.startswith("w_"))
-        errors.append(f"{lines}: recipe 'constants_table' with W = 0 "
-                      f"has C_K = 0, and the rate constants need "
-                      f"C_K > 0: set [constants] C_K")
+    elif recipe == "constants_table":
+        # the rate constants take C_K and C_V positive and finite: a built
+        # one that is not (W = 0; V = zero, or an unbounded Hessian of V)
+        # must be set in [constants], on the lines of its side
+        given = sections.get("constants", {})
+        for name, side, what in (("C_K", "w_", "W = 0"),
+                                 ("C_V", "v_", f"V = {spec.V.family}")):
+            value = getattr(spec, name)
+            if name in given or 0 < value < math.inf:
+                continue
+            lines = _lines(entries, lambda key: key.startswith(side))
+            need = f"{name} > 0" if value <= 0 else f"a finite {name}"
+            errors.append(f"{lines}: recipe 'constants_table' with {what} "
+                          f"has {name} = {value:g}, and the rate constants "
+                          f"need {need}: set [constants] {name}")
 
 
 def parse_config(text):

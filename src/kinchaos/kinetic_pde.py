@@ -389,6 +389,11 @@ class DecayFit:
         return {**asdict(self), "window": list(self.window)}
 
 
+# the least points that a decay fit takes; the config checks ask it of the
+# checkpoint schedules too
+_LEAST_FIT_POINTS = 3
+
+
 def fit_decay(times, values, window=None):
     """Fit an exponential decay rate over an optional [t0, t1] window.
 
@@ -407,9 +412,9 @@ def fit_decay(times, values, window=None):
     skipped = int(np.count_nonzero(keep & (y <= 0)))
     keep &= y > 0
     t, y = t[keep], np.log(y[keep])
-    if t.size < 3:
-        raise ValueError(f"need at least 3 positive points in the window, "
-                         f"got {t.size}")
+    if t.size < _LEAST_FIT_POINTS:
+        raise ValueError(f"need at least {_LEAST_FIT_POINTS} positive points "
+                         f"in the window, got {t.size}")
     if np.all(y == y[0]):
         # constant series: rate 0 exactly, r2 reported as 0 by convention
         return DecayFit(rate=0.0, intercept=math.exp(float(y[0])), r2=0.0,

@@ -406,8 +406,24 @@ class MollifiedCoulomb(RadialField):
         return p
 
     def constants(self):
-        # sup |hess W| and sup |grad W|; the Hessian's radial and tangential
-        # eigenvalues are W'' and W'/s
+        """sup |hess W| and sup |grad W|, refused (ValueError) unless both
+        evaluate to finite floats: a scale so small that a / b³ overflows,
+        or a net whose powers overflow, gives no bound to declare."""
+
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                sups = self._sups()
+            if all(map(math.isfinite, sups.values())):
+                return sups
+        except ArithmeticError:  # ZeroDivision-, Overflow-, FloatingPoint-
+            pass
+        at = ", ".join(f"{name} = {value!r}"
+                       for name, value in self.params().items())
+        raise ValueError(f"mollified_coulomb: C_K and W_grad_sup do not "
+                         f"evaluate to finite floats at {at}")
+
+    def _sups(self):
+        # the Hessian's radial and tangential eigenvalues are W'' and W'/s
         a, b = self.a, self.b
         if self.form == "power" and self.k == 2.0:
             # |W'/s| = a (s² + b²)^(-3/2) peaks at s = 0, where |W''| equals
@@ -552,16 +568,17 @@ def make_system(v_family, v_params=None, w_family="zero", w_params=None,
     side it does not declare is such an error and names it.
     """
 
-    fields = []
+    fields, constants = [], {}
     for side, family, params in (("V", v_family, v_params),
                                  ("W", w_family, w_params)):
         try:
             fields.append(_build_field(family, params, d, side))
+            constants.update(fields[-1].constants())
         except ValueError as exc:
             exc.side = side
             raise
     V, W = fields
-    return PotentialSpec(V=V, W=W, d=d, **V.constants(), **W.constants())
+    return PotentialSpec(V=V, W=W, d=d, **constants)
 
 
 def _panel_height(N, d):
@@ -774,20 +791,8 @@ def check_assumptions(spec, *, theta=None, seed=0):
         note="drift form of the lower bound: not-checked")
 
     # A2: bounded Hessian of V
-    hnorm = _op_norms(spec.V.hess(pool))
-    j = int(np.argmax(hnorm))
-    if not math.isfinite(spec.C_V):
-        verdicts["A2"] = _screen(
-            "fail", margin=-math.inf, witness=pool[j],
-            note=f"declared C_V unbounded; grid sup {hnorm[j]:.6g} at |x|="
-                 f"{np.linalg.norm(pool[j]):.3g} grows without bound")
-    else:
-        margin = spec.C_V + 1e-9 - hnorm[j]
-        verdicts["A2"] = _screen(
-            "pass" if margin >= 0 else "fail",
-            margin=float(margin),
-            witness=None if margin >= 0 else pool[j],
-            note=f"measured sup|hess V| = {hnorm[j]:.12g} vs C_V = {spec.C_V:.12g}")
+    verdicts["A2"] = _bound_screen("C_V", spec.C_V, "sup|hess V|",
+                                   _op_norms(spec.V.hess(pool)), pool)
 
     # A3: weighted Hessian bound plus the two tail conditions
     verdicts["A3"] = _check_a3(spec, pts, theta, tail)
@@ -801,6 +806,31 @@ def check_assumptions(spec, *, theta=None, seed=0):
     return AssumptionReport(verdicts=verdicts, theta=theta, seed=seed)
 
 
+def _bound_screen(name, bound, what, vals, net):
+    """The screen of a declared bound: `what`, measured as `vals` at the
+    points `net`, against the constant `name` = `bound`.  It passes when
+    the sup is at most the bound plus a slack of max(1e-9, 1e-9 bound), the
+    rounding of a bound evaluated in closed form, with margin bound - sup;
+    it fails, witnessed by the argmax, above that, and always when the
+    bound is not finite, with margin -inf.  The one rule of A2, of A3's
+    weighted Hessian and of A4's C_K."""
+
+    j = int(np.argmax(vals))
+    sup = float(vals[j])
+    if not math.isfinite(bound):
+        return _screen("fail", margin=-math.inf, witness=net[j],
+                       note=f"declared {name} = {bound} bounds nothing; "
+                            f"measured {what} = {sup:.6g} at |x| = "
+                            f"{np.linalg.norm(net[j]):.3g}")
+    if sup <= bound + max(1e-9, 1e-9 * bound):
+        return _screen("pass", margin=bound - sup,
+                       note=f"measured {what} = {sup:.12g} <= {name} = "
+                            f"{bound:.12g}")
+    return _screen("fail", margin=bound - sup, witness=net[j],
+                   note=f"measured {what} = {sup:.6g} above {name} = "
+                        f"{bound:.12g}")
+
+
 def _check_a3(spec, pts, theta, tail):
     # weighted sup |V^(-2 theta) hess V| excluding the origin where V may vanish
     pool = np.concatenate([pts, tail])
@@ -811,10 +841,9 @@ def _check_a3(spec, pts, theta, tail):
         return _screen("not-checked", note="V <= 0 on the whole net, so "
                                            "V^(-2 theta) is undefined")
     pool_w, vals = pool[positive], vals[positive]
-    hn = _op_norms(spec.V.hess(pool_w))
-    weighted = vals ** (-2 * theta) * hn
-    jw = int(np.argmax(weighted))
-    ok_weight = weighted[jw] <= spec.C_V_theta + max(1e-9, 1e-9 * spec.C_V_theta)
+    weighted = vals ** (-2 * theta) * _op_norms(spec.V.hess(pool_w))
+    weight = _bound_screen("C_V_theta", spec.C_V_theta,
+                           "sup V^(-2 theta) |hess V|", weighted, pool_w)
 
     # tail conditions on the outer half of the tail net
     s = np.abs(tail[:, 0])
@@ -838,16 +867,12 @@ def _check_a3(spec, pts, theta, tail):
     slope = np.polyfit(logs, np.log(np.maximum(r2, 1e-300)), 1)[0]
     ok_k2 = kappa2 > _TOL and slope >= -0.05
 
-    if ok_weight and ok_k1 and ok_k2:
-        return _screen("pass",
-                       margin=float(spec.C_V_theta - weighted[jw]),
+    if weight.passed and ok_k1 and ok_k2:
+        return _screen("pass", margin=weight.margin,
                        note=f"kappa1={kappa1:.4g} kappa2={kappa2:.4g} "
                             f"tail slope={slope:.3g}")
-    if not ok_weight:
-        return _screen("fail", margin=float(spec.C_V_theta - weighted[jw]),
-                       witness=pool_w[jw],
-                       note=f"weighted Hessian {weighted[jw]:.6g} exceeds "
-                            f"C_V_theta {spec.C_V_theta:.6g}")
+    if not weight.passed:
+        return weight
     if not ok_k1:
         w = tpts[good][int(np.argmax(r1))]
         return _screen("fail", margin=float(1.0 - kappa1), witness=w,
@@ -870,19 +895,15 @@ def _check_a4(spec, pts):
                        note="no interaction; bound vacuous")
     # displacement net: a dense line over every difference of two grid points
     r = np.linspace(-2 * _CORE_RADIUS, 2 * _CORE_RADIUS, 4001)[:, None]
-    hn = _op_norms(spec.W.hess(r))
-    j = int(np.argmax(hn))
-    bound_ok = math.isfinite(spec.C_K) and hn[j] <= spec.C_K + 1e-9
+    bound = _bound_screen("C_K", spec.C_K, "sup|hess W|",
+                          _op_norms(spec.W.hess(r)), r)
+    if not bound.passed:
+        return bound
     gap = conv / 2.0 - spec.C_K
-    strict_ok = gap > 0
-    if bound_ok and strict_ok:
-        return _screen("pass", margin=float(gap),
-                       note=f"sup|hess W| = {hn[j]:.12g} <= C_K = {spec.C_K:.12g}"
-                            f" < lam/2 = {conv / 2.0:.12g}")
-    if not bound_ok:
-        return _screen("fail", margin=float(spec.C_K - hn[j]), witness=r[j],
-                       note=f"measured sup|hess W| = {hn[j]:.6g} above C_K")
-    return _screen("fail", margin=float(gap),
+    if gap > 0:
+        return _screen("pass", margin=gap,
+                       note=f"{bound.detail} < lam/2 = {conv / 2.0:.12g}")
+    return _screen("fail", margin=gap,
                    note=f"C_K = {spec.C_K:.6g} not below lam/2 = "
                         f"{conv / 2.0:.6g}")
 

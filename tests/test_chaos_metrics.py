@@ -861,6 +861,28 @@ def test_reference_refuses_what_the_fast_path_refuses(mollified_setup):
                                    rho, tables=tables)
 
 
+@pytest.mark.parametrize("x, refused", [(8 + 4e-12, False),
+                                        (8 + 1e-10, True)])
+def test_both_error_term_paths_share_the_grid_escape_rule(x, refused):
+    # one tolerance, 1e-12 max(1, |hi|) = 8e-12 on [-8, 8], for both paths;
+    # the reference used to refuse x = 8 + 4e-12 with an absolute 1e-12
+    spec = make_system("quadratic", None, "mollified_coulomb")
+    rho = solve_rho_infty(spec, ModelParams(1.0, 1.0, 1.0),
+                          Axis(-8.0, 8.0, 65))
+    Z = PhaseEnsemble(np.array([[0.0], [x]]), np.zeros((2, 1)))
+    for path, tables in (
+            (error_statistics, mean_field_tables(spec, rho)),
+            (error_statistics_reference,
+             mean_field_tables_reference(spec, rho))):
+        if refused:
+            with pytest.raises(ValueError, match=r"^particle 1 at "
+                               r"x=8\.0000000001 escapes the density grid"):
+                path(Z, spec, rho, tables=tables)
+        else:
+            assert np.isfinite(path(Z, spec, rho, tables=tables)
+                               .aggregate("R0"))
+
+
 def test_concentration_escape_names_the_repetition(mollified_setup, rng,
                                                    monkeypatch):
     # the sweep evaluates a point's ensembles in stacks, and the escape

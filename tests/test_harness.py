@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinchaos import (chaos_metrics, equilibrium, harness, kinetic_pde,
+from kinchaos import (chaos_metrics, cli, equilibrium, harness, kinetic_pde,
                       potentials)
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import _CONFIG_FLAGS
@@ -1090,6 +1090,78 @@ def test_cli_particle_dt_guard_exit_code(tmp_path, capsys):
     assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and "dt * max(gamma" in err
+
+
+def test_cli_check_assumptions_passes_a_bound_met_to_rounding(capsys):
+    # the declared C_K lies one ulp below the evaluated |W''(0)|
+    assert cli_main(["check-assumptions", "--param", "v_curvature=1e14",
+                     "--w-family", "mollified_coulomb", "--param", "w_a=1e7",
+                     "--param", "w_b=0.7"]) == 0
+    assert "A4:pass" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w_lines", [
+    "w_b = 1e-120\n", "w_form = arctan\nw_r0 = 1e-120\n",
+    "w_k = 4\nw_b = 1e-120\n"], ids=["b", "arctan_r0", "k4_b"])
+@pytest.mark.parametrize("recipe", ["concentration", "assumptions"])
+def test_config_refuses_a_coulomb_scale_without_finite_constants(
+        tmp_path, capsys, w_lines, recipe):
+    # a ZeroDivisionError traceback (exit 1), or numpy warnings at k = 4,
+    # at the parent
+    text = ("[experiment]\nrecipe = " + recipe + "\n[potential]\n"
+            "w_family = mollified_coulomb\n" + w_lines)
+    lines = "line 4, 5" if w_lines.count("\n") == 1 else "line 4, 5, 6"
+    message = (f"{lines}: mollified_coulomb: C_K and W_grad_sup do not "
+               f"evaluate to finite floats at a = 1.0")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert cli_main(["check-assumptions", "--config", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v_lines, lines, what", [
+    ("v_family = power_k\nv_k = 4\n", "line 4, 5",
+     "V = power_k has C_V = inf, and the rate constants need a finite C_V"),
+    ("v_family = exp_power\n", "line 4",
+     "V = exp_power has C_V = inf, and the rate constants need a finite C_V"),
+    ("v_family = zero\n", "line 4",
+     "V = zero has C_V = 0, and the rate constants need C_V > 0"),
+], ids=["power_k", "exp_power", "zero"])
+def test_cli_constants_table_refuses_a_built_c_v_it_cannot_take(
+        tmp_path, capsys, v_lines, lines, what):
+    # at the parent both commands ended after set-up with an unnumbered
+    # "error: C_V must be positive and finite, got ..."
+    text = ("[experiment]\nrecipe = constants_table\n[potential]\n"
+            + v_lines + "w_family = harmonic_W\n")
+    message = (f"config error: {lines}: recipe 'constants_table' with "
+               f"{what}: set [constants] C_V\n")
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+    assert cli_main(["constants", "--config", cfg]) == 2
+    assert capsys.readouterr().err == message
+    # a C_V that the document or a flag gives is taken
+    assert cli_main(["constants", "--config", cfg, "--c-v", "2"]) == 0
+    given = write_cfg(tmp_path, text + "[constants]\nC_V = 2.0\n")
+    assert cli_main(["run", given, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a run too large for memory (a concentration nx of 1e11, say) used to
+    # end in a MemoryError traceback with exit 1; nothing is allocated here
+    def too_large(config, threads=1):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", too_large)
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = assumptions\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 2.91 TiB for an array\n")
 
 
 def test_cli_unknown_potential_parameter_exit_code(tmp_path, capsys):

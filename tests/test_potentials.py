@@ -668,6 +668,54 @@ def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
     assert verdict.margin == pytest.approx(-0.15)
 
 
+@pytest.mark.parametrize("constant, screen", [
+    ("C_V", "A2"), ("C_V_theta", "A3"), ("C_K", "A4")])
+def test_an_infinite_declared_bound_fails_its_screen(baseline_spec, constant,
+                                                     screen):
+    # a declared bound of inf bounds nothing: A2, A3's weighted Hessian and
+    # A4's C_K take one rule, a fail with margin -inf at the argmax (A3 used
+    # to pass, and A4 to fail with margin +inf)
+    spec = dataclasses.replace(baseline_spec, **{constant: math.inf})
+    verdict = check_assumptions(spec).verdicts[screen]
+    assert verdict.status == "fail"
+    assert verdict.margin == -math.inf
+    assert verdict.witness is not None
+
+
+def test_a_bound_met_to_rounding_passes_its_screen():
+    # C_K = a / b^3 = 29154518.950437326 lies one ulp below the evaluated
+    # |W''(0)|; A4 used to fail it by an absolute slack of 1e-9, where every
+    # declared bound now has the relative one of A3
+    spec = make_system("quadratic", {"curvature": 1e14}, "mollified_coulomb",
+                       {"a": 1e7, "b": 0.7})
+    assert abs(spec.W.hess(np.zeros((1, 1)))[0, 0, 0]) > spec.C_K
+    verdict = check_assumptions(spec).verdicts["A4"]
+    assert verdict.status == "pass"
+    assert verdict.margin == 1e14 / 2 - spec.C_K  # the smallness gap
+
+
+def test_a_bound_screen_margin_carries_no_slack():
+    # sup |hess V| = C_V = 1 exactly: the margin is bound - sup, 0, where
+    # A2 used to add its slack and report 1.000000082740371e-09
+    verdict = check_assumptions(make_system("quadratic")).verdicts["A2"]
+    assert verdict.status == "pass"
+    assert verdict.margin == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [
+    {"b": 1e-120}, {"form": "arctan", "r0": 1e-120}, {"k": 4.0, "b": 1e-120},
+    {"k": 400.0}], ids=["b", "arctan_r0", "k4_b", "k400"])
+def test_coulomb_refuses_parameters_without_finite_constants(params):
+    # a / b^3 of an underflowed b^3 used to be a ZeroDivisionError, and the
+    # net of k = 4 leaked numpy warnings; the W side is at fault
+    with pytest.raises(ValueError, match="^mollified_coulomb: C_K and "
+                       "W_grad_sup do not evaluate to finite floats at "
+                       "a = 1.0") as err:
+        make_system("quadratic", None, "mollified_coulomb", params)
+    assert err.value.side == "W"
+
+
 def test_assumption_determinism(baseline_spec):
     a = check_assumptions(baseline_spec, seed=5)
     b = check_assumptions(baseline_spec, seed=5)
