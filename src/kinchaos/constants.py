@@ -32,6 +32,16 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _ieee(*values):
+    """The values as numpy float64 scalars.  Under np.errstate(all="ignore"),
+    which each rate recipe runs in, their arithmetic is plain IEEE 754 (an
+    overflow gives inf, x/0 gives inf), where Python floats raise on an
+    overflowing ** and on x/0; a finite result has the bits of the same
+    Python float operations."""
+
+    return map(np.float64, values)
+
+
 # the derived quantities of a TheoremConstants record, in report order
 OUTPUT_NAMES = ("a", "delta", "rate", "sigma_star", "H0_min", "m2_prime",
                 "m2_doubleprime")
@@ -51,6 +61,13 @@ class TheoremConstants:
     m2_prime: float | None = None
     m2_doubleprime: float | None = None
     flags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the recipes evaluate in numpy scalars (_ieee): record Python types
+        for k in OUTPUT_NAMES:
+            if getattr(self, k) is not None:
+                setattr(self, k, float(getattr(self, k)))
+        self.flags = {k: bool(v) for k, v in self.flags.items()}
 
     def _outputs(self):
         """The derived quantities that the recipe sets, in report order."""
@@ -73,6 +90,7 @@ class TheoremConstants:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
+@np.errstate(all="ignore")
 def thm13_constants(gamma, sigma, C_K, C_V, rho_LS):
     """Rate recipe for the particle-system decay with bounded Hessians.
 
@@ -82,17 +100,18 @@ def thm13_constants(gamma, sigma, C_K, C_V, rho_LS):
     """
 
     _require_positive(gamma=gamma, sigma=sigma, C_K=C_K, C_V=C_V, rho_LS=rho_LS)
+    inputs = {"gamma": gamma, "sigma": sigma, "C_K": C_K, "C_V": C_V,
+              "rho_LS": rho_LS}
+    gamma, sigma, C_K, C_V, rho_LS = _ieee(gamma, sigma, C_K, C_V, rho_LS)
     a = 2.0 * gamma / (C_K + C_V)
     delta = sigma / (2.0 * (4.0 + 8.0 * a * gamma) ** 2)
     c = (1.0 / (2.0 * (1.0 + rho_LS))) * min(1.5 * delta * a * a, sigma / 2.0)
     return TheoremConstants(
-        tag="T13",
-        inputs={"gamma": gamma, "sigma": sigma, "C_K": C_K, "C_V": C_V,
-                "rho_LS": rho_LS},
-        a=a, delta=delta, rate=c,
+        tag="T13", inputs=inputs, a=a, delta=delta, rate=c,
         flags={"C_K_below_one": C_K < 1.0})
 
 
+@np.errstate(all="ignore")
 def thm14_case1_constants(gamma, sigma, C_K, C_V, rho_ls, a_rule="min"):
     """Uniform-in-N rate recipe, bounded-Hessian case.
 
@@ -104,6 +123,9 @@ def thm14_case1_constants(gamma, sigma, C_K, C_V, rho_ls, a_rule="min"):
     _require_positive(gamma=gamma, sigma=sigma, C_K=C_K, C_V=C_V, rho_ls=rho_ls)
     if a_rule not in ("remark", "proof", "min"):
         raise ValueError("a_rule must be 'remark', 'proof' or 'min'")
+    inputs = {"gamma": gamma, "sigma": sigma, "C_K": C_K, "C_V": C_V,
+              "rho_ls": rho_ls, "a_rule": a_rule}
+    gamma, sigma, C_K, C_V, rho_ls = _ieee(gamma, sigma, C_K, C_V, rho_ls)
     b_remark = gamma / (5120.0 * _E * rho_ls * (C_K + 1.0) ** 2)
     b_proof = gamma / (6400.0 * _E * rho_ls * C_K**2)
     third = {"remark": b_remark, "proof": b_proof,
@@ -117,13 +139,11 @@ def thm14_case1_constants(gamma, sigma, C_K, C_V, rho_ls, a_rule="min"):
         / (a * a * gamma),
         3200.0 * rho_ls * _E * gamma) * C_K**2
     return TheoremConstants(
-        tag="T14c1",
-        inputs={"gamma": gamma, "sigma": sigma, "C_K": C_K, "C_V": C_V,
-                "rho_ls": rho_ls, "a_rule": a_rule},
-        a=a, delta=delta, rate=c1, sigma_star=sigma_star,
+        tag="T14c1", inputs=inputs, a=a, delta=delta, rate=c1, sigma_star=sigma_star,
         flags={"sigma_above_threshold": sigma >= sigma_star})
 
 
+@np.errstate(all="ignore")
 def thm14_case2_constants(gamma, sigma, C_K, C_V_theta, theta, W_grad_sup,
                           rho_wls, d, meanfield_variant=False):
     """Uniform-in-N rate recipe, weighted (super-quadratic confinement) case.
@@ -137,7 +157,13 @@ def thm14_case2_constants(gamma, sigma, C_K, C_V_theta, theta, W_grad_sup,
                       theta=theta, rho_wls=rho_wls, d=d)
     if not meanfield_variant:
         _require_positive(W_grad_sup=W_grad_sup)
-    w = 1.0 if meanfield_variant else W_grad_sup
+    inputs = {"gamma": gamma, "sigma": sigma, "C_K": C_K,
+              "C_V_theta": C_V_theta, "theta": theta,
+              "W_grad_sup": W_grad_sup, "rho_wls": rho_wls, "d": d,
+              "meanfield_variant": meanfield_variant}
+    gamma, sigma, C_K, C_V_theta, theta, rho_wls, d, w = _ieee(
+        gamma, sigma, C_K, C_V_theta, theta, rho_wls, d,
+        1.0 if meanfield_variant else W_grad_sup)
     a = min(1.0 / (4.0 * C_K + 6.0 * theta + 2.0),
             gamma / (C_V_theta + C_K),
             gamma / (6400.0 * _E * rho_wls * (C_K + 1.0) ** 2))
@@ -155,12 +181,7 @@ def thm14_case2_constants(gamma, sigma, C_K, C_V_theta, theta, W_grad_sup,
                  (8.0 * theta * sigma) ** (1.0 / (4.0 * theta)),
                  (2.0 * theta * sigma) ** (1.0 / (3.0 * theta)))
     return TheoremConstants(
-        tag="T14c2",
-        inputs={"gamma": gamma, "sigma": sigma, "C_K": C_K,
-                "C_V_theta": C_V_theta, "theta": theta,
-                "W_grad_sup": W_grad_sup, "rho_wls": rho_wls, "d": d,
-                "meanfield_variant": meanfield_variant},
-        a=a, delta=delta, rate=c2, sigma_star=sigma_star, H0_min=H0_min,
+        tag="T14c2", inputs=inputs, a=a, delta=delta, rate=c2, sigma_star=sigma_star, H0_min=H0_min,
         m2_prime=m2p, m2_doubleprime=m2pp,
         flags={"sigma_above_threshold": sigma >= sigma_star})
 

@@ -117,11 +117,6 @@ class PhaseEnsemble:
     velocities: np.ndarray      # (N, d)
     time: float = 0.0
     step: int = 0
-    # (spec, V, W, their params(), positions snapshot, force) from the
-    # closing kick of the step that produced this state; see
-    # step_particle_system
-    _closing_force: tuple | None = field(default=None, init=False,
-                                         compare=False, repr=False)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -140,7 +135,6 @@ class PhaseEnsemble:
         Z = cls.__new__(cls)
         Z.positions, Z.velocities, Z.time, Z.step = (positions, velocities,
                                                        time, step)
-        Z._closing_force = None
         return Z
 
     @property
@@ -231,19 +225,21 @@ def _check_dt(spec, params, dt, unsafe_dt, x):
             f"= {local:.3g} > 0.5; pass unsafe_dt=True to override")
 
 
-def _advance(Z, params, dt, scheme, rng, force, f_start=None):
-    """Shared stepping core; `force` maps positions to total drift force.
+def _force(spec, X):
+    """Total drift force -grad V(x_i) + (1/N) sum_{j != i} K(x_i - x_j) of
+    the N-particle system, shape (N, d); the negative gradient of its
+    position energy U(X) = sum V + (1/2N) sum_{i != j} W."""
 
-    `f_start`, when given, is force(Z.positions) already known to the caller.
-    Returns the new ensemble and the force at its positions when the scheme
-    computed one (BAOAB's closing kick), else None.
-    """
+    return pairwise_force(spec, X) - spec.V.grad(X)
+
+
+def _advance(Z, params, dt, scheme, rng, force):
+    """Shared stepping core; `force` maps positions to total drift force."""
 
     x = Z.positions
     v = Z.velocities
     xi = rng.step_normals(Z.step, Z.N, Z.d)
-    f = force(x) if f_start is None else f_start
-    f_end = None
+    f = force(x)
     if scheme == "euler_maruyama":
         x_new = x + v * dt
         v_new = v + (f - params.gamma * v) * dt + math.sqrt(2.0 * params.sigma * dt) * xi
@@ -253,48 +249,27 @@ def _advance(Z, params, dt, scheme, rng, force, f_start=None):
         x_half = x + 0.5 * dt * v_half
         v_ou = decay * v_half + noise * xi
         x_new = x_half + 0.5 * dt * v_ou
-        f_end = force(x_new)
-        v_new = v_ou + 0.5 * dt * f_end
+        v_new = v_ou + 0.5 * dt * force(x_new)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise BlowUpError(Z.step, f"(t = {Z.time:.6g})")
-    out = PhaseEnsemble._checked(x_new, v_new, Z.time + dt, Z.step + 1)
-    return out, f_end
+    return PhaseEnsemble._checked(x_new, v_new, Z.time + dt, Z.step + 1)
 
 
 def step_particle_system(Z, spec, params, dt, scheme="baoab", rng=None,
                          unsafe_dt=False):
     """One step of the interacting N-particle system.
 
-    A BAOAB step leaves the force of its closing kick on the returned
-    ensemble, and the next call opens with it instead of evaluating the
-    force again ("first same as last").  It is reused only for the same
-    spec, V and W objects with the same `params()`, and positions equal to
-    those it was computed at; any other state, and every `copy()`, gets a
-    fresh evaluation.
+    The step depends on its arguments alone: each BAOAB step evaluates the
+    force at both of its kicks, so a spec, field or ensemble changed in
+    place between two steps is always seen.
     """
 
     if rng is None:
         raise ValueError("an RngSpec is required for reproducibility")
     _check_dt(spec, params, dt, unsafe_dt, Z.positions)
-
-    def force(x):
-        return -spec.V.grad(x) + pairwise_force(spec, x)
-
-    f_start = None
-    coefficients = (spec.V.params(), spec.W.params())
-    if Z._closing_force is not None:
-        c_spec, c_V, c_W, c_coefficients, c_x, c_f = Z._closing_force
-        if (c_spec is spec and c_V is spec.V and c_W is spec.W
-                and c_coefficients == coefficients
-                and np.array_equal(c_x, Z.positions)):
-            f_start = c_f
-    out, f_end = _advance(Z, params, dt, scheme, rng, force, f_start)
-    if f_end is not None:
-        out._closing_force = (spec, spec.V, spec.W, coefficients,
-                              out.positions.copy(), f_end)
-    return out
+    return _advance(Z, params, dt, scheme, rng, lambda x: _force(spec, x))
 
 
 def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
@@ -319,8 +294,7 @@ def step_mckean_vlasov(Z, spec, params, dt, density_provider, rng=None,
                              f"x = {x[bad[0]]}")
         return -spec.V.grad(x) + drift
 
-    # no carried force: the provider may change between calls
-    return _advance(Z, params, dt, scheme, rng, force)[0]
+    return _advance(Z, params, dt, scheme, rng, force)
 
 
 @dataclass
@@ -349,12 +323,6 @@ def _gaussian_gibbs_positions(gen, n_samples, closed, d):
             + (z - mean_part) / math.sqrt(rest_prec))
 
 
-def _potential_gradient_total(spec, X):
-    """grad of U(X) = sum V + (1/2N) pairwise W, shape (N, d)."""
-
-    return spec.V.grad(X) - pairwise_force(spec, X)
-
-
 # MALA: initial step size, adapted during the burn-in, then one kept sample
 # every _MALA_THIN iterations
 _MALA_STEP, _MALA_BURN_IN, _MALA_THIN = 0.1, 500, 5
@@ -370,7 +338,7 @@ def _mala_positions(gen, spec, n_samples, N, d, beta):
 
     X = gen.standard_normal((N, d))
     U = potential(X)
-    G = _potential_gradient_total(spec, X)
+    G = -_force(spec, X)
     h = _MALA_STEP
     accepted = 0
     proposed = 0
@@ -380,7 +348,7 @@ def _mala_positions(gen, spec, n_samples, N, d, beta):
         drift = X - 0.5 * h * beta * G
         prop = drift + math.sqrt(h) * gen.standard_normal((N, d))
         U_p = potential(prop)
-        G_p = _potential_gradient_total(spec, prop)
+        G_p = -_force(spec, prop)
         back = prop - 0.5 * h * beta * G_p
         log_q_fwd = -np.sum((prop - drift) ** 2) / (2.0 * h)
         log_q_bwd = -np.sum((X - back) ** 2) / (2.0 * h)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .potentials import Quadratic, _harmonic_L_W
 
 # the least node count of an Axis
@@ -229,7 +230,8 @@ def solve_rho_infty(spec, params, grid, tol=_RHO_TOL, max_iter=500):
     W*rho))) and blends geometrically, cand^(1/2) rho^(1/2).  Returns a
     GridDensity whose meta records iterations, the final L1 residual and a
     converged flag; hitting max_iter returns the best iterate flagged
-    non-converged.
+    non-converged.  Raises ConvergenceError when a damped iterate has no
+    mass left to normalise.
     """
 
     _coverage_check(spec, params, grid, max(tol, 1e-14))
@@ -247,7 +249,12 @@ def solve_rho_infty(spec, params, grid, tol=_RHO_TOL, max_iter=500):
         cand = _gibbs_map(spec, params, grid, v_vals, rho)
         # geometric damping in log space keeps iterates positive
         new = cand**0.5 * rho**0.5
-        new /= float(new @ w)
+        mass = float(new @ w)
+        if mass == 0.0:  # cand and rho overlap nowhere in floating point
+            raise ConvergenceError(
+                f"rho_infty fixed point lost its mass at iteration {it}: "
+                f"the damped iterate underflowed to 0 at every grid node")
+        new /= mass
         residual = float(np.abs(new - rho) @ w)
         rho = new
         if residual < tol:

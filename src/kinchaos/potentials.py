@@ -286,14 +286,17 @@ class ExpPower(RadialField):
 
     def constants(self):
         a, k = self.a, self.k
-        # weighted Hessian sup away from the (non-C^2) origin, s >= 1
-        tail = np.geomspace(1.0, 1e4, 4001)
-        w = np.abs(a**2 * k**2 * tail ** (2 * k - 2)
-                   + a * k * (k - 1) * tail ** (k - 2))
+
+        def weighted(s):  # V^(-1) |hess V|
+            return np.abs(a**2 * k**2 * s ** (2 * k - 2)
+                          + a * k * (k - 1) * s ** (k - 2))
+
+        # weighted Hessian sup away from the (non-C^2) origin, s >= 1;
         # lam=1 works since the exponential dominates
         return {"lam": 1.0, "M_lb": _exp_power_gap_sup(a, k),
                 "C_V": math.inf, "theta": 0.5,
-                "C_V_theta": float(np.max(w))}
+                "C_V_theta": _sup_on_net(weighted,
+                                         np.geomspace(1.0, 1e4, 4001))}
 
 
 class HarmonicW(_QuadraticForm):
@@ -665,10 +668,13 @@ def _harmonic_L_W(W):
 def _centred(X):
     """The rows of an (N, d) array minus their mean, in two passes: the
     second removes the rounding of the first mean, so far from the origin
-    the result keeps the accuracy of the differences x_i - x_j."""
+    the result keeps the accuracy of the differences x_i - x_j.  Each mean
+    is the column sum over N, the bits of X.mean(axis=0) without its
+    overhead."""
 
-    c = X - X.mean(axis=0)
-    return c - c.mean(axis=0)
+    N = X.shape[0]
+    c = X - X.sum(axis=0) / N
+    return c - c.sum(axis=0) / N
 
 
 def pairwise_interaction_energy(spec, X):
@@ -763,12 +769,16 @@ _TAIL_RADIUS, _N_TAIL = 1e3, 257
 _N_RANDOM_MEASURES = 64
 
 
+@np.errstate(all="ignore")
 def check_assumptions(spec, *, theta=None, seed=0):
     """Numerically screen the five structural assumptions (d = 1).
 
     Returns an AssumptionReport whose fail verdicts carry concrete witnesses
     (a grid point, or a signed measure for the interaction-convexity check).
-    The quadratic-lower-bound drift variant is reported not-checked.
+    The quadratic-lower-bound drift variant is reported not-checked.  The
+    fields are evaluated in IEEE arithmetic, numpy's warnings off: a screen
+    that no net point fails, but whose screened quantity is undefined at
+    one (a term overflowed), is not-checked (_undefined_at).
     """
 
     if spec.d != 1:
@@ -783,12 +793,18 @@ def check_assumptions(spec, *, theta=None, seed=0):
 
     # A1: quadratic lower bound V >= lam |x|^2 - M, on both nets
     gap = spec.V.value(pool) - spec.lam * pool[:, 0]**2 + spec.M_lb
+    undefined = np.isnan(gap)
+    gap = np.where(undefined, np.inf, gap)
     i = int(np.argmin(gap))
-    verdicts["A1"] = _screen(
-        "pass" if gap[i] >= -_TOL else "fail",
-        margin=float(gap[i]),
-        witness=None if gap[i] >= -_TOL else pool[i],
-        note="drift form of the lower bound: not-checked")
+    if gap[i] >= -_TOL and undefined.any():
+        verdicts["A1"] = _undefined_at("V - lam |x|^2 + M_lb", pool,
+                                       undefined)
+    else:
+        verdicts["A1"] = _screen(
+            "pass" if gap[i] >= -_TOL else "fail",
+            margin=float(gap[i]),
+            witness=None if gap[i] >= -_TOL else pool[i],
+            note="drift form of the lower bound: not-checked")
 
     # A2: bounded Hessian of V
     verdicts["A2"] = _bound_screen("C_V", spec.C_V, "sup|hess V|",
@@ -806,15 +822,30 @@ def check_assumptions(spec, *, theta=None, seed=0):
     return AssumptionReport(verdicts=verdicts, theta=theta, seed=seed)
 
 
+def _undefined_at(what, net, undefined):
+    """The not-checked screen of `what`, undefined in floating point (NaN,
+    or a term that overflowed) at the net points where `undefined` is set;
+    the first of them is the witness."""
+
+    i = int(np.argmax(undefined))
+    return _screen("not-checked", witness=net[i],
+                   note=f"{what} undefined in floating point at |x| = "
+                        f"{np.linalg.norm(net[i]):.3g}")
+
+
 def _bound_screen(name, bound, what, vals, net):
     """The screen of a declared bound: `what`, measured as `vals` at the
     points `net`, against the constant `name` = `bound`.  It passes when
     the sup is at most the bound plus a slack of max(1e-9, 1e-9 bound), the
     rounding of a bound evaluated in closed form, with margin bound - sup;
     it fails, witnessed by the argmax, above that, and always when the
-    bound is not finite, with margin -inf.  The one rule of A2, of A3's
-    weighted Hessian and of A4's C_K."""
+    bound is not finite, with margin -inf.  A NaN in `vals` is undefined:
+    the sup is taken over the other points, and a screen that would pass
+    is not-checked.  The one rule of A2, of A3's weighted Hessian and of
+    A4's C_K."""
 
+    undefined = np.isnan(vals)
+    vals = np.where(undefined, -np.inf, vals)
     j = int(np.argmax(vals))
     sup = float(vals[j])
     if not math.isfinite(bound):
@@ -823,6 +854,8 @@ def _bound_screen(name, bound, what, vals, net):
                             f"measured {what} = {sup:.6g} at |x| = "
                             f"{np.linalg.norm(net[j]):.3g}")
     if sup <= bound + max(1e-9, 1e-9 * bound):
+        if undefined.any():
+            return _undefined_at(what, net, undefined)
         return _screen("pass", margin=bound - sup,
                        note=f"measured {what} = {sup:.12g} <= {name} = "
                             f"{bound:.12g}")
@@ -841,9 +874,14 @@ def _check_a3(spec, pts, theta, tail):
         return _screen("not-checked", note="V <= 0 on the whole net, so "
                                            "V^(-2 theta) is undefined")
     pool_w, vals = pool[positive], vals[positive]
-    weighted = vals ** (-2 * theta) * _op_norms(spec.V.hess(pool_w))
+    weights, norms = vals ** (-2 * theta), _op_norms(spec.V.hess(pool_w))
+    # an overflowed factor leaves the weighted value undefined
+    weighted = np.where(np.isfinite(weights) & np.isfinite(norms),
+                        weights * norms, np.nan)
     weight = _bound_screen("C_V_theta", spec.C_V_theta,
                            "sup V^(-2 theta) |hess V|", weighted, pool_w)
+    if weight.status == "fail":
+        return weight
 
     # tail conditions on the outer half of the tail net
     s = np.abs(tail[:, 0])
@@ -853,41 +891,50 @@ def _check_a3(spec, pts, theta, tail):
     h = spec.V.hess(tpts)
     lap = np.trace(h, axis1=-2, axis2=-1)
     g2 = np.sum(g * g, axis=-1)
-    v = spec.V.value(tpts)
-    good = g2 > 0
+    denom = np.maximum(spec.V.value(tpts), 1e-300) ** (2 * theta + 1)
+    good = ~(g2 == 0)  # a NaN |grad V|^2 stays, as undefined
     if not np.any(good):
         return _screen("not-checked", note="vanishing gradient on tail net")
-    r1 = lap[good] / g2[good]
+    tpts, lap, g2, denom = tpts[good], lap[good], g2[good], denom[good]
+    # a ratio with a term that is not a finite float is undefined
+    undefined = ~(np.isfinite(lap) & np.isfinite(g2) & np.isfinite(denom))
+    r1 = np.where(undefined, -np.inf, lap / g2)
     kappa1 = float(np.max(r1))
-    ok_k1 = kappa1 < 1.0  # condition requires kappa_1 in (0, 1)
-    r2 = g2[good] / np.maximum(v[good], 1e-300) ** (2 * theta + 1)
+    if not kappa1 < 1.0:  # condition requires kappa_1 in (0, 1)
+        return _screen("fail", margin=float(1.0 - kappa1),
+                       witness=tpts[int(np.argmax(r1))],
+                       note=f"laplacian/|grad|^2 = {kappa1:.4g} not < 1 on "
+                            f"tail")
+    r2 = np.where(undefined, np.inf, g2 / denom)
     kappa2 = float(np.min(r2))
-    # kappa_2 must stay bounded away from zero: reject a decaying trend
-    logs = np.log(np.abs(tpts[good][:, 0]))
-    slope = np.polyfit(logs, np.log(np.maximum(r2, 1e-300)), 1)[0]
-    ok_k2 = kappa2 > _TOL and slope >= -0.05
-
-    if weight.passed and ok_k1 and ok_k2:
-        return _screen("pass", margin=weight.margin,
-                       note=f"kappa1={kappa1:.4g} kappa2={kappa2:.4g} "
-                            f"tail slope={slope:.3g}")
-    if not weight.passed:
+    # kappa_2 must stay bounded away from zero: reject a decaying trend, which
+    # only a net with no undefined point can show
+    slope = math.nan
+    if not undefined.any():
+        logs = np.log(np.abs(tpts[:, 0]))
+        slope = np.polyfit(logs, np.log(np.maximum(r2, 1e-300)), 1)[0]
+    if not (kappa2 > _TOL and (undefined.any() or slope >= -0.05)):
+        return _screen("fail", margin=float(kappa2),
+                       witness=tpts[int(np.argmin(r2))],
+                       note=f"|grad V|^2 / V^(2 theta + 1) decays on the "
+                            f"tail (min {kappa2:.4g}, log-log slope "
+                            f"{slope:.3g})")
+    if weight.status == "not-checked":
         return weight
-    if not ok_k1:
-        w = tpts[good][int(np.argmax(r1))]
-        return _screen("fail", margin=float(1.0 - kappa1), witness=w,
-                       note=f"laplacian/|grad|^2 = {kappa1:.4g} not < 1 on tail")
-    w = tpts[good][int(np.argmin(r2))]
-    return _screen("fail", margin=float(kappa2), witness=w,
-                   note=f"|grad V|^2 / V^(2 theta + 1) decays on the tail "
-                        f"(min {kappa2:.4g}, log-log slope {slope:.3g})")
+    if undefined.any():
+        return _undefined_at("the tail ratios", tpts, undefined)
+    return _screen("pass", margin=weight.margin,
+                   note=f"kappa1={kappa1:.4g} kappa2={kappa2:.4g} "
+                        f"tail slope={slope:.3g}")
 
 
 def _check_a4(spec, pts):
     # the smallness comparison is against half the convexity modulus of V
     # (smallest Hessian eigenvalue over the net), not the quadratic-growth
     # constant of A1; for V = (c/2)|x|^2 that modulus is c
-    conv = float(np.min(np.linalg.eigvalsh(spec.V.hess(pts))))
+    eig = np.linalg.eigvalsh(spec.V.hess(pts))[:, 0]
+    undefined = np.isnan(eig)
+    conv = float(np.min(np.where(undefined, np.inf, eig)))
     # with no interaction there is no smallness condition to meet, even where
     # the modulus is 0 (power_k at the origin)
     if isinstance(spec.W, Zero):
@@ -900,6 +947,8 @@ def _check_a4(spec, pts):
     if not bound.passed:
         return bound
     gap = conv / 2.0 - spec.C_K
+    if gap > 0 and undefined.any():
+        return _undefined_at("the convexity modulus of V", pts, undefined)
     if gap > 0:
         return _screen("pass", margin=gap,
                        note=f"{bound.detail} < lam/2 = {conv / 2.0:.12g}")
@@ -912,7 +961,7 @@ def _check_a5(spec, pts, seed):
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)  # as RngSpec
     m = 16
     worst = math.inf
-    worst_witness = None
+    worst_witness = undefined = None
     for _ in range(_N_RANDOM_MEASURES):
         idx = rng.choice(len(pts), size=m, replace=False)
         x = pts[idx]
@@ -923,9 +972,15 @@ def _check_a5(spec, pts, seed):
         if q < worst:
             worst = q
             worst_witness = {"points": x.copy(), "weights": c.copy(), "form": q}
+        if math.isnan(q) and undefined is None:
+            undefined = {"points": x.copy(), "weights": c.copy(), "form": q}
     if worst < -_TOL:
         return _screen("fail", margin=float(worst), witness=worst_witness,
                        note="interaction energy form negative on a zero-mass "
                             "signed measure")
+    if undefined is not None:
+        return _screen("not-checked", witness=undefined,
+                       note="interaction energy form undefined in floating "
+                            "point on a zero-mass signed measure")
     return _screen("pass", margin=float(worst),
                    note=f"min form over {_N_RANDOM_MEASURES} random measures")

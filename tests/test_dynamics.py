@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                                step_mckean_vlasov, step_particle_system)
 from kinchaos.equilibrium import gaussian_closed_form
 from kinchaos.errors import BlowUpError, StabilityError
-from kinchaos.potentials import (make_system, pair_panels,
+from kinchaos.potentials import (Field, make_system, pair_panels,
                                  pairwise_interaction_energy)
 from tests.conftest import quarter_linear_spec
 
@@ -392,7 +393,7 @@ def test_steps_validate_each_state_once(monkeypatch, baseline_spec,
         PhaseEnsemble(np.array([[np.nan]]), np.zeros((1, 1)))
 
 
-# --- carried closing force ---------------------------------------------------
+# --- a step depends on its arguments alone ----------------------------------
 
 @pytest.fixture()
 def force_calls(monkeypatch):
@@ -416,8 +417,8 @@ def _cloud(N=32):
 @pytest.mark.parametrize("scheme", ["baoab", "euler_maruyama"])
 def test_chained_steps_match_fresh_steps(scheme, baseline_spec,
                                          baseline_params, rng):
-    # copy() drops the carried force, so the second loop evaluates both
-    # BAOAB kicks afresh on every step
+    # a step keeps no state on the ensemble it returns, so stepping a copy
+    # gives the same bits
     chained = fresh = _cloud()
     for _ in range(50):
         chained = step_particle_system(chained, baseline_spec,
@@ -430,13 +431,13 @@ def test_chained_steps_match_fresh_steps(scheme, baseline_spec,
     assert np.array_equal(chained.velocities, fresh.velocities)
 
 
-def test_baoab_evaluates_force_once_per_step(force_calls, baseline_spec,
+def test_baoab_evaluates_force_at_both_kicks(force_calls, baseline_spec,
                                              baseline_params, rng):
     Z = _cloud()
     for _ in range(10):
         Z = step_particle_system(Z, baseline_spec, baseline_params, 0.01,
                                  rng=rng)
-    assert len(force_calls) == 11
+    assert len(force_calls) == 20
 
 
 def test_carried_force_dropped_after_position_mutation(
@@ -486,7 +487,7 @@ def test_carried_force_dropped_for_another_spec(force_calls, baseline_spec,
 def test_carried_force_dropped_after_a_coefficient_change(
         side, name, force_calls, baseline_params, rng):
     # a field reads its coefficient at each call, so a value changed in place
-    # is a new force; the carried one differed by 2.5e-3 in velocity at L_W
+    # is a new force
     spec = make_system("quadratic", {"curvature": 1.0},
                        "harmonic_W", {"L_W": 0.25})
     Z = step_particle_system(_cloud(8), spec, baseline_params, 0.01, rng=rng)
@@ -496,6 +497,33 @@ def test_carried_force_dropped_after_a_coefficient_change(
     del force_calls[:]
     got = step_particle_system(Z, spec, baseline_params, 0.01, rng=rng)
     assert len(force_calls) == 2
+    assert np.array_equal(got.positions, expect.positions)
+    assert np.array_equal(got.velocities, expect.velocities)
+
+
+class ScaledW(Field):
+    """W(x) = (c/2)|x|^2 as a custom field whose params() does not show c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * self.c * np.sum(x * x, axis=-1)
+
+    def grad(self, x):
+        return self.c * np.asarray(x, dtype=float)
+
+
+def test_custom_field_changed_in_place_is_seen(baseline_params, rng):
+    # the step must read c again: a force carried from the previous step
+    # differed from the copy's by 1.4e-2 in velocity
+    spec = replace(make_system("quadratic"), W=ScaledW(0.25))
+    Z = step_particle_system(_cloud(8), spec, baseline_params, 0.01, rng=rng)
+    spec.W.c = 2.0
+    expect = step_particle_system(Z.copy(), spec, baseline_params, 0.01,
+                                  rng=rng)
+    got = step_particle_system(Z, spec, baseline_params, 0.01, rng=rng)
     assert np.array_equal(got.positions, expect.positions)
     assert np.array_equal(got.velocities, expect.velocities)
 

@@ -13,6 +13,7 @@ from kinchaos import (chaos_metrics, cli, equilibrium, harness, kinetic_pde,
                       potentials)
 from kinchaos.chaos_metrics import error_statistics
 from kinchaos.cli import _CONFIG_FLAGS
+from kinchaos.constants import OUTPUT_NAMES
 from kinchaos.cli import main as cli_main
 from kinchaos.dynamics import (ModelParams, PhaseEnsemble, RngSpec,
                               sample_f_infty)
@@ -1084,6 +1085,20 @@ def test_cli_unconverged_equilibrium_exit_code(text, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("w_a", ["1e3", "1e300"])
+def test_cli_equilibrium_that_loses_its_mass_exit_code(w_a, tmp_path, capsys):
+    # the damped iterate underflowed to 0 everywhere: 0/0 leaked a numpy
+    # warning, then exit 2 with "non-finite Gibbs map at grid value x=-8.0"
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = concentration\n"
+                    "[potential]\nv_family = quadratic\n"
+                    f"w_family = mollified_coulomb\nw_a = {w_a}\n"
+                    "[numerics]\nN_list = [8, 16]\nn_mc = 2\nnx = 65\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: rho_infty fixed point lost its mass at iteration ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_particle_dt_guard_exit_code(tmp_path, capsys):
     # gamma * dt = 0.6 > 0.5: refused by the particle stepper's first call
     cfg = write_cfg(tmp_path, MINIMAL_ERGODICITY + "dt = 0.6\n")
@@ -1346,12 +1361,62 @@ def test_cli_constants_subcommand(capsys):
     assert '"rate"' in out
 
 
+@pytest.mark.parametrize("flags, section", [
+    (["--gamma", "1e100", "--sigma", "1e100"],
+     "[model]\ngamma = 1e100\nsigma = 1e100\n"),
+    (["--gamma", "1e200"], "[model]\ngamma = 1e200\n"),
+    (["--c-k", "1e-200"], "[constants]\nC_K = 1e-200\n"),
+    (["--c-v-theta", "1e300"], "[constants]\nC_V_theta = 1e300\n")],
+    ids=["gamma_sigma_1e100", "gamma_1e200", "C_K_1e-200", "C_V_theta_1e300"])
+def test_cli_constants_past_the_float_range_fails_the_record(
+        flags, section, tmp_path, capsys):
+    # an overflowing ** raised OverflowError, and x / (an underflowed 0)
+    # ZeroDivisionError; in IEEE arithmetic the record reaches its verdict
+    assert cli_main(["constants", "--json-only", *flags]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert not all(math.isfinite(rec[k]) and rec[k] > 0 for rec in records
+                   for k in OUTPUT_NAMES if k in rec)
+    cfg = write_cfg(tmp_path, "[experiment]\nrecipe = constants_table\n"
+                    + section)
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert "FAIL  all_outputs_finite_positive" in capsys.readouterr().out
+
+
+def test_cli_ergodicity_past_the_float_range_reaches_the_dt_guard(tmp_path,
+                                                                  capsys):
+    # thm13_constants raised OverflowError before the dt guard could refuse
+    cfg = write_cfg(tmp_path, MINIMAL_ERGODICITY
+                    + "[model]\ngamma = 1e100\nsigma = 1e100\n")
+    assert cli_main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: dt * max(")
+
+
 def test_cli_check_assumptions_subcommand(capsys):
     code = cli_main(["check-assumptions", "--v-family", "power_k",
                      "--param", "v_k=4"])
     assert code == 0
     out = capsys.readouterr().out
     assert "A3" in out and "A2" in out
+
+
+@pytest.mark.parametrize("argv, a3, witness", [
+    (["--param", "v_curvature=1e300"], "not-checked", [100.0]),
+    (["--v-family", "power_k", "--param", "v_k=400"], "not-checked", [-10.0]),
+    (["--v-family", "exp_power", "--param", "v_a=50"], "fail", None),
+], ids=["quadratic_1e300", "power_k_400", "exp_power_a50"])
+def test_cli_check_assumptions_where_the_fields_overflow(argv, a3, witness,
+                                                         capsys):
+    # numpy warnings escaped; a NaN margin was reported, and a quadratic V,
+    # whose |grad V|^2 overflowed, failed A3 with margin inf: an undefined
+    # tail ratio is not-checked, witnessed by its first net point
+    assert cli_main(["check-assumptions", *argv]) == 0
+    out = capsys.readouterr().out
+    verdicts = json.loads(out[:out.rindex("}") + 1])["verdicts"]
+    assert not any(v["margin"] is not None and math.isnan(v["margin"])
+                   for v in verdicts.values())
+    assert verdicts["A3"]["status"] == a3
+    if witness is not None:
+        assert verdicts["A3"]["witness"] == witness
 
 
 def test_cli_check_assumptions_on_a_zero_confinement(capsys):

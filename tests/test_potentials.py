@@ -96,6 +96,13 @@ def test_exp_power_theta():
     assert spec.theta == pytest.approx(0.5, abs=1e-14)
 
 
+def test_exp_power_weight_bound_covers_its_sup():
+    # at (a, k) = (1, 1/2), V^(-1) |hess V| peaks at 1/27, at s = 9/4; the
+    # plain maximum of the net was 0.03703703212916862, below it
+    spec = make_system("exp_power", {"a": 1.0, "k": 0.5})
+    assert 1 / 27 <= spec.C_V_theta <= (1 + 1e-11) / 27
+
+
 def test_zero_interaction_constants():
     spec = make_system("quadratic", None, "zero")
     assert spec.C_K == 0.0
@@ -656,6 +663,44 @@ def test_a3_is_not_checked_on_a_tail_without_gradient():
         .verdicts["A3"]
     assert verdict.status == "not-checked"
     assert verdict.detail == "vanishing gradient on tail net"
+
+
+class NanHessianPastFive(Field):
+    """V = x^2 / 2 with a NaN Hessian where |x| > 5."""
+
+    def value(self, x):
+        return 0.5 * np.sum(np.square(x), axis=-1)
+
+    def grad(self, x):
+        return np.asarray(x, dtype=float)
+
+    def hess(self, x):
+        h = np.ones(np.shape(x) + np.shape(x)[-1:])
+        h[np.abs(np.asarray(x)[..., 0]) > 5] = np.nan
+        return h
+
+
+def test_a_screen_that_meets_an_undefined_value_is_not_checked(baseline_spec):
+    # the screens reported NaN margins, as fails: a screen that no net point
+    # fails is not-checked where its quantity is undefined, witnessed by the
+    # first such point
+    verdicts = check_assumptions(dataclasses.replace(
+        baseline_spec, V=NanHessianPastFive())).verdicts
+    for screen in ("A2", "A4"):
+        assert verdicts[screen].status == "not-checked"
+        assert verdicts[screen].margin is None
+        assert verdicts[screen].witness.tolist() == [-10.0]
+    # from |x| = 60 out, V = inf and lam |x|^2 = inf: their gap is NaN
+    a1 = check_assumptions(make_system("quadratic", {"curvature": 1e305})) \
+        .verdicts["A1"]
+    assert a1.status == "not-checked"
+    assert a1.margin is None
+    # W(x) = L_W x^2 / 2 overflows past |x| = 6, so each form is inf - inf;
+    # A5 passed with margin inf
+    a5 = check_assumptions(make_system("quadratic", None, "harmonic_W",
+                                       {"L_W": 1e307})).verdicts["A5"]
+    assert a5.status == "not-checked"
+    assert math.isnan(a5.witness["form"])
 
 
 def test_a4_refuses_a_declared_c_k_below_the_measured_hessian(baseline_spec):
