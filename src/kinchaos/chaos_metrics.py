@@ -234,9 +234,6 @@ class EntropyEstimate:
     jittered: bool      # duplicate points were perturbed by 1e-12
     degenerate: bool    # sample covariance is rank-deficient
 
-    def __float__(self):
-        return self.value
-
 
 def entropy_knn(samples, k=4):
     """Kozachenko-Leonenko differential entropy estimate (natural log).

@@ -79,6 +79,7 @@ _HORIZON = ("above", 0, "the time horizon")
 _W2_CAP = ("at most", _MAX_ASSIGNMENT, "the W2 assignment solver's cap")
 _NODES = ("at least", _MIN_NODES, "the least node count of a grid axis")
 _X_MAX = ("above", 0, "the x grid spans [-x_max, x_max]")
+_SPACING = ("above", 0, "the checkpoint spacing")
 
 # numerics keys per recipe: name -> (type, default, *rules); "int_list" is a
 # list of ints, whose every entry must keep its rules.  A rule is (relation,
@@ -88,7 +89,7 @@ _NUMERICS_SCHEMA = {
         "N": ("int", 64, ("at least", 2, "the W2 floor compares two halves "
                           "of N reference points"), _W2_CAP),
         "dt": ("float", 0.01, _STEP), "T": ("float", 20.0, _HORIZON),
-        "checkpoint_every": ("float", 0.25),
+        "checkpoint_every": ("float", 0.25, _SPACING),
         "scheme": ("str", "baoab", ("one of", ("baoab", "euler_maruyama"),
                                     "the particle integrators")),
     },
@@ -98,7 +99,7 @@ _NUMERICS_SCHEMA = {
         "v_max": ("float", 9.0, ("above", 0, "the v grid spans [-v_max, "
                                  "v_max] / sqrt(beta)")),
         "dt": ("float", 0.002, _STEP), "T": ("float", 10.0, _HORIZON),
-        "checkpoint_every": ("float", 0.05),
+        "checkpoint_every": ("float", 0.05, _SPACING),
         "n_w2": ("int", 1024, ("at least", 1, "each W2 checkpoint draws n_w2 "
                                "points"), _W2_CAP),
         "fit_lo": ("float", 0.15), "fit_hi": ("float", 0.9),

@@ -242,9 +242,6 @@ class FreeEnergyParts:
     entropy: float
     interaction: float
 
-    def __float__(self):
-        return self.total
-
 
 def free_energy(density, spec, params):
     """Free energy of a phase-space GridDensity (or a KineticState)."""
@@ -347,9 +344,6 @@ class ModulatedEnergy:
     fisher: float
     fisher_excluded: float
 
-    def __float__(self):
-        return self.total
-
 
 def modulated_energy(density, spec, params, weights, f_infty, f_hat=None,
                      free_energy_infty=None, free_energy_f=None):
@@ -394,8 +388,9 @@ class DecayFit:
 _LEAST_FIT_POINTS = 3
 
 
-def fit_decay(times, values, window=None):
-    """Fit an exponential decay rate over an optional [t0, t1] window.
+def fit_decay(times, values):
+    """Fit an exponential decay rate to the points given; the fit's window
+    is the span of their times.
 
     Nonpositive values are dropped (counted in n_skipped).  Needs at least
     three usable points.  A constant series returns rate 0 with r2 reported
@@ -406,24 +401,21 @@ def fit_decay(times, values, window=None):
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("times and values must be equal-length 1D arrays")
-    if window is None:
-        window = (float(t[0]), float(t[-1])) if t.size else (0.0, 0.0)
-    keep = (t >= window[0]) & (t <= window[1])
-    skipped = int(np.count_nonzero(keep & (y <= 0)))
-    keep &= y > 0
+    keep = y > 0
+    if np.count_nonzero(keep) < _LEAST_FIT_POINTS:
+        raise ValueError(f"need at least {_LEAST_FIT_POINTS} positive points, "
+                         f"got {np.count_nonzero(keep)}")
+    skipped = int(np.count_nonzero(y <= 0))
+    window = (float(t[0]), float(t[-1]))
     t, y = t[keep], np.log(y[keep])
-    if t.size < _LEAST_FIT_POINTS:
-        raise ValueError(f"need at least {_LEAST_FIT_POINTS} positive points "
-                         f"in the window, got {t.size}")
     if np.all(y == y[0]):
         # constant series: rate 0 exactly, r2 reported as 0 by convention
         return DecayFit(rate=0.0, intercept=math.exp(float(y[0])), r2=0.0,
-                        n_used=int(t.size), n_skipped=skipped,
-                        window=(float(window[0]), float(window[1])))
+                        n_used=int(t.size), n_skipped=skipped, window=window)
     coef, _, _, r2 = _line_fit(t, y)
     return DecayFit(rate=-float(coef[0]), intercept=math.exp(float(coef[1])),
                     r2=r2, n_used=int(t.size), n_skipped=skipped,
-                    window=(float(window[0]), float(window[1])))
+                    window=window)
 
 
 def _line_fit(x, y):

@@ -770,7 +770,7 @@ _N_RANDOM_MEASURES = 64
 
 
 @np.errstate(all="ignore")
-def check_assumptions(spec, *, theta=None, seed=0):
+def check_assumptions(spec, *, seed=0):
     """Numerically screen the five structural assumptions (d = 1).
 
     Returns an AssumptionReport whose fail verdicts carry concrete witnesses
@@ -785,7 +785,6 @@ def check_assumptions(spec, *, theta=None, seed=0):
         raise ValueError(f"check_assumptions screens d = 1 only, got d = "
                          f"{spec.d}")
     pts = np.linspace(-_CORE_RADIUS, _CORE_RADIUS, _N_CORE)[:, None]
-    theta = spec.theta if theta is None else float(theta)
     tail_s = np.geomspace(_CORE_RADIUS, _TAIL_RADIUS, _N_TAIL)
     tail = np.concatenate([tail_s, -tail_s])[:, None]
     pool = np.concatenate([pts, tail])
@@ -811,7 +810,7 @@ def check_assumptions(spec, *, theta=None, seed=0):
                                    _op_norms(spec.V.hess(pool)), pool)
 
     # A3: weighted Hessian bound plus the two tail conditions
-    verdicts["A3"] = _check_a3(spec, pts, theta, tail)
+    verdicts["A3"] = _check_a3(spec, pts, tail)
 
     # A4: bounded interaction Hessian and C_K < lam/2
     verdicts["A4"] = _check_a4(spec, pts)
@@ -819,7 +818,7 @@ def check_assumptions(spec, *, theta=None, seed=0):
     # A5: interaction-energy convexity on random zero-mass signed measures
     verdicts["A5"] = _check_a5(spec, pts, seed)
 
-    return AssumptionReport(verdicts=verdicts, theta=theta, seed=seed)
+    return AssumptionReport(verdicts=verdicts, theta=spec.theta, seed=seed)
 
 
 def _undefined_at(what, net, undefined):
@@ -864,8 +863,9 @@ def _bound_screen(name, bound, what, vals, net):
                         f"{bound:.12g}")
 
 
-def _check_a3(spec, pts, theta, tail):
+def _check_a3(spec, pts, tail):
     # weighted sup |V^(-2 theta) hess V| excluding the origin where V may vanish
+    theta = spec.theta
     pool = np.concatenate([pts, tail])
     pool = pool[np.linalg.norm(pool, axis=-1) > 1e-6]
     vals = spec.V.value(pool)

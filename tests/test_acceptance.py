@@ -9,6 +9,7 @@ single machine.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,11 +258,11 @@ def test_criterion_8_metric_suite():
 def test_criterion_9_assumption_checker():
     t0 = time.perf_counter()
     quartic = make_system("power_k", {"k": 4})
-    rep_v = check_assumptions(quartic, theta=0.25, seed=0)
+    rep_v = check_assumptions(quartic, seed=0)
     ok = rep_v.status("A3") == "pass" and rep_v.status("A2") == "fail"
     baseline = make_system("quadratic", {"curvature": 1.0}, "harmonic_W",
                            {"L_W": 0.25})
-    rep_w = check_assumptions(baseline, theta=0.25, seed=0)
+    rep_w = check_assumptions(replace(baseline, theta=0.25), seed=0)
     ok &= rep_w.status("A4") == "pass"
     a5 = rep_w.verdicts["A5"]
     ok &= a5.status == "fail" and a5.witness is not None

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kinchaos
+from kinchaos.harness import load_config, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -36,6 +37,16 @@ def _workloads():
 
 def test_every_workload_has_small_numerics():
     assert set(SMALL_NUMERICS) == set(_workloads())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_NUMERICS))
+def test_load_config_reads_each_workload(name):
+    # perfbench/child.py reads its workload with load_config in a subprocess
+    path = PERFBENCH / "workloads" / _workloads()[name]["config"]
+    got = load_config(path)
+    want = parse_config(path.read_text(encoding="utf-8"))
+    assert (got.recipe, got.potential, got.numerics) == \
+        (want.recipe, want.potential, want.numerics)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_NUMERICS))

@@ -883,6 +883,21 @@ def test_both_error_term_paths_share_the_grid_escape_rule(x, refused):
                                .aggregate("R0"))
 
 
+def test_both_error_term_paths_clamp_the_tables_at_either_grid_end():
+    # particles 5e-12 past each end of [-8, 8] pass the escape rule and
+    # take the end values of the tables, in both paths, to the bit
+    spec = make_system("quadratic", None, "mollified_coulomb",
+                       {"a": 0.2, "b": 1.0, "k": 2.0})
+    rho = solve_rho_infty(spec, ModelParams(1.0, 1.0, 1.0),
+                          Axis(-8.0, 8.0, 65))
+    tables = mean_field_tables(spec, rho)
+    Z = PhaseEnsemble(np.array([[-8 - 5e-12], [8 + 5e-12]]),
+                      np.array([[0.5], [-1.0]]))
+    fast = error_statistics(Z, spec, rho, tables=tables)
+    ref = error_statistics_reference(Z, spec, rho, tables=tables)
+    assert fast.aggregates == ref.aggregates
+
+
 def test_concentration_escape_names_the_repetition(mollified_setup, rng,
                                                    monkeypatch):
     # the sweep evaluates a point's ensembles in stacks, and the escape

@@ -606,6 +606,21 @@ def test_gibbs_mala_matches_exact(baseline_spec, baseline_params, rng):
     assert np.var(x[:, 0], ddof=1) == pytest.approx(0.85, abs=0.08)
 
 
+@pytest.mark.parametrize("curvature, warned", [(1e9, True), (1e6, False)])
+def test_gibbs_mala_warns_outside_the_acceptance_band(curvature, warned):
+    # at curvature 1e9 the burn-in shrinks the step to 5.9e-8 and the chain
+    # still accepts none of its proposals; at 1e6 it accepts 0.39
+    spec = make_system("quadratic", {"curvature": curvature}, "harmonic_W",
+                       {"L_W": 0.25})
+    out = sample_gibbs(spec, ModelParams(), 4, 20, method="mala",
+                       rng=RngSpec(1))
+    assert (out.warning is not None) == warned
+    assert (0.2 <= out.acceptance_rate <= 0.8) != warned
+    if warned:
+        assert out.warning == ("MALA acceptance rate 0.000 outside [0.2, 0.8] "
+                               "after adaptation")
+
+
 def test_gibbs_exact_rejected_off_family(baseline_params, rng):
     spec = make_system("power_k", {"k": 4.0})
     with pytest.raises(ValueError, match="got power_k/zero"):

@@ -347,6 +347,15 @@ def test_spec_closed_form_rejects_non_gaussian_families(v_family, w_family):
 
 # --- input guards ------------------------------------------------------------
 
+def _zeroed(axis):
+    """A normalized position density whose values are then zeroed in place,
+    past the constructor's mass check."""
+
+    rho = GridDensity.from_values(axis, np.ones(axis.n))
+    rho.values[:] = 0.0
+    return rho
+
+
 @pytest.mark.parametrize("case, message", [
     ("axis_infinite_lo", "axis bounds must be finite"),
     ("axis_nan_hi", "axis bounds must be finite"),
@@ -355,6 +364,7 @@ def test_spec_closed_form_rejects_non_gaussian_families(v_family, w_family):
      "cannot normalize density with nonpositive or non-finite mass"),
     ("positions_of_phase",
      "sample_positions is defined for position densities"),
+    ("positions_of_zeroed", "density has zero total mass"),
     ("phase_of_positions", "sample_phase needs a phase-space density"),
     ("derivative_3", "derivative must be 0, 1 or 2"),
     ("assemble_phase", r"rho must be a position \(1D\) density"),
@@ -370,6 +380,7 @@ def test_guards_refuse_bad_input(case, message, rho_inf, f_inf,
         "density_shape": lambda: GridDensity(axis, np.ones(axis.n - 1)),
         "zero_mass": lambda: GridDensity.from_values(axis, np.zeros(axis.n)),
         "positions_of_phase": lambda: f_inf.sample_positions(gen, 3),
+        "positions_of_zeroed": lambda: _zeroed(axis).sample_positions(gen, 3),
         "phase_of_positions": lambda: rho_inf.sample_phase(gen, 3),
         "derivative_3": lambda: interaction_convolution(
             baseline_spec, axis, rho_inf.values, derivative=3),

@@ -611,7 +611,7 @@ def test_fit_window_and_skips():
     t = np.linspace(0, 10, 50)
     vals = np.exp(-t)
     vals[7] = -1.0
-    fit = fit_decay(t, vals, window=(0.0, 5.0))
+    fit = fit_decay(t[t <= 5.0], vals[t <= 5.0])
     assert fit.n_skipped == 1
     assert fit.rate == pytest.approx(1.0, abs=1e-9)
 

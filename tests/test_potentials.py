@@ -583,7 +583,7 @@ def test_zero_interaction_a4_passes_for_a_non_convex_well():
     # above C_K = 0; with no interaction there is no smallness condition to
     # meet, and A4 passes
     spec = make_system("power_k", {"k": 4.0}, "zero")
-    report = check_assumptions(spec, theta=0.25)
+    report = check_assumptions(spec)
     assert report.status("A4") == "pass"
     assert report.verdicts["A4"].margin == 0.0
     assert report.status("A5") == "pass"
@@ -596,7 +596,7 @@ def test_assumption_screening_is_one_dimensional():
 
 def test_quadratic_tail_fails_at_quartic_theta(baseline_spec):
     # V with bounded Hessian cannot satisfy the theta=1/4 tail inequality
-    report = check_assumptions(baseline_spec, theta=0.25)
+    report = check_assumptions(dataclasses.replace(baseline_spec, theta=0.25))
     assert report.status("A3") == "fail"
 
 
@@ -609,8 +609,8 @@ def test_a3_refuses_a_tail_laplacian_not_below_the_gradient():
     # V = 1e-9 x^2 / 2: laplacian / |grad V|^2 = 1e9 / x^2 >= 1 out to
     # |x| = 3e4, so kappa_1 < 1 fails on the tail net
     spec = make_system("quadratic", {"curvature": 1e-9})
-    spec = dataclasses.replace(spec, C_V_theta=_NO_WEIGHT_BOUND)
-    verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
+    spec = dataclasses.replace(spec, theta=0.25, C_V_theta=_NO_WEIGHT_BOUND)
+    verdict = check_assumptions(spec).verdicts["A3"]
     assert verdict.status == "fail"
     assert "not < 1 on tail" in verdict.detail
     assert verdict.margin == pytest.approx(1.0 - 1e5)
@@ -619,9 +619,9 @@ def test_a3_refuses_a_tail_laplacian_not_below_the_gradient():
 def test_a3_refuses_a_decaying_tail_ratio():
     # V = x^2 / 2 at theta = 1/4: |grad V|^2 / V^(3/2) = 2^(3/2) / |x| decays
     # with log-log slope -1
-    spec = dataclasses.replace(make_system("quadratic"),
+    spec = dataclasses.replace(make_system("quadratic"), theta=0.25,
                                C_V_theta=_NO_WEIGHT_BOUND)
-    verdict = check_assumptions(spec, theta=0.25).verdicts["A3"]
+    verdict = check_assumptions(spec).verdicts["A3"]
     assert verdict.status == "fail"
     assert "decays on the tail" in verdict.detail
     assert verdict.margin == pytest.approx(2 ** 1.5 / 1e3)
